@@ -94,10 +94,20 @@ fn number_field(body: &str, key: &str) -> Option<f64> {
 
 /// Compares current medians against the committed baseline and returns
 /// one human-readable line per benchmark that regressed by more than
-/// `factor`. Benchmarks present on only one side are ignored — adding a
-/// new benchmark must not fail CI until its number is committed.
+/// `factor`, and one per committed benchmark the run did not produce —
+/// a renamed or deleted row must not silently stop being gated. A
+/// benchmark only the run produced is ignored, so adding one does not
+/// fail CI until its number is committed.
 pub fn regressions(current: &[Entry], baseline: &[Entry], factor: f64) -> Vec<String> {
     let mut out = Vec::new();
+    for base in baseline {
+        if !current.iter().any(|c| c.id == base.id) {
+            out.push(format!(
+                "{}: committed in the baseline but not produced by this run",
+                base.id
+            ));
+        }
+    }
     for cur in current {
         let Some(base) = baseline.iter().find(|b| b.id == cur.id) else {
             continue;
@@ -169,8 +179,27 @@ mod tests {
         let r = regressions(&cur, &base, 10.0);
         assert_eq!(r.len(), 1);
         assert!(r[0].contains("pairing/after_prepared"));
-        // Unknown benchmarks never fail the check.
-        cur[1].id = "brand/new".into();
+    }
+
+    #[test]
+    fn a_row_new_in_the_run_passes() {
+        let base = sample();
+        let mut cur = sample();
+        cur.push(Entry {
+            id: "brand/new".into(),
+            median_ns: 1e12,
+        });
         assert!(regressions(&cur, &base, 10.0).is_empty());
+    }
+
+    #[test]
+    fn a_committed_row_missing_from_the_run_fires() {
+        let base = sample();
+        let mut cur = sample();
+        cur[1].id = "pairing/renamed".into();
+        let r = regressions(&cur, &base, 10.0);
+        assert_eq!(r.len(), 1, "{r:?}");
+        assert!(r[0].contains("pairing/after_prepared"));
+        assert!(r[0].contains("not produced by this run"));
     }
 }

@@ -2,25 +2,20 @@
 //! buys on the verify hot path and guards the paper's "one pairing"
 //! claim with op-counter assertions.
 //!
-//! Three benchmark families, each with a before/after pair:
+//! Four benchmark families, each with a before/after pair:
 //!
 //! * **pairing** — a full `pairing()` call (Miller-loop lines recomputed
 //!   every time) vs. a prepared evaluation over cached [`G2Prepared`]
 //!   line coefficients.
+//! * **tower** — `Fp2`, `Fp6` and `Fp12` multiplication with a
+//!   Montgomery reduction after every product (`before_eager`) vs. the
+//!   lazy-reduction chains (`after_lazy`).
 //! * **fixed-base** — generic double-and-add generator multiplication
 //!   vs. the precomputed signed radix-16 tables in G1 and G2.
 //! * **verify** — stateless `McCls::verify` (re-derives `e(Q_ID,
 //!   P_pub)` per call) vs. the cached [`Verifier`] hot path, and `n`
 //!   individual verifications vs. one `batch_verify` (`n + 1` Miller
 //!   loops, one shared final exponentiation).
-//! * **backend** — the lazy `Fp2` multiply and the prepared pairing
-//!   with the portable scalar kernel pinned (`backend::force_scalar`)
-//!   vs. the packed kernel requested (`backend::force_accel`), so the
-//!   committed baseline records what the AVX2/NEON island actually
-//!   buys (or costs) on the machine that generated it. These rows are
-//!   why the packed path is opt-in: on this project's x86-64
-//!   reference hosts the packed rows are ~2x *slower* than scalar
-//!   mulx, and the default dispatch follows the measurement.
 //!
 //! Usage: `cargo run -p mccls-bench --release [-- --smoke]
 //! [--update-baseline] [--baseline <path>]`.
@@ -38,8 +33,8 @@ use mccls_bench::harness::Criterion;
 use mccls_core::batch::{batch_verify, BatchItem};
 use mccls_core::{ops, CertificatelessScheme, McCls, Verifier};
 use mccls_pairing::{
-    backend, g1_generator_table, g2_generator_table, multi_miller_loop, pairing, Fp12, Fp2, Fp6,
-    Fr, G1Projective, G2Prepared, G2Projective,
+    g1_generator_table, g2_generator_table, multi_miller_loop, pairing, Fp12, Fp2, Fp6, Fr,
+    G1Projective, G2Prepared, G2Projective,
 };
 use mccls_rng::rngs::StdRng;
 use mccls_rng::SeedableRng;
@@ -219,39 +214,6 @@ fn run_benches(c: &mut Criterion, smoke: bool, world: &mut World) {
     g.sample_size(samples);
     g.bench_function("before_eager", |b| b.iter(|| x12.mul_eager12(&y12)));
     g.bench_function("after_lazy", |b| b.iter(|| x12 * y12));
-    g.finish();
-
-    // Packed-backend rows: the same lazy Fp2 Karatsuba and the full
-    // prepared pairing, first pinned to the portable scalar kernel and
-    // then with the packed kernel requested (AVX2/NEON where the host
-    // has it, scalar fallback otherwise — the printed name says which
-    // this run actually measured). The pins are per-thread and the
-    // harness is single-threaded, so they bracket only these rows.
-    backend::force_accel(true);
-    println!("packed kernel for *_backend rows: {}", backend::active());
-    backend::force_accel(false);
-    let mut g = c.benchmark_group("fp2_mul_backend");
-    g.sample_size(samples);
-    backend::force_scalar(true);
-    g.bench_function("scalar_mulx", |b| b.iter(|| x2 * y2));
-    backend::force_scalar(false);
-    backend::force_accel(true);
-    g.bench_function("packed_kernel", |b| b.iter(|| x2 * y2));
-    backend::force_accel(false);
-    g.finish();
-
-    let mut g = c.benchmark_group("pairing_backend");
-    g.sample_size(samples);
-    backend::force_scalar(true);
-    g.bench_function("scalar_mulx", |b| {
-        b.iter(|| multi_miller_loop(&[(&p, &q_prep)]).final_exponentiation())
-    });
-    backend::force_scalar(false);
-    backend::force_accel(true);
-    g.bench_function("packed_kernel", |b| {
-        b.iter(|| multi_miller_loop(&[(&p, &q_prep)]).final_exponentiation())
-    });
-    backend::force_accel(false);
     g.finish();
 
     let k = Fr::random_nonzero(&mut rng);

@@ -106,139 +106,6 @@ pub trait Field: Copy + Clone + core::fmt::Debug + PartialEq + Eq + Send + Sync 
     }
 }
 
-/// Per-field limb constants a [`FieldBackend`] kernel needs — the seam
-/// [`montgomery_field!`] exposes to backend implementations (the same
-/// parameter-trait shape as Plonky3's `MontyParameters`): the modulus
-/// and the Montgomery factor, nothing else.
-pub trait BackendParams<const N: usize> {
-    /// The field modulus, little-endian limbs.
-    const MODULUS: [u64; N];
-    /// `-p⁻¹ mod 2^64`, the Montgomery reduction factor.
-    const INV: u64;
-}
-
-/// A limb-arithmetic backend: the raw kernels behind the lazy tower's
-/// deferred-reduction primitives.
-///
-/// The provided methods are the portable scalar reference. An
-/// accelerated backend (`crate::simd::avx2`, `crate::simd::neon`)
-/// overrides the batched product kernel and must match the scalar
-/// results **bit for bit** — `tests/backend_equivalence.rs` and the
-/// xtask `backend` lint hold that line. Packed vector types never
-/// cross this trait: every signature is plain little-endian `u64`
-/// limbs, so the tower above it is backend-agnostic.
-///
-/// Double-width values travel as `(low, high)` limb halves because
-/// `[u64; 2 * N]` would need unstable const-generic arithmetic.
-pub trait FieldBackend<const N: usize> {
-    /// Backend name for diagnostics and bench rows.
-    const NAME: &'static str;
-
-    /// Full double-width schoolbook product, as `(low, high)` halves.
-    fn mul_wide(a: &[u64; N], b: &[u64; N]) -> ([u64; N], [u64; N]) {
-        let mut lo = [0u64; N];
-        let mut hi = [0u64; N];
-        for i in 0..N {
-            let mut carry = 0u64;
-            // The index pair (i, j) addresses the 2N-limb result
-            // diagonally; an iterator over `b` would obscure that.
-            #[allow(clippy::needless_range_loop)]
-            for j in 0..N {
-                let k = i + j;
-                // lint:allow(panic) k < 2N and both halves hold N limbs
-                let t = if k < N { lo[k] } else { hi[k - N] };
-                let (v, c) = crate::arith::mac(t, a[i], b[j], carry);
-                if k < N {
-                    lo[k] = v; // lint:allow(panic) k < N in this arm
-                } else {
-                    hi[k - N] = v; // lint:allow(panic) k - N < N here
-                }
-                carry = c;
-            }
-            // Column i + N is untouched by rows 0..=i, so plain store.
-            hi[i] = carry; // lint:allow(panic) i < N by the loop bound
-        }
-        (lo, hi)
-    }
-
-    /// Three independent full products — the batch shape of the lazy
-    /// Karatsuba `Fp2` multiply (`v0`, `v1`, and the cross term), and
-    /// the kernel SIMD backends accelerate with vertical lanes.
-    fn mul_wide_x3(a: &[[u64; N]; 3], b: &[[u64; N]; 3]) -> [([u64; N], [u64; N]); 3] {
-        [
-            Self::mul_wide(&a[0], &b[0]),
-            Self::mul_wide(&a[1], &b[1]),
-            Self::mul_wide(&a[2], &b[2]),
-        ]
-    }
-
-    /// Unreduced limb addition; the carry out of the top limb must be
-    /// statically impossible (range-lint certified) at every call site.
-    fn add_unreduced(a: &[u64; N], b: &[u64; N]) -> [u64; N] {
-        let mut out = [0u64; N];
-        let mut carry = 0u64;
-        for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
-            let (v, c) = crate::arith::adc(*x, *y, carry);
-            *o = v;
-            carry = c;
-        }
-        debug_assert!(carry == 0, "backend add_unreduced exceeded headroom");
-        out
-    }
-
-    /// `a + offset - b`, the offset-subtraction shape of
-    /// `sub_unreduced` / `wide_sub_offset`; non-negative whenever the
-    /// range lint's class condition (`offset` covers `b`) holds.
-    fn sub_offset(a: &[u64; N], offset: &[u64; N], b: &[u64; N]) -> [u64; N] {
-        // range-ok: limb-level backend kernel, not a field-element chain;
-        // callers' magnitude classes are certified at their own call sites
-        let mut out = Self::add_unreduced(a, offset);
-        let mut borrow = 0u64;
-        for (o, y) in out.iter_mut().zip(b) {
-            let (v, bb) = crate::arith::sbb(*o, *y, borrow);
-            *o = v;
-            borrow = bb;
-        }
-        debug_assert!(borrow == 0, "backend sub_offset went negative");
-        out
-    }
-
-    /// Deferred-carry Montgomery reduction of a `(low, high)`
-    /// accumulator: N REDC rounds with the top carry folded exactly
-    /// once per round (the same recurrence as `FpWide::
-    /// montgomery_reduce`), returning the pre-canonical high half.
-    ///
-    /// The caller canonicalizes (the bound below the narrow cap is a
-    /// field-specific descent, not a backend concern).
-    fn montgomery_reduce<P: BackendParams<N>>(lo: &[u64; N], hi: &[u64; N]) -> [u64; N] {
-        let mut l = *lo;
-        let mut h = *hi;
-        let mut carry2 = 0u64;
-        for i in 0..N {
-            let m = l[i].wrapping_mul(P::INV);
-            let (_, mut carry) = crate::arith::mac(l[i], m, P::MODULUS[0], 0);
-            for j in 1..N {
-                let k = i + j;
-                // lint:allow(panic) k < 2N and both halves hold N limbs
-                let t = if k < N { l[k] } else { h[k - N] };
-                let (v, c) = crate::arith::mac(t, m, P::MODULUS[j], carry);
-                if k < N {
-                    l[k] = v; // lint:allow(panic) k < N in this arm
-                } else {
-                    h[k - N] = v; // lint:allow(panic) k - N < N here
-                }
-                carry = c;
-            }
-            // lint:allow(panic) i < N by the loop bound
-            let (v, c) = crate::arith::adc(h[i], carry2, carry);
-            h[i] = v; // lint:allow(panic) i < N by the loop bound
-            carry2 = c;
-        }
-        debug_assert!(carry2 == 0, "backend REDC input exceeded the wide cap");
-        h
-    }
-}
-
 /// Generates a Montgomery-form prime field type.
 ///
 /// `$name` is the type, `$n` the limb count (little-endian `u64`), and
@@ -573,14 +440,6 @@ macro_rules! montgomery_field {
                 }
                 out
             }
-        }
-
-        // The backend seam: every generated field publishes exactly
-        // the two constants a limb kernel needs, so `FieldBackend`
-        // implementations stay generic over the field.
-        impl $crate::field::BackendParams<$n> for $name {
-            const MODULUS: [u64; $n] = Self::MODULUS;
-            const INV: u64 = Self::INV;
         }
 
         impl $crate::field::Field for $name {

@@ -186,28 +186,6 @@ impl Fp {
         FpWide(mul_wide(&self.0, &other.0))
     }
 
-    /// Three independent full products in one call — the batch seam
-    /// the packed backend accelerates (see [`crate::simd`]). Every
-    /// backend computes the exact 768-bit integer products, so the
-    /// result is bit-for-bit equal to three [`Fp::mul_unreduced`]
-    /// calls regardless of which kernel dispatch selects.
-    ///
-    /// The range lint treats this as a per-lane intrinsic: lane `k` of
-    /// the result gets magnitude class `a[k]·b[k]` (in `p²` units),
-    /// and call sites must bind the lanes with an array pattern
-    /// (`let [v0, v1, s] = ...`) so each lane's class is tracked
-    /// individually.
-    #[inline]
-    pub fn mul_unreduced_x3(a: &[Self; 3], b: &[Self; 3]) -> [FpWide; 3] {
-        let prods = crate::simd::mul_wide_x3(&[a[0].0, a[1].0, a[2].0], &[b[0].0, b[1].0, b[2].0]);
-        let mut out = [FpWide([0u64; 12]); 3];
-        for (o, (lo, hi)) in out.iter_mut().zip(prods) {
-            o.0[..6].copy_from_slice(&lo); // lint:allow(panic) halves are 6 limbs
-            o.0[6..].copy_from_slice(&hi); // lint:allow(panic) halves are 6 limbs
-        }
-        out
-    }
-
     /// Canonicalizes a narrow unreduced value (class `<Np`) back below
     /// `p`, re-establishing the representation invariant.
     ///
@@ -550,34 +528,6 @@ mod tests {
         }
         let expect = m1.mul(&m1).mul(&Fp::from_u64(64));
         assert_eq!(acc.montgomery_reduce(), expect);
-    }
-
-    #[test]
-    fn batched_products_match_single_products_bit_for_bit() {
-        for_random_fp(64, 0xF9, |a, b, c| {
-            let sa = a.add_unreduced(&b);
-            let sb = b.add_unreduced(&c);
-            let lanes = Fp::mul_unreduced_x3(&[a, b, sa], &[b, c, sb]);
-            assert_eq!(lanes[0], a.mul_unreduced(&b));
-            assert_eq!(lanes[1], b.mul_unreduced(&c));
-            assert_eq!(lanes[2], sa.mul_unreduced(&sb));
-        });
-    }
-
-    #[test]
-    fn backend_trait_redc_matches_fpwide_reduce() {
-        use crate::field::FieldBackend;
-        for_random_fp(32, 0xFA, |a, b, _| {
-            let wide = a.mul_unreduced(&b);
-            let mut lo = [0u64; 6];
-            let mut hi = [0u64; 6];
-            lo.copy_from_slice(&wide.0[..6]);
-            hi.copy_from_slice(&wide.0[6..]);
-            let raw = <crate::simd::scalar::ScalarBackend as FieldBackend<6>>::montgomery_reduce::<
-                Fp,
-            >(&lo, &hi);
-            assert_eq!(Fp(canonicalize_below_8p(raw)), wide.montgomery_reduce());
-        });
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! fields whose constants are derived at compile time from the modulus,
 //! the `Fp2/Fp6/Fp12` tower, Jacobian group arithmetic for G1/G2, XMD
 //! hash-to-curve, and the optimal ate pairing (affine Miller loop with
-//! batched inversions plus final exponentiation).
+//! one `Fp2` inversion per doubling and per addition step, plus final
+//! exponentiation).
 //!
 //! # Examples
 //!
@@ -34,11 +35,7 @@
 //! assert_eq!(lhs, rhs);
 //! ```
 
-// `deny` rather than `forbid` for exactly one reason: the `simd`
-// module re-allows unsafe for its arch intrinsics. The xtask `backend`
-// lint certifies that island (containment, whitelisted intrinsics,
-// scalar twins); everywhere else unsafe is still a hard error.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arith;
@@ -54,10 +51,9 @@ mod g1;
 mod g2;
 mod pairing_impl;
 mod prepared;
-mod simd;
 
 pub use curve::{AffinePoint, Curve, ProjectivePoint};
-pub use field::{BackendParams, Field, FieldBackend};
+pub use field::Field;
 pub use fp::{Fp, FpWide};
 pub use fp12::Fp12;
 pub use fp2::{Fp2, Fp2Wide};
@@ -70,4 +66,3 @@ pub use prepared::{
     g1_generator_table, g2_generator_table, g2_prepared_generator, multi_miller_loop,
     FixedBaseTable, G1Table, G2Prepared, G2Table, MillerLoopResult,
 };
-pub use simd::backend;

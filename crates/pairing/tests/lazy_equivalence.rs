@@ -41,6 +41,22 @@ fn edge_fps() -> Vec<Fp> {
     out
 }
 
+/// Magnitude classes an unreduced narrow operand can carry into a
+/// product: canonical, doubled, quadrupled, and 7, the largest class
+/// below the `8p` narrow cap (`7p · 7p = 49p²` stays under the `64p²`
+/// wide cap).
+const NARROW_CLASSES: [u64; 4] = [1, 2, 4, 7];
+
+/// Grows `base` to magnitude class `class` (`< class·p`, unreduced) by
+/// repeated unreduced self-addition.
+fn saturate(base: &Fp, class: u64) -> Fp {
+    let mut acc = *base;
+    for _ in 1..class {
+        acc = acc.add_unreduced(base);
+    }
+    acc
+}
+
 /// Edge `Fp2` values: the cross product of the extreme `Fp` edges plus
 /// one striped pair, small enough to sweep pairwise.
 fn edge_fp2s() -> Vec<Fp2> {
@@ -122,6 +138,18 @@ fn fp_lazy_primitives_match_eager_ops_on_edges_and_seeded_pairs() {
         let lazy = wide.wide_add(&wide).wide_add(&wide).montgomery_reduce();
         let eager = a.mul(&b).add(&a.mul(&b)).add(&a.mul(&b));
         assert_eq!(lazy, eager, "deferred accumulation drifted on {a:?}, {b:?}");
+        // Unreduced operands through the single-product path: `j·a`
+        // and `k·b` left unreduced must still multiply to the eager
+        // `(j·a)·(k·b)`.
+        for j in NARROW_CLASSES {
+            for k in NARROW_CLASSES {
+                let lazy = saturate(&a, j)
+                    .mul_unreduced(&saturate(&b, k))
+                    .montgomery_reduce();
+                let eager = a.mul(&Fp::from_u64(j)).mul(&b.mul(&Fp::from_u64(k)));
+                assert_eq!(lazy, eager, "class {j}x{k} product drifted on {a:?}, {b:?}");
+            }
+        }
     }
 }
 

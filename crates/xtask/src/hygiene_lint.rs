@@ -4,11 +4,7 @@
 //! at a time:
 //!
 //! * every crate root (`src/lib.rs`, falling back to `src/main.rs`)
-//!   carries `#![forbid(unsafe_code)]` — except the pairing crate,
-//!   which may downgrade to `#![deny(unsafe_code)]` because its `simd`
-//!   module re-allows unsafe for arch intrinsics; that island is
-//!   certified by the `backend` lint instead (containment, intrinsic
-//!   whitelist, scalar twins);
+//!   carries `#![forbid(unsafe_code)]`;
 //! * every crate's `Cargo.toml` opts into the shared lint table with
 //!   `[lints] workspace = true`;
 //! * the root `Cargo.toml` still defines the `[workspace.lints.clippy]`
@@ -20,12 +16,6 @@ use crate::Finding;
 
 /// Clippy keys the workspace lint table must keep configuring.
 const REQUIRED_CLIPPY_KEYS: &[&str] = &["unwrap_used", "expect_used", "panic"];
-
-/// Crates whose root may carry `#![deny(unsafe_code)]` instead of
-/// `forbid`: the pairing crate's `simd` island needs `#![allow]` to
-/// compile its arch intrinsics, which `forbid` cannot be overridden
-/// for. The `backend` lint certifies everything inside that island.
-const DENY_UNSAFE_EXCEPTIONS: &[&str] = &["crates/pairing/Cargo.toml"];
 
 /// Scans the workspace rooted at `root`.
 pub fn scan(root: &Path) -> Vec<Finding> {
@@ -77,10 +67,8 @@ fn check_crate(dir: &Path, toml_label: &str, findings: &mut Vec<Finding>) {
     } else {
         return;
     };
-    let deny_ok = DENY_UNSAFE_EXCEPTIONS.contains(&toml_label);
     match std::fs::read_to_string(&crate_root) {
         Ok(src) if src.contains("#![forbid(unsafe_code)]") => {}
-        Ok(src) if deny_ok && src.contains("#![deny(unsafe_code)]") => {}
         Ok(_) => findings.push(Finding {
             file: format!(
                 "{}/src/{}",
@@ -89,13 +77,7 @@ fn check_crate(dir: &Path, toml_label: &str, findings: &mut Vec<Finding>) {
             ),
             line: 0,
             lint: "hygiene",
-            message: if deny_ok {
-                "crate root lacks `#![forbid(unsafe_code)]` (or the documented \
-                 `#![deny(unsafe_code)]` exception)"
-                    .to_owned()
-            } else {
-                "crate root lacks `#![forbid(unsafe_code)]`".to_owned()
-            },
+            message: "crate root lacks `#![forbid(unsafe_code)]`".to_owned(),
         }),
         Err(_) => {}
     }
@@ -167,5 +149,27 @@ mod tests {
         check_workspace_lint_table(toml, &mut findings);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("panic"));
+    }
+
+    #[test]
+    fn pairing_crate_root_must_forbid_unsafe() {
+        // No crate is exempt: `deny` can be re-allowed by an inner
+        // `#![allow(unsafe_code)]`, `forbid` cannot.
+        let dir = std::env::temp_dir().join(format!("mccls-hygiene-{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("src")).unwrap();
+        std::fs::write(
+            dir.join("Cargo.toml"),
+            "[package]\nname = \"p\"\n\n[lints]\nworkspace = true\n",
+        )
+        .unwrap();
+        std::fs::write(dir.join("src/lib.rs"), "#![deny(unsafe_code)]\n").unwrap();
+        let mut findings = Vec::new();
+        check_crate(&dir, "crates/pairing/Cargo.toml", &mut findings);
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].file, "crates/pairing/src/lib.rs");
+        assert!(findings[0]
+            .message
+            .contains("lacks `#![forbid(unsafe_code)]`"));
     }
 }

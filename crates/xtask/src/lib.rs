@@ -1,6 +1,6 @@
 //! `mccls-xtask` — the workspace's static-analysis gate.
 //!
-//! `cargo run -p mccls-xtask -- check` runs fourteen lints over the tree
+//! `cargo run -p mccls-xtask -- check` runs thirteen lints over the tree
 //! and exits non-zero if any finding survives its suppression filter
 //! (and, when a committed `xtask-baseline.json` exists, the
 //! baseline diff — see [`baseline`]):
@@ -79,22 +79,8 @@
 //!   `PartialPrivateKey`, or any struct holding them, and the seed
 //!   types must zeroize in `Drop`. Suppress a deliberate exception
 //!   with `// secret-ok: <reason>`.
-//! * **backend** — the unsafe-island and backend-parity certification
-//!   ([`simd_lint`]): `unsafe` is legal only inside
-//!   `crates/pairing/src/simd/` and every occurrence there carries a
-//!   reasoned `// unsafe-ok:` marker; every intrinsic appears on the
-//!   committed `simd-intrinsics.toml` whitelist; raw-pointer
-//!   arithmetic, `transmute`, and inline asm are always findings;
-//!   every arch-gated kernel has a scalar twin with an identical
-//!   signature and no packed vector type escapes the island's
-//!   surface; lane-dependent branches, per-lane early exits, and
-//!   `movemask`-style extraction are lane-ct violations; and the
-//!   island's dispatch entry points declare identical `// range:`
-//!   contracts within the field's headroom caps. Suppress reviewed
-//!   parity/lane findings with `// backend-ok: <reason>`.
 //! * **hygiene** — every crate keeps `#![forbid(unsafe_code)]` at its
-//!   root (the pairing crate may use `deny` for the island exception)
-//!   and opts into the shared `[workspace.lints]` table.
+//!   root and opts into the shared `[workspace.lints]` table.
 //! * **deps** — every `Cargo.toml` dependency resolves in-repo (path or
 //!   workspace), keeping the build offline-safe by construction.
 //!
@@ -122,7 +108,6 @@ pub mod range;
 pub mod reach;
 pub mod report;
 pub mod secret_lint;
-pub mod simd_lint;
 pub mod taint;
 pub mod validate;
 
@@ -136,7 +121,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line number (0 for whole-file findings).
     pub line: usize,
-    /// Short lint name: `panic`, `ct`, `hygiene`, or `deps`.
+    /// Short lint name, one of the ids in [`report::LINTS`].
     pub lint: &'static str,
     /// Human-readable description of the violation.
     pub message: String,
@@ -276,7 +261,7 @@ pub fn parse_scope(root: &Path, scope: &[&str]) -> Vec<parser::ParsedFile> {
     parser::parse_files(&sources)
 }
 
-/// Runs all fourteen lints over the workspace rooted at `root`.
+/// Runs all thirteen lints over the workspace rooted at `root`.
 pub fn check_workspace(root: &Path) -> Vec<Finding> {
     let mut findings = Vec::new();
 
@@ -327,27 +312,6 @@ pub fn check_workspace(root: &Path) -> Vec<Finding> {
         }),
     }
     findings.extend(concurrency::analyze(&parsed));
-    match std::fs::read_to_string(root.join(simd_lint::WHITELIST_FILE)) {
-        Ok(text) => match simd_lint::parse_whitelist(&text) {
-            Ok(wl) => findings.extend(simd_lint::analyze(&parsed, &wl)),
-            Err(err) => findings.push(Finding {
-                file: simd_lint::WHITELIST_FILE.to_owned(),
-                line: 1,
-                lint: "backend",
-                message: format!("cannot parse intrinsic whitelist: {err}"),
-            }),
-        },
-        Err(_) => findings.push(Finding {
-            file: simd_lint::WHITELIST_FILE.to_owned(),
-            line: 1,
-            lint: "backend",
-            message: format!(
-                "`{}` is missing at the workspace root: the island's intrinsic \
-                 whitelist must be committed and certified",
-                simd_lint::WHITELIST_FILE
-            ),
-        }),
-    }
     findings.extend(secret_lint::analyze(&parsed));
     let sim_parsed = parse_scope(root, COMPLEXITY_SCOPE);
     match std::fs::read_to_string(root.join(complexity::BUDGET_FILE)) {

@@ -77,7 +77,6 @@ pub const INTRINSIC_FNS: &[&str] = &[
     "wide_sub2",
     "wide_nonresidue2",
     "montgomery_reduce2",
-    "mul_unreduced_x3",
 ];
 
 /// Extension-field combinators with exact symbolic transfers *and*
@@ -109,22 +108,22 @@ impl fmt::Display for Magnitude {
 
 /// Headroom caps of one `montgomery_field!` invocation.
 #[derive(Debug)]
-pub(crate) struct FieldCaps {
+struct FieldCaps {
     /// The field type name (`Fp`, `Fr`).
-    pub(crate) name: String,
+    name: String,
     /// Largest sound narrow class (`2^h`).
-    pub(crate) narrow: u64,
+    narrow: u64,
     /// Largest sound wide class (power of two with REDC slack).
-    pub(crate) wide: u64,
+    wide: u64,
 }
 
 /// A declared `// range:` contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Contract {
+struct Contract {
     /// Class every field-typed input is assumed to have.
-    pub(crate) input: Magnitude,
+    input: Magnitude,
     /// Class the output is declared to have.
-    pub(crate) output: Magnitude,
+    output: Magnitude,
 }
 
 /// Runs the magnitude-range analysis over the parsed scope. Only the
@@ -132,16 +131,9 @@ pub(crate) struct Contract {
 /// lazy primitives live there, and name collisions elsewhere (iterator
 /// `reduce`, HMAC `mac`) must not leak findings into other crates.
 pub fn analyze(files: &[ParsedFile]) -> Vec<Finding> {
-    // The simd island is excluded: its kernels are loop-shaped (not
-    // straight-line lazy chains) and are certified by the `backend`
-    // lint instead, which reuses this module's contract parser to
-    // check the island's declared `// range:` classes against the caps.
     let scope: Vec<&ParsedFile> = files
         .iter()
-        .filter(|f| {
-            (f.path.starts_with("crates/pairing/") || !f.path.starts_with("crates/"))
-                && !f.path.starts_with("crates/pairing/src/simd/")
-        })
+        .filter(|f| f.path.starts_with("crates/pairing/") || !f.path.starts_with("crates/"))
         .collect();
     let caps = scan_field_caps(&scope);
 
@@ -241,7 +233,6 @@ pub fn analyze(files: &[ParsedFile]) -> Vec<Finding> {
                 env: HashMap::new(),
                 findings: Vec::new(),
                 line: item.decl_line,
-                lanes: None,
             };
             eval.certify_body(item, contract);
             for (line, msg) in eval.findings {
@@ -291,7 +282,7 @@ fn is_lazy_name(name: &str) -> bool {
 
 /// Scans the scope's scrubbed source for `montgomery_field!(Name, n,
 /// [limbs])` invocations and derives each field's caps.
-pub(crate) fn scan_field_caps(scope: &[&ParsedFile]) -> Vec<FieldCaps> {
+fn scan_field_caps(scope: &[&ParsedFile]) -> Vec<FieldCaps> {
     let mut out: Vec<FieldCaps> = Vec::new();
     for file in scope {
         let scrubbed = lexer::scrub(&file.raw_lines.join("\n"));
@@ -477,10 +468,7 @@ fn caps_for<'a>(caps: &'a [FieldCaps], owner: Option<&str>) -> Option<&'a FieldC
 /// Finds the `// range:` contract attached to the declaration at
 /// `decl_line` (1-based): on the line itself or in the contiguous run
 /// of comment/attribute lines directly above.
-pub(crate) fn contract_for(
-    raw_lines: &[String],
-    decl_line: usize,
-) -> Option<Result<Contract, String>> {
+fn contract_for(raw_lines: &[String], decl_line: usize) -> Option<Result<Contract, String>> {
     let mut line = decl_line;
     loop {
         let text = raw_lines.get(line.checked_sub(1)?)?;
@@ -546,10 +534,6 @@ struct Eval<'a> {
     env: HashMap<String, Magnitude>,
     findings: Vec<(usize, String)>,
     line: usize,
-    /// Per-lane classes of the most recent packed (`_x3`) call, so a
-    /// destructuring `let [a, b, c] = ...` binds each lane precisely
-    /// instead of smearing the worst lane over all three names.
-    lanes: Option<Vec<Magnitude>>,
 }
 
 impl Eval<'_> {
@@ -616,37 +600,13 @@ impl Eval<'_> {
         };
         let (lhs, rhs) = rest.split_at(eq);
         let rhs = &rhs[1..];
-        self.lanes = None;
         let class = self.eval(rhs);
-        let lanes = self.lanes.take();
         let pat = lhs.split(':').next().unwrap_or(lhs);
-        let names: Vec<String> = pat
+        for name in pat
             .split(|c: char| !is_ident_char(c))
             .filter(|w| !w.is_empty() && *w != "_" && *w != "mut" && *w != "ref")
-            .map(str::to_owned)
-            .collect();
-        // A slice pattern over a packed call binds each lane to its own
-        // class; any other shape falls back to the worst-lane class (a
-        // sound over-approximation).
-        if let Some(lanes) = lanes {
-            if pat.trim_start().starts_with('[') {
-                if names.len() == lanes.len() {
-                    for (name, lane) in names.iter().zip(lanes) {
-                        self.env.insert(name.clone(), lane);
-                    }
-                    return;
-                }
-                self.report(format!(
-                    "packed call in `{}` produces {} lanes but the pattern binds {} \
-                     names; bind every lane so each keeps its own magnitude class",
-                    self.fn_name,
-                    lanes.len(),
-                    names.len()
-                ));
-            }
-        }
-        for name in names {
-            self.env.insert(name, class);
+        {
+            self.env.insert(name.to_owned(), class);
         }
     }
 
@@ -735,9 +695,6 @@ impl Eval<'_> {
                 // Free/associated call: first argument is the receiver.
                 let close = match_paren(chars, k).unwrap_or(chars.len() - 1);
                 let args_text: String = chars[k + 1..close].iter().collect();
-                if last == "mul_unreduced_x3" {
-                    return (self.apply_packed_x3(&args_text), close + 1);
-                }
                 let mut args: Vec<String> = split_top_level(&args_text)
                     .into_iter()
                     .map(|a| a.trim().to_owned())
@@ -870,64 +827,9 @@ impl Eval<'_> {
         }
     }
 
-    /// Transfer function for the packed three-lane product. Both
-    /// arguments must be literal `&[a, b, c]` arrays so every lane's
-    /// operand class is visible; each lane is capped independently
-    /// against the wide headroom, and the per-lane classes are parked
-    /// in `self.lanes` for a destructuring `let [..]` to pick up.
-    fn apply_packed_x3(&mut self, args_text: &str) -> Magnitude {
-        let args = split_top_level(args_text);
-        let (Some(lhs), Some(rhs)) = (
-            args.first().and_then(|a| array_elems(a)),
-            args.get(1).and_then(|a| array_elems(a)),
-        ) else {
-            self.report(format!(
-                "`mul_unreduced_x3` in `{}` needs literal `&[a, b, c]` lane arrays so \
-                 each lane's magnitude class is visible to the model",
-                self.fn_name
-            ));
-            return Magnitude::Wide(1);
-        };
-        if lhs.len() != 3 || rhs.len() != 3 {
-            self.report(format!(
-                "`mul_unreduced_x3` in `{}` takes exactly three lanes per side, got \
-                 {} and {}",
-                self.fn_name,
-                lhs.len(),
-                rhs.len()
-            ));
-            return Magnitude::Wide(1);
-        }
-        let mut lanes = Vec::with_capacity(3);
-        let mut worst = Magnitude::Wide(1);
-        for (a, b) in lhs.iter().zip(&rhs) {
-            let ma = self.eval(a);
-            let na = self.narrow_of(ma, "mul_unreduced_x3");
-            let mb = self.eval(b);
-            let nb = self.narrow_of(mb, "mul_unreduced_x3");
-            let lane = self.check_cap(Magnitude::Wide(na * nb), "mul_unreduced_x3");
-            worst = self.max_class(worst, lane);
-            lanes.push(lane);
-        }
-        self.lanes = Some(lanes);
-        worst
-    }
-
     /// Applies one call's transfer function.
     fn apply(&mut self, name: &str, recv: Magnitude, args: &[String]) -> Magnitude {
-        // Any further transformation of a packed result collapses its
-        // per-lane classes; only a direct destructuring keeps them.
-        self.lanes = None;
         match name {
-            "mul_unreduced_x3" => {
-                self.report(format!(
-                    "`mul_unreduced_x3` in `{}` must be called as an associated path \
-                     (`Fp::mul_unreduced_x3(&[..], &[..])`) so the lint sees both lane \
-                     arrays",
-                    self.fn_name
-                ));
-                Magnitude::Wide(1)
-            }
             "add_unreduced" | "add_unreduced2" => {
                 let na = self.narrow_of(recv, name);
                 let op = self.operand(args);
@@ -1146,20 +1048,6 @@ fn top_level_eq(text: &str) -> Option<usize> {
 /// True for type-literal heads (`Self`, `Fp2Wide { .. }`).
 fn is_type_name(name: &str) -> bool {
     name == "Self" || name.chars().next().is_some_and(char::is_uppercase)
-}
-
-/// Elements of a literal `&[a, b, c]` array argument, or `None` if the
-/// argument is not a (possibly referenced) array literal.
-fn array_elems(arg: &str) -> Option<Vec<String>> {
-    let t = arg.trim().trim_start_matches('&').trim_start();
-    let inner = t.strip_prefix('[')?.strip_suffix(']')?;
-    Some(
-        split_top_level(inner)
-            .into_iter()
-            .map(|e| e.trim().to_owned())
-            .filter(|e| !e.is_empty())
-            .collect(),
-    )
 }
 
 /// Parses a plain unsigned integer literal (with `_` separators).
@@ -1416,91 +1304,6 @@ mod tests {
         assert!(
             analyze(&files).is_empty(),
             "iterator reduce must not leak findings"
-        );
-    }
-
-    #[test]
-    fn simd_island_is_out_of_scope() {
-        let src = "pub fn kernel(a: &Tf, b: &Tf) -> Tf {\n    a.add_unreduced(b).reduce()\n}\n";
-        let files = parser::parse_files(&[(
-            "crates/pairing/src/simd/avx2.rs".to_owned(),
-            format!("{FX_FP}{src}"),
-        )]);
-        assert!(
-            analyze(&files).is_empty(),
-            "island kernels are certified by the backend lint, not here"
-        );
-    }
-
-    #[test]
-    fn packed_lanes_bind_per_lane() {
-        // The mul_unreduced2 shape: lanes [<4pp, <4pp, <16pp]. The
-        // `k = 4` offset on c0 is only sound because v0/v1 keep their
-        // own <4pp class — a worst-lane smear (<16pp) would fire.
-        let src = "impl Tf {\n    // range: <2p -> <16pp\n    pub fn karat(&self, other: &Self) -> TfWide {\n        \
-                   let sa = self.add_unreduced(other);\n        \
-                   let sb = other.add_unreduced(self);\n        \
-                   let [v0, v1, s] = Tf::mul_unreduced_x3(&[*self, *other, sa], &[*other, *self, sb]);\n        \
-                   let lo = v0.wide_sub_offset(&v1, 4);\n        \
-                   s.wide_sub(&v0).wide_sub(&lo)\n    }\n}\n";
-        let findings = run(src);
-        assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn packed_call_needs_literal_lane_arrays() {
-        let src = "impl Tf {\n    // range: <p -> <pp\n    pub fn opaque(&self, o: &Self) -> TfWide {\n        \
-                   let lanes = [*self, *o, *self];\n        \
-                   let [a, b, c] = Tf::mul_unreduced_x3(&lanes, &lanes);\n        \
-                   a.wide_add(&b).wide_add(&c)\n    }\n}\n";
-        let findings = run(src);
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.message.contains("needs literal `&[a, b, c]` lane arrays")),
-            "{findings:?}"
-        );
-    }
-
-    #[test]
-    fn packed_pattern_must_bind_every_lane() {
-        let src = "impl Tf {\n    // range: <p -> <pp\n    pub fn partial(&self, o: &Self) -> TfWide {\n        \
-                   let [a, b] = Tf::mul_unreduced_x3(&[*self, *o, *self], &[*o, *self, *o]);\n        \
-                   a.wide_add(&b)\n    }\n}\n";
-        let findings = run(src);
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.message.contains("bind every lane")),
-            "{findings:?}"
-        );
-    }
-
-    #[test]
-    fn packed_method_form_is_rejected() {
-        let src = "impl Tf {\n    // range: <p -> <pp\n    pub fn dotted(&self, o: &Self) -> TfWide {\n        \
-                   self.mul_unreduced_x3(o)\n    }\n}\n";
-        let findings = run(src);
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.message.contains("must be called as an associated path")),
-            "{findings:?}"
-        );
-    }
-
-    #[test]
-    fn packed_lane_rejects_wide_operands() {
-        let src = "impl Tf {\n    // range: <p -> <pp\n    pub fn mixed(&self, o: &Self) -> TfWide {\n        \
-                   let w = self.mul_unreduced(o);\n        \
-                   let [a, b, c] = Tf::mul_unreduced_x3(&[*self, *o, w], &[*o, *self, *o]);\n        \
-                   a.wide_add(&b).wide_add(&c)\n    }\n}\n";
-        let findings = run(src);
-        assert!(
-            findings.iter().any(|f| f
-                .message
-                .contains("wide accumulator passed to single-width `mul_unreduced_x3`")),
-            "{findings:?}"
         );
     }
 }

@@ -15,7 +15,7 @@ use crate::Finding;
 /// fire — so code-scanning UIs can render "passing" rules and a new
 /// lint cannot ship without registering itself here (the clean-tree
 /// test enumerates this table against `check_workspace`'s wiring).
-pub const LINTS: [(&str, &str); 14] = [
+pub const LINTS: [(&str, &str); 13] = [
     (
         "panic",
         "No unwrap/expect/panic-family or risky indexing in crypto crates",
@@ -43,10 +43,6 @@ pub const LINTS: [(&str, &str); 14] = [
     (
         "concurrency",
         "Lock-order acyclicity, no pairing work under guards, Send/Sync audit",
-    ),
-    (
-        "backend",
-        "Unsafe island containment, intrinsic whitelist, scalar-twin parity, lane-ct",
     ),
     (
         "secret",
@@ -245,8 +241,8 @@ mod tests {
     }
 
     #[test]
-    fn sarif_driver_always_advertises_all_fourteen_rules() {
-        assert_eq!(LINTS.len(), 14, "the gate runs fourteen lints");
+    fn sarif_driver_always_advertises_all_thirteen_rules() {
+        assert_eq!(LINTS.len(), 13, "the gate runs thirteen lints");
         // Rules carry metadata and appear even when nothing fired.
         let empty = render(&[], Format::Sarif);
         for (id, desc) in LINTS {
@@ -264,7 +260,7 @@ mod tests {
         let mut ids: Vec<&str> = LINTS.iter().map(|(id, _)| *id).collect();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), 14);
+        assert_eq!(ids.len(), LINTS.len());
     }
 
     #[test]

@@ -459,64 +459,6 @@ fn prepared_pairing_fixture_fails_both_gates() {
 }
 
 #[test]
-fn simd_fixture_fires_every_backend_class_and_twins_stay_silent() {
-    // One seed per analysis class — a bare `unsafe-ok:` marker, an
-    // arch-gated kernel with no scalar twin, movemask/branch-on-lane
-    // control flow, and an over-cap `// range:` contract — each beside
-    // a clean twin. Runs against the *committed* whitelist, so the test
-    // also proves `simd-intrinsics.toml` stays tight enough to reject
-    // the movemask family.
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-    let src = std::fs::read_to_string(dir.join("simd_cases.rs")).expect("simd fixture exists");
-    let wl_text = std::fs::read_to_string(workspace_root().join("simd-intrinsics.toml"))
-        .expect("committed whitelist exists");
-    let wl = mccls_xtask::simd_lint::parse_whitelist(&wl_text).expect("committed whitelist parses");
-    let debug_line = src
-        .lines()
-        .position(|l| l.contains("debug_assert!"))
-        .expect("fixture keeps its debug_assert twin")
-        + 1;
-    // Contract entries only count when called from outside the island;
-    // the caps come from a `montgomery_field!` in scope (BLS12-381 Fp,
-    // three headroom bits -> 8p narrow / 64p² wide).
-    let caller = "montgomery_field!(Fp, 6, [0xb9fe_ffff_ffff_aaab, 0x1eab_fffe_b153_ffff, \
-                  0x6730_d2a0_f6b0_f624, 0x6477_4b84_f385_12bf, 0x4b1b_a7b6_434b_acd7, \
-                  0x1a01_11ea_397f_e69a]);\n\
-                  fn outside() {\n    let _ = hot_entry(&[0u64; 6]);\n    \
-                  let _ = cool_entry(&[0u64; 6]);\n}\n";
-    let files = mccls_xtask::parser::parse_files(&[
-        ("crates/pairing/src/simd/simd_cases.rs".to_owned(), src),
-        ("crates/pairing/src/fp.rs".to_owned(), caller.to_owned()),
-    ]);
-    let findings = mccls_xtask::simd_lint::analyze(&files, &wl);
-    for frag in [
-        "bare markers are rejected",
-        "no scalar twin",
-        "mask extraction",
-        "branch condition reads a vector lane",
-        "exceeds `Fp`'s headroom caps",
-        "not on the `[x86_64]` whitelist",
-    ] {
-        assert!(
-            findings.iter().any(|f| f.message.contains(frag)),
-            "expected a finding containing {frag:?}, got: {findings:?}"
-        );
-    }
-    for quiet in ["reasoned_dispatch", "mirrored_kernel", "cool_entry"] {
-        assert!(
-            findings.iter().all(|f| !f.message.contains(quiet)),
-            "clean twin `{quiet}` was flagged: {findings:?}"
-        );
-    }
-    assert!(
-        findings
-            .iter()
-            .all(|f| !(f.file.ends_with("simd_cases.rs") && f.line == debug_line)),
-        "the debug_assert twin was flagged: {findings:?}"
-    );
-}
-
-#[test]
 fn concurrency_fixture_fires_all_four_analyses_and_twins_stay_silent() {
     // One fixture registry seeds every class of concurrency hazard the
     // lint certifies against: lock-order cycles (same-class nesting on
