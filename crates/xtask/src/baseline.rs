@@ -21,6 +21,7 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
+use crate::report::quote;
 use crate::Finding;
 
 /// Stable identity of a finding: the lint name plus an FNV-1a hash of
@@ -129,27 +130,6 @@ fn read_json_string(body: &str) -> Option<String> {
         }
     }
     None
-}
-
-/// JSON string quoting (mirrors the reporter's escaper).
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -1,12 +1,13 @@
 //! Interprocedural asymptotic-complexity certification for the
 //! simulation hot path (`crates/sim` + `crates/aodv`).
 //!
-//! Every function gets a symbolic big-O class — a product of bounded
-//! factors `nodes` (network size), `neighbors` (grid-bucket candidates,
-//! capped by the density contract), and `log` (calendar/day scans) —
-//! inferred from its loop nests and composed bottom-up through the call
-//! graph (callees first; cycles saturate to "unbounded" exactly like
-//! the operation-count analysis in [`crate::opcount`]).
+//! It is one lattice ([`Classes`]) over the shared certification engine
+//! ([`crate::certify`]). Every function gets a symbolic big-O class — a
+//! product of bounded factors `nodes` (network size), `neighbors`
+//! (grid-bucket candidates, capped by the density contract), and `log`
+//! (calendar/day scans) — inferred from its loop nests and composed
+//! bottom-up through the qualifier- and suppression-filtered call graph;
+//! recursion saturates to "unbounded".
 //!
 //! Loop iteration counts are classified from the loop header text:
 //!
@@ -24,12 +25,10 @@
 //! once and are ignored.
 //!
 //! Hot-path functions declare their class with a `// complexity: <c>`
-//! contract comment; `complexity-budgets.toml` pins the certified
-//! classes. All checks are equalities: an overrun fails the gate, and
-//! so do slack, a stale contract, or a missing marker — the committed
-//! budget must say exactly what the analysis proves. Individual loops
-//! or calls can be excused with `// complexity-ok: <reason>`; a bare
-//! marker without a reason is itself a finding.
+//! contract; `complexity-budgets.toml` pins the certified classes, and
+//! an unbudgeted contract must match the inferred class. Individual
+//! loops or calls can be excused with `// complexity-ok: <reason>`; a
+//! bare marker without a reason is itself a finding.
 //!
 //! Certifying the per-event dispatch root (`Network::handle`) at
 //! `neighbors` implies no node-quadratic path is reachable from it:
@@ -37,12 +36,12 @@
 //! surface in the root's class unless a reviewed suppression
 //! explicitly severs it.
 
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::callgraph::CallGraph;
-use crate::parser::{Call, FnItem, ParsedFile};
+use crate::callgraph::{answers_to, qualifier, CallGraph, Edge};
+use crate::certify::{self, Bound, Lattice, Marker, Verdict};
+use crate::lexer::is_ident_char;
+use crate::parser::{Call, FnItem, ParsedFile, Region, RegionKind};
 use crate::{suppression_near, Finding, Suppression};
 
 /// Contract comment tying a function declaration to its class.
@@ -61,7 +60,7 @@ const MAX_POW: u8 = 2;
 
 /// A symbolic asymptotic class: `nodes^a · neighbors^b · log^c`, or
 /// unbounded when no static bound exists (recursion, `while`/`loop`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Class {
     nodes: u8,
     neighbors: u8,
@@ -71,22 +70,24 @@ pub struct Class {
 
 impl Class {
     /// Constant work: the lattice bottom.
-    pub const CONST: Self = Self {
-        nodes: 0,
-        neighbors: 0,
-        log: 0,
-        unbounded: false,
-    };
+    pub const CONST: Self = Self::of(0, 0, 0);
 
     /// No static bound: the lattice top.
     pub const UNBOUNDED: Self = Self {
-        nodes: 0,
-        neighbors: 0,
-        log: 0,
         unbounded: true,
+        ..Self::CONST
     };
 
-    fn of(nodes: u8, neighbors: u8, log: u8) -> Self {
+    /// One factor of the network size.
+    pub const NODES: Self = Self::of(1, 0, 0);
+
+    /// One factor of the density-bounded neighbor count.
+    pub const NEIGHBORS: Self = Self::of(0, 1, 0);
+
+    /// One logarithmic factor.
+    pub const LOG: Self = Self::of(0, 0, 1);
+
+    const fn of(nodes: u8, neighbors: u8, log: u8) -> Self {
         Self {
             nodes,
             neighbors,
@@ -94,30 +95,6 @@ impl Class {
             unbounded: false,
         }
     }
-
-    /// One factor of the network size.
-    pub const NODES: Self = Self {
-        nodes: 1,
-        neighbors: 0,
-        log: 0,
-        unbounded: false,
-    };
-
-    /// One factor of the density-bounded neighbor count.
-    pub const NEIGHBORS: Self = Self {
-        nodes: 0,
-        neighbors: 1,
-        log: 0,
-        unbounded: false,
-    };
-
-    /// One logarithmic factor.
-    pub const LOG: Self = Self {
-        nodes: 0,
-        neighbors: 0,
-        log: 1,
-        unbounded: false,
-    };
 
     /// Parses `"const"` or a `*`-product of `nodes`/`neighbors`/`log`
     /// factors, each optionally squared (`nodes^2`).
@@ -179,10 +156,16 @@ impl Class {
             self.log.max(other.log),
         )
     }
+}
+
+impl Bound for Class {
+    fn is_unbounded(&self) -> bool {
+        self.unbounded
+    }
 
     /// Component-wise ≤ (false whenever `self` is unbounded and `other`
     /// is not).
-    fn le(self, other: Self) -> bool {
+    fn le(&self, other: &Self) -> bool {
         if other.unbounded {
             return true;
         }
@@ -222,20 +205,6 @@ impl fmt::Display for Class {
 // Loop-span scanning
 // ---------------------------------------------------------------------
 
-/// Iterator adaptors whose closure runs once per item. Kept in sync
-/// with the parser's call-context list.
-const PER_ITEM_ADAPTORS: &[&str] = &[
-    "map",
-    "for_each",
-    "flat_map",
-    "filter_map",
-    "filter",
-    "fold",
-    "retain",
-    "scan",
-    "inspect",
-];
-
 /// Receiver fragments that visibly produce an iterator. An adaptor on
 /// any other receiver is treated as an `Option`/`Result` combinator
 /// (at most one execution), not a loop.
@@ -258,109 +227,6 @@ const ITERATOR_HINTS: &[&str] = &[
     ".rev(",
 ];
 
-/// One repeated-execution region of a body.
-struct Span {
-    /// Char index of the region opener (`{` for loops, `(` for
-    /// adaptors) in the scrubbed body.
-    open: usize,
-    /// Matching closer.
-    close: usize,
-    /// 1-based source line of the loop keyword / adaptor dot — the
-    /// anchor for suppression comments.
-    line: usize,
-    /// 1-based line range of the region, for call containment.
-    open_line: usize,
-    close_line: usize,
-    /// Iteration bound (before suppression).
-    bound: Class,
-}
-
-fn ident_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_'
-}
-
-fn starts_word_at(chars: &[char], i: usize, word: &str) -> bool {
-    let pat: Vec<char> = word.chars().collect();
-    i + pat.len() <= chars.len()
-        && chars[i..i + pat.len()] == pat[..]
-        && (i == 0 || !ident_char(chars[i - 1]))
-        && chars.get(i + pat.len()).is_none_or(|c| !ident_char(*c))
-}
-
-fn skip_ws(chars: &[char], mut i: usize) -> usize {
-    while i < chars.len() && chars[i].is_whitespace() {
-        i += 1;
-    }
-    i
-}
-
-fn match_delim(chars: &[char], open: usize, oc: char, cc: char) -> Option<usize> {
-    let mut depth = 0i32;
-    for (j, &c) in chars.iter().enumerate().skip(open) {
-        if c == oc {
-            depth += 1;
-        } else if c == cc {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j);
-            }
-        }
-    }
-    None
-}
-
-/// The `{` opening a loop body: the first brace at paren/bracket depth
-/// zero after the loop keyword.
-fn loop_body_open(chars: &[char], from: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for (j, &c) in chars.iter().enumerate().skip(from) {
-        match c {
-            '(' | '[' => depth += 1,
-            ')' | ']' => depth -= 1,
-            '{' if depth == 0 => return Some(j),
-            ';' | '}' if depth == 0 => return None,
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Reconstructs the receiver chain ending at the `.` at `dot`:
-/// identifiers, field accesses, `?`, and balanced `(..)`/`[..]` groups.
-fn receiver_before(chars: &[char], dot: usize) -> String {
-    let mut j = dot;
-    while let Some(prev) = j.checked_sub(1) {
-        let c = chars[prev];
-        if ident_char(c) || c == '.' || c == '?' {
-            j = prev;
-            continue;
-        }
-        if c == ')' || c == ']' {
-            let open_ch = if c == ')' { '(' } else { '[' };
-            let mut depth = 0i32;
-            let mut k = prev;
-            loop {
-                if chars[k] == c {
-                    depth += 1;
-                } else if chars[k] == open_ch {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                let Some(next) = k.checked_sub(1) else {
-                    return chars[j..dot].iter().collect();
-                };
-                k = next;
-            }
-            j = k;
-            continue;
-        }
-        break;
-    }
-    chars[j..dot].iter().collect()
-}
-
 /// True when a `..`/`..=` range ends in an integer literal or a
 /// `SCREAMING_CASE` constant — a compile-time-constant trip count.
 fn const_range(text: &str) -> bool {
@@ -373,7 +239,7 @@ fn const_range(text: &str) -> bool {
     let token: String = tail
         .trim_start()
         .chars()
-        .take_while(|&c| ident_char(c))
+        .take_while(|&c| is_ident_char(c))
         .collect();
     !token.is_empty() && !token.chars().any(|c| c.is_ascii_lowercase())
 }
@@ -400,76 +266,6 @@ fn receiver_is_iterator(recv: &str) -> bool {
     ITERATOR_HINTS.iter().any(|h| recv.contains(h))
 }
 
-/// Scans a scrubbed body for loop and per-item-adaptor spans.
-fn scan_spans(chars: &[char], body_line: usize) -> Vec<Span> {
-    let mut newlines = vec![0usize; chars.len() + 1];
-    for (i, &c) in chars.iter().enumerate() {
-        newlines[i + 1] = newlines[i] + usize::from(c == '\n');
-    }
-    let line_of = |i: usize| body_line + newlines[i.min(chars.len())];
-
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < chars.len() {
-        for kw in ["for", "while", "loop"] {
-            if !starts_word_at(chars, i, kw) {
-                continue;
-            }
-            let after = skip_ws(chars, i + kw.len());
-            // `for<'a>` is a higher-ranked bound, not a loop.
-            if kw == "for" && chars.get(after) == Some(&'<') {
-                continue;
-            }
-            let Some(open) = loop_body_open(chars, i + kw.len()) else {
-                continue;
-            };
-            let Some(close) = match_delim(chars, open, '{', '}') else {
-                continue;
-            };
-            let bound = if kw == "for" {
-                let header: String = chars[i + kw.len()..open].iter().collect();
-                classify_iterable(&header)
-            } else {
-                Class::UNBOUNDED
-            };
-            out.push(Span {
-                open,
-                close,
-                line: line_of(i),
-                open_line: line_of(open),
-                close_line: line_of(close),
-                bound,
-            });
-        }
-        if chars[i] == '.' {
-            let start = i + 1;
-            let mut j = start;
-            while j < chars.len() && ident_char(chars[j]) {
-                j += 1;
-            }
-            let name: String = chars[start..j].iter().collect();
-            let open = skip_ws(chars, j);
-            if PER_ITEM_ADAPTORS.contains(&name.as_str()) && chars.get(open) == Some(&'(') {
-                if let Some(close) = match_delim(chars, open, '(', ')') {
-                    let recv = receiver_before(chars, i);
-                    if receiver_is_iterator(&recv) {
-                        out.push(Span {
-                            open,
-                            close,
-                            line: line_of(i),
-                            open_line: line_of(open),
-                            close_line: line_of(close),
-                            bound: classify_iterable(&recv),
-                        });
-                    }
-                }
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
 // ---------------------------------------------------------------------
 // Suppressions
 // ---------------------------------------------------------------------
@@ -485,13 +281,14 @@ fn statement_suppressed(lines: &[&str], line: usize) -> Suppression {
         if s != Suppression::None {
             return s;
         }
-        let Some(prev) = l.checked_sub(1).filter(|&p| p >= 1) else {
+        // The line above `l` (index `l - 2`), if any.
+        let Some(t) = l
+            .checked_sub(2)
+            .and_then(|i| lines.get(i))
+            .map(|t| t.trim())
+        else {
             return Suppression::None;
         };
-        let Some(text) = lines.get(prev - 1) else {
-            return Suppression::None;
-        };
-        let t = text.trim();
         if t.is_empty()
             || t.starts_with("//")
             || t.ends_with(';')
@@ -500,7 +297,7 @@ fn statement_suppressed(lines: &[&str], line: usize) -> Suppression {
         {
             return Suppression::None;
         }
-        l = prev;
+        l -= 1;
     }
 }
 
@@ -520,8 +317,7 @@ struct Local {
 }
 
 fn local_analysis(f: &FnItem, file: &ParsedFile, findings: &mut Vec<Finding>) -> Local {
-    let chars: Vec<char> = f.body.chars().collect();
-    let lines: Vec<&str> = file.raw_lines.iter().map(String::as_str).collect();
+    let lines = file.lines();
     let mut bare = |line: usize| {
         let finding = Finding {
             file: file.path.clone(),
@@ -536,22 +332,31 @@ fn local_analysis(f: &FnItem, file: &ParsedFile, findings: &mut Vec<Finding>) ->
         }
     };
 
-    let mut spans = scan_spans(&chars, f.body_line);
-    for s in &mut spans {
-        match statement_suppressed(&lines, s.line) {
-            Suppression::Justified => s.bound = Class::CONST,
-            Suppression::MissingReason => bare(s.line),
+    // Each region's iteration bound, after suppressions. An adaptor
+    // counts only on a receiver that visibly yields an iterator.
+    let mut spans: Vec<(&Region, Class)> = Vec::new();
+    for r in &f.regions {
+        let mut bound = match r.kind {
+            RegionKind::For => classify_iterable(&r.source),
+            RegionKind::While => Class::UNBOUNDED,
+            RegionKind::Adaptor if receiver_is_iterator(&r.source) => classify_iterable(&r.source),
+            RegionKind::Adaptor => continue,
+        };
+        match statement_suppressed(&lines, r.line) {
+            Suppression::Justified => bound = Class::CONST,
+            Suppression::MissingReason => bare(r.line),
             Suppression::None => {}
         }
+        spans.push((r, bound));
     }
 
     // Each loop's cost is its own bound times every enclosing bound.
     let mut loops = Class::CONST;
-    for (si, s) in spans.iter().enumerate() {
-        let mut product = s.bound;
-        for (ti, t) in spans.iter().enumerate() {
+    for (si, (s, bound)) in spans.iter().enumerate() {
+        let mut product = *bound;
+        for (ti, (t, outer)) in spans.iter().enumerate() {
             if ti != si && t.open < s.open && s.close < t.close {
-                product = product.times(t.bound);
+                product = product.times(*outer);
             }
         }
         loops = loops.join(product);
@@ -564,20 +369,17 @@ fn local_analysis(f: &FnItem, file: &ParsedFile, findings: &mut Vec<Finding>) ->
     let mut call_suppressed = Vec::with_capacity(f.calls.len());
     for call in &f.calls {
         let mut ctx = Class::CONST;
-        for s in &spans {
+        for (s, bound) in &spans {
             if s.open_line <= call.line && call.line <= s.close_line {
-                ctx = ctx.times(s.bound);
+                ctx = ctx.times(*bound);
             }
         }
         call_ctx.push(ctx);
-        match statement_suppressed(&lines, call.line) {
-            Suppression::Justified => call_suppressed.push(true),
-            Suppression::MissingReason => {
-                bare(call.line);
-                call_suppressed.push(false);
-            }
-            Suppression::None => call_suppressed.push(false),
+        let suppression = statement_suppressed(&lines, call.line);
+        if suppression == Suppression::MissingReason {
+            bare(call.line);
         }
+        call_suppressed.push(suppression == Suppression::Justified);
     }
 
     Local {
@@ -590,14 +392,6 @@ fn local_analysis(f: &FnItem, file: &ParsedFile, findings: &mut Vec<Finding>) ->
 // ---------------------------------------------------------------------
 // Interprocedural propagation
 // ---------------------------------------------------------------------
-
-fn file_stem(path: &str) -> &str {
-    path.rsplit('/')
-        .next()
-        .unwrap_or(path)
-        .strip_suffix(".rs")
-        .unwrap_or(path)
-}
 
 /// Method names shared with the std container/primitive APIs. A method
 /// call with one of these names on any receiver other than literal
@@ -650,487 +444,196 @@ fn edge_kept(
     {
         return false;
     }
-    let Some(q) = &call.qualifier else {
-        return true;
-    };
-    let q = if q == "Self" {
-        match &caller.owner {
-            Some(o) => o.as_str(),
-            None => return true,
-        }
-    } else {
-        q.as_str()
-    };
-    let target = graph.item(files, callee);
-    if target.owner.as_deref() == Some(q) {
-        return true;
-    }
-    file_stem(&graph.file(files, callee).path).eq_ignore_ascii_case(q)
+    qualifier(caller, call)
+        .is_none_or(|q| answers_to(graph.file(files, callee), graph.item(files, callee), q))
 }
 
-/// Iterative Tarjan SCC over a filtered adjacency list, emitting
-/// components in reverse topological order (callees before callers).
-fn sccs(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    #[derive(Clone, Copy)]
-    struct State {
-        index: usize,
-        lowlink: usize,
-        on_stack: bool,
-        visited: bool,
+/// The asymptotic-class lattice over one call graph: loop products,
+/// joined along a body and over dispatch candidates, on the graph that
+/// survives qualifier matching and reviewed suppressions.
+pub struct Classes<'a> {
+    files: &'a [ParsedFile],
+    graph: &'a CallGraph,
+    locals: Vec<Local>,
+}
+
+impl Classes<'_> {
+    /// Whether edge `e` of node `ni` survives its call's suppression and
+    /// [`edge_kept`].
+    fn kept(&self, ni: usize, e: &Edge) -> bool {
+        let f = self.graph.item(self.files, ni);
+        !self.locals[ni].call_suppressed[e.call]
+            && edge_kept(self.files, self.graph, f, &f.calls[e.call], e.callee)
     }
-    let n = succ.len();
-    let mut state = vec![
-        State {
-            index: 0,
-            lowlink: 0,
-            on_stack: false,
-            visited: false,
+}
+
+impl Lattice for Classes<'_> {
+    type Value = Class;
+    type Bound = Class;
+
+    const LINT: &'static str = "complexity";
+    const BUDGET_FILE: &'static str = BUDGET_FILE;
+    const BUDGETS: &'static str = "the hot-path complexity budgets";
+    const MARKER: &'static str = CONTRACT_MARKER;
+    const REQUIRED: &'static [&'static str] = &["class"];
+
+    fn assign(budget: &mut Class, key: &str, text: &str) -> Option<Result<(), String>> {
+        if key != "class" {
+            return None;
+        }
+        let Some(class) = Class::parse(text) else {
+            return Some(Err(format!(
+                "`class = \"{text}\"` is not a product of `nodes`/`neighbors`/`log` factors \
+                 or `const`"
+            )));
         };
-        n
-    ];
-    let mut stack = Vec::new();
-    let mut next_index = 0;
-    let mut components = Vec::new();
-    for root in 0..n {
-        if state[root].visited {
-            continue;
-        }
-        let mut work = vec![(root, 0usize)];
-        while let Some(&mut (v, ref mut ei)) = work.last_mut() {
-            if *ei == 0 {
-                state[v].visited = true;
-                state[v].index = next_index;
-                state[v].lowlink = next_index;
-                next_index += 1;
-                state[v].on_stack = true;
-                stack.push(v);
-            }
-            if let Some(&w) = succ[v].get(*ei) {
-                *ei += 1;
-                if !state[w].visited {
-                    work.push((w, 0));
-                } else if state[w].on_stack {
-                    state[v].lowlink = state[v].lowlink.min(state[w].index);
-                }
-                continue;
-            }
-            work.pop();
-            if let Some(&(parent, _)) = work.last() {
-                state[parent].lowlink = state[parent].lowlink.min(state[v].lowlink);
-            }
-            if state[v].lowlink == state[v].index {
-                let mut component = Vec::new();
-                while let Some(w) = stack.pop() {
-                    state[w].on_stack = false;
-                    component.push(w);
-                    if w == v {
-                        break;
-                    }
-                }
-                component.sort_unstable();
-                components.push(component);
+        *budget = class;
+        Some(Ok(()))
+    }
+
+    fn bounds(value: &Class) -> Vec<(&'static str, Class)> {
+        vec![("class", *value)]
+    }
+
+    fn miss(
+        verdict: Verdict,
+        entry: &BudgetEntry,
+        _: &str,
+        computed: Class,
+        budget: Class,
+    ) -> String {
+        let (target, key) = (entry.target(), &entry.key);
+        match verdict {
+            Verdict::Unbounded => format!(
+                "`{target}` has no static complexity bound (recursion or an unclassified \
+                 `while`/`loop` reaches it); budget `{key}` demands {budget}"
+            ),
+            Verdict::Slack => format!(
+                "`{target}` computes to {computed}, below its budget `{key}` = {budget}; \
+                 tighten the committed class"
+            ),
+            Verdict::Overrun => {
+                format!(
+                    "`{target}` computes to {computed}, exceeding its budget `{key}` = {budget}"
+                )
             }
         }
     }
-    components
+
+    /// A budgeted function's contract must state its budget; an
+    /// unbudgeted contract must still agree with the analysis, so
+    /// drive-by markers cannot rot.
+    fn judge(
+        f: &FnItem,
+        marker: Option<&Marker>,
+        entry: Option<&BudgetEntry>,
+        inferred: &Class,
+        _budgets: &Budgets,
+    ) -> Option<(usize, String)> {
+        let Some(marker) = marker else {
+            let entry = entry?;
+            let message = format!(
+                "budgeted function `{}` lacks a `{CONTRACT_MARKER} {}` contract above its \
+                 declaration",
+                entry.target(),
+                entry.budget
+            );
+            return Some((f.decl_line, message));
+        };
+        let Some(declared) = Class::parse(&marker.text) else {
+            let name = entry.map_or(f.name.clone(), BudgetEntry::target);
+            let message = format!(
+                "cannot parse `{CONTRACT_MARKER} {}` on `{name}` (expected factors of \
+                 `nodes`/`neighbors`/`log`, or `const`)",
+                marker.text
+            );
+            return Some((marker.line, message));
+        };
+        let message = match entry {
+            Some(entry) if declared != entry.budget => format!(
+                "`{}` is budgeted `{}` in `{}` but declares `{CONTRACT_MARKER} {declared}`",
+                entry.target(),
+                entry.budget,
+                entry.key
+            ),
+            None if declared != *inferred => format!(
+                "stale contract: `{}` declares `{CONTRACT_MARKER} {declared}` but the analysis \
+                 infers {inferred}",
+                f.name
+            ),
+            _ => return None,
+        };
+        Some((marker.line, message))
+    }
+
+    fn local(&self, ni: usize) -> Class {
+        self.locals[ni].loops
+    }
+
+    fn cycle_edge(&self, ni: usize, e: &Edge) -> bool {
+        self.kept(ni, e)
+    }
+
+    fn flows(&self, ni: usize, e: &Edge) -> bool {
+        self.kept(ni, e)
+    }
+
+    fn join(a: &Class, b: &Class) -> Class {
+        a.join(*b)
+    }
+
+    /// Sequential work is dominated by its larger part.
+    fn then(a: &Class, b: &Class) -> Class {
+        a.join(*b)
+    }
+
+    fn scale(&self, ni: usize, call: usize, callee: &Class) -> Class {
+        self.locals[ni].call_ctx[call].times(*callee)
+    }
+
+    /// Recursion has no static bound.
+    fn saturate(_members: &[Class]) -> Class {
+        Class::UNBOUNDED
+    }
 }
 
-/// Worst-case class of every call-graph node, bottom-up over the SCC
-/// condensation of the suppression- and qualifier-filtered graph.
-/// Members of a non-trivial SCC (or a self-loop) saturate to
-/// unbounded. Also returns the bare-suppression findings collected
-/// along the way.
+/// Worst-case class of every call-graph node, bottom-up over the SCCs of
+/// the suppression- and qualifier-filtered graph
+/// ([`certify::propagate`]). Members of a non-trivial SCC (or a
+/// self-loop) saturate to unbounded. Also returns the bare-suppression
+/// findings collected along the way.
 pub fn compute_classes(files: &[ParsedFile], graph: &CallGraph) -> (Vec<Class>, Vec<Finding>) {
-    let n = graph.nodes.len();
     let mut findings = Vec::new();
-    let locals: Vec<Local> = (0..n)
+    let locals = (0..graph.nodes.len())
         .map(|ni| local_analysis(graph.item(files, ni), graph.file(files, ni), &mut findings))
         .collect();
-
-    // Kept edges, grouped by call site.
-    let mut by_call: Vec<BTreeMap<usize, Vec<usize>>> = Vec::with_capacity(n);
-    let mut succ: Vec<Vec<usize>> = Vec::with_capacity(n);
-    for (ni, local) in locals.iter().enumerate() {
-        let f = graph.item(files, ni);
-        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for e in &graph.edges[ni] {
-            if local.call_suppressed[e.call] {
-                continue;
-            }
-            if edge_kept(files, graph, f, &f.calls[e.call], e.callee) {
-                groups.entry(e.call).or_default().push(e.callee);
-            }
-        }
-        let mut targets: Vec<usize> = groups.values().flatten().copied().collect();
-        targets.sort_unstable();
-        targets.dedup();
-        succ.push(targets);
-        by_call.push(groups);
-    }
-
-    let mut classes = vec![Class::CONST; n];
-    for component in sccs(&succ) {
-        let cyclic = component.len() > 1
-            || component
-                .iter()
-                .any(|&ni| succ[ni].binary_search(&ni).is_ok());
-        if cyclic {
-            for &ni in &component {
-                classes[ni] = Class::UNBOUNDED;
-            }
-            continue;
-        }
-        let ni = component[0];
-        let mut class = locals[ni].loops;
-        for (&ci, callees) in &by_call[ni] {
-            let mut candidate = Class::CONST;
-            for &t in callees {
-                candidate = candidate.join(classes[t]);
-            }
-            class = class.join(locals[ni].call_ctx[ci].times(candidate));
-        }
-        classes[ni] = class;
-    }
-    (classes, findings)
+    let lattice = Classes {
+        files,
+        graph,
+        locals,
+    };
+    (certify::propagate(&lattice, graph), findings)
 }
 
-// ---------------------------------------------------------------------
-// Budgets and contracts
-// ---------------------------------------------------------------------
+/// One entry of `complexity-budgets.toml`: a function and its class.
+pub type BudgetEntry = certify::BudgetEntry<Class>;
 
-/// One entry of `complexity-budgets.toml`.
-#[derive(Debug, Clone)]
-pub struct BudgetEntry {
-    /// Section name, e.g. `sim.scheduler_pop`.
-    pub key: String,
-    /// The budgeted function's name.
-    pub fn_name: String,
-    /// The `impl` owner, when given.
-    pub owner: Option<String>,
-    /// The certified class.
-    pub class: Class,
-    /// Source line of the section header.
-    pub line: usize,
-}
+/// The parsed `complexity-budgets.toml`.
+pub type Budgets = certify::Budgets<Class>;
 
-/// The parsed budget file.
-#[derive(Debug, Clone, Default)]
-pub struct Budgets {
-    /// Entries in file order.
-    pub entries: Vec<BudgetEntry>,
-}
-
-impl Budgets {
-    fn get(&self, key: &str) -> Option<&BudgetEntry> {
-        self.entries.iter().find(|e| e.key == key)
-    }
-}
-
-/// Parses the committed budget file: a TOML subset of `[a.b]` section
-/// headers and `key = "value"` string assignments, with `#` comments.
+/// Parses a complexity budget file ([`certify::parse_budgets`]): each
+/// section sets `fn`, optionally `impl`, and a required `class`.
 pub fn parse_budgets(text: &str) -> Result<Budgets, String> {
-    let mut budgets = Budgets::default();
-    let mut current: Option<(BudgetEntry, bool)> = None;
-    let finish = |budgets: &mut Budgets, (entry, has_class): (BudgetEntry, bool)| {
-        if entry.fn_name.is_empty() {
-            return Err(format!(
-                "entry `{}` (line {}) is missing its `fn = \"...\"` target",
-                entry.key, entry.line
-            ));
-        }
-        if !has_class {
-            return Err(format!(
-                "entry `{}` (line {}) is missing its `class = \"...\"` bound",
-                entry.key, entry.line
-            ));
-        }
-        if budgets.get(&entry.key).is_some() {
-            return Err(format!(
-                "duplicate entry `{}` (line {})",
-                entry.key, entry.line
-            ));
-        }
-        budgets.entries.push(entry);
-        Ok(())
-    };
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('[') {
-            let Some(key) = rest.strip_suffix(']') else {
-                return Err(format!("line {lineno}: malformed section header `{line}`"));
-            };
-            let key = key.trim();
-            if key.is_empty() {
-                return Err(format!("line {lineno}: empty section name"));
-            }
-            if let Some(done) = current.take() {
-                finish(&mut budgets, done)?;
-            }
-            current = Some((
-                BudgetEntry {
-                    key: key.to_owned(),
-                    fn_name: String::new(),
-                    owner: None,
-                    class: Class::CONST,
-                    line: lineno,
-                },
-                false,
-            ));
-            continue;
-        }
-        let Some((entry, has_class)) = current.as_mut() else {
-            return Err(format!("line {lineno}: assignment outside any [section]"));
-        };
-        let Some((k, v)) = line.split_once('=') else {
-            return Err(format!("line {lineno}: expected `key = \"value\"`"));
-        };
-        let k = k.trim();
-        let v = v.trim();
-        let Some(v) = v.strip_prefix('"').and_then(|v| v.strip_suffix('"')) else {
-            return Err(format!(
-                "line {lineno}: value for `{k}` must be a quoted string"
-            ));
-        };
-        match k {
-            "fn" => entry.fn_name = v.to_owned(),
-            "impl" => entry.owner = Some(v.to_owned()),
-            "class" => {
-                let Some(class) = Class::parse(v) else {
-                    return Err(format!(
-                        "line {lineno}: `class = \"{v}\"` is not a product of \
-                         `nodes`/`neighbors`/`log` factors or `const`"
-                    ));
-                };
-                entry.class = class;
-                *has_class = true;
-            }
-            other => return Err(format!("line {lineno}: unknown key `{other}`")),
-        }
-    }
-    if let Some(done) = current.take() {
-        finish(&mut budgets, done)?;
-    }
-    Ok(budgets)
-}
-
-/// Human-readable target of a budget entry (`Scheduler::pop`).
-fn entry_target(entry: &BudgetEntry) -> String {
-    match &entry.owner {
-        Some(o) => format!("{o}::{}", entry.fn_name),
-        None => entry.fn_name.clone(),
-    }
-}
-
-/// The `// complexity: <class>` contract above a declaration, if any:
-/// a trailing comment on the declaration line, or a comment-only line
-/// in the contiguous comment/attribute run directly above. Doc-comment
-/// prose mentioning the marker (e.g. inside backticks after `///`)
-/// does not count.
-fn contract_text(raw_lines: &[String], decl_line: usize) -> Option<(String, usize)> {
-    let text_of = |text: &str, trailing: bool| -> Option<String> {
-        if trailing {
-            let pos = text.find(CONTRACT_MARKER)?;
-            if text[..pos].ends_with('/') {
-                return None;
-            }
-            Some(text[pos + CONTRACT_MARKER.len()..].trim().to_owned())
-        } else {
-            text.trim_start()
-                .strip_prefix(CONTRACT_MARKER)
-                .map(|rest| rest.trim().to_owned())
-        }
-    };
-    if let Some(text) = raw_lines.get(decl_line.wrapping_sub(1)) {
-        if let Some(t) = text_of(text, true) {
-            return Some((t, decl_line));
-        }
-    }
-    let mut above = decl_line.wrapping_sub(1);
-    while above >= 1 {
-        let Some(text) = raw_lines.get(above - 1) else {
-            break;
-        };
-        let t = text.trim_start();
-        if !t.starts_with("//") && !t.starts_with("#[") {
-            break;
-        }
-        if let Some(t) = text_of(text, false) {
-            return Some((t, above));
-        }
-        above -= 1;
-    }
-    None
+    certify::parse_budgets::<Classes<'_>>(text)
 }
 
 /// Runs the certification over parsed files against the budgets.
 pub fn analyze(files: &[ParsedFile], budgets: &Budgets) -> Vec<Finding> {
     let graph = CallGraph::build(files);
     let (classes, mut findings) = compute_classes(files, &graph);
-
-    let mut budgeted: BTreeSet<usize> = BTreeSet::new();
-    for entry in &budgets.entries {
-        let matches: Vec<usize> = graph
-            .named(&entry.fn_name)
-            .iter()
-            .copied()
-            .filter(|&ni| graph.item(files, ni).owner.as_deref() == entry.owner.as_deref())
-            .collect();
-        match matches.as_slice() {
-            [] => findings.push(Finding {
-                file: BUDGET_FILE.to_owned(),
-                line: entry.line,
-                lint: "complexity",
-                message: format!(
-                    "dead budget entry `{}`: no non-test function `{}` exists in the analyzed \
-                     crates",
-                    entry.key,
-                    entry_target(entry)
-                ),
-            }),
-            [ni] => {
-                budgeted.insert(*ni);
-                findings.extend(check_entry(files, &graph, &classes, entry, *ni));
-            }
-            many => {
-                let sites: Vec<String> = many
-                    .iter()
-                    .map(|&ni| graph.file(files, ni).path.clone())
-                    .collect();
-                findings.push(Finding {
-                    file: BUDGET_FILE.to_owned(),
-                    line: entry.line,
-                    lint: "complexity",
-                    message: format!(
-                        "ambiguous budget entry `{}`: `{}` matches {} functions ({})",
-                        entry.key,
-                        entry_target(entry),
-                        many.len(),
-                        sites.join(", ")
-                    ),
-                });
-            }
-        }
-    }
-
-    // Reverse direction: every unbudgeted contract must agree with the
-    // analysis, so drive-by markers cannot rot.
-    for (ni, inferred) in classes.iter().enumerate() {
-        if budgeted.contains(&ni) {
-            continue;
-        }
-        let f = graph.item(files, ni);
-        let file = graph.file(files, ni);
-        let Some((text, line)) = contract_text(&file.raw_lines, f.decl_line) else {
-            continue;
-        };
-        match Class::parse(&text) {
-            None => findings.push(Finding {
-                file: file.path.clone(),
-                line,
-                lint: "complexity",
-                message: format!(
-                    "cannot parse `{CONTRACT_MARKER} {text}` on `{}` (expected factors of \
-                     `nodes`/`neighbors`/`log`, or `const`)",
-                    f.name
-                ),
-            }),
-            Some(declared) if declared != *inferred => findings.push(Finding {
-                file: file.path.clone(),
-                line,
-                lint: "complexity",
-                message: format!(
-                    "stale contract: `{}` declares `{CONTRACT_MARKER} {declared}` but the \
-                     analysis infers {inferred}",
-                    f.name
-                ),
-            }),
-            Some(_) => {}
-        }
-    }
-
-    findings
-}
-
-/// Checks one resolved budget entry against the inferred class.
-fn check_entry(
-    files: &[ParsedFile],
-    graph: &CallGraph,
-    classes: &[Class],
-    entry: &BudgetEntry,
-    ni: usize,
-) -> Vec<Finding> {
-    let f = graph.item(files, ni);
-    let file = graph.file(files, ni);
-    let mut findings = Vec::new();
-    let target = entry_target(entry);
-
-    match contract_text(&file.raw_lines, f.decl_line) {
-        None => findings.push(Finding {
-            file: file.path.clone(),
-            line: f.decl_line,
-            lint: "complexity",
-            message: format!(
-                "budgeted function `{target}` lacks a `{CONTRACT_MARKER} {}` contract above \
-                 its declaration",
-                entry.class
-            ),
-        }),
-        Some((text, line)) => match Class::parse(&text) {
-            Some(declared) if declared == entry.class => {}
-            Some(declared) => findings.push(Finding {
-                file: file.path.clone(),
-                line,
-                lint: "complexity",
-                message: format!(
-                    "`{target}` is budgeted `{}` in `{}` but declares `{CONTRACT_MARKER} \
-                     {declared}`",
-                    entry.class, entry.key
-                ),
-            }),
-            None => findings.push(Finding {
-                file: file.path.clone(),
-                line,
-                lint: "complexity",
-                message: format!(
-                    "cannot parse `{CONTRACT_MARKER} {text}` on `{target}` (expected factors \
-                     of `nodes`/`neighbors`/`log`, or `const`)"
-                ),
-            }),
-        },
-    }
-
-    let inferred = classes[ni];
-    if inferred == entry.class {
-        return findings;
-    }
-    let message = if inferred.unbounded {
-        format!(
-            "`{target}` has no static complexity bound (recursion or an unclassified \
-             `while`/`loop` reaches it); budget `{}` demands {}",
-            entry.key, entry.class
-        )
-    } else if inferred.le(entry.class) {
-        format!(
-            "`{target}` computes to {inferred}, below its budget `{}` = {}; tighten the \
-             committed class",
-            entry.key, entry.class
-        )
-    } else {
-        format!(
-            "`{target}` computes to {inferred}, exceeding its budget `{}` = {}",
-            entry.key, entry.class
-        )
-    };
-    findings.push(Finding {
-        file: file.path.clone(),
-        line: f.decl_line,
-        lint: "complexity",
-        message,
-    });
+    findings.extend(certify::certify::<Classes<'_>>(
+        files, &graph, &classes, budgets,
+    ));
     findings
 }
 

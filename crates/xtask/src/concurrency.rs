@@ -52,7 +52,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::CallGraph;
-use crate::lexer::{self, contains_word, is_ident_char};
+use crate::lexer::{
+    self, contains_word, is_ident_char, match_forward, match_paren, skip_ws, starts_word_at,
+};
 use crate::opcount::{self, Cost};
 use crate::parser::{FnItem, ParsedFile};
 use crate::{suppression_near, Finding, Suppression};
@@ -116,7 +118,7 @@ fn finding(file: &str, line: usize, message: String) -> Finding {
 /// finding is suppressed with a written reason; a bare marker is
 /// reported and does not suppress.
 fn lock_ok(file: &ParsedFile, line: usize, findings: &mut Vec<Finding>) -> bool {
-    let lines: Vec<&str> = file.raw_lines.iter().map(String::as_str).collect();
+    let lines = file.lines();
     match suppression_near(&lines, line, LOCK_OK_MARKER) {
         Suppression::Justified => true,
         Suppression::MissingReason => {
@@ -177,11 +179,11 @@ fn lock_class(receiver: &str) -> String {
         match chars[i] {
             '[' => {
                 out.push_str("[]");
-                i = skip_group(&chars, i, '[', ']');
+                i = match_forward(&chars, i, '[', ']').map_or(chars.len(), |c| c + 1);
             }
             '(' => {
                 out.push_str("()");
-                i = skip_group(&chars, i, '(', ')');
+                i = match_paren(&chars, i).map_or(chars.len(), |c| c + 1);
             }
             c if c.is_whitespace() || c == '&' || c == '*' => i += 1,
             c => {
@@ -191,24 +193,6 @@ fn lock_class(receiver: &str) -> String {
         }
     }
     out.strip_prefix("self.").unwrap_or(&out).to_owned()
-}
-
-/// Index just past the group opened at `open`.
-fn skip_group(chars: &[char], open: usize, oc: char, cc: char) -> usize {
-    let mut depth = 0i32;
-    let mut i = open;
-    while i < chars.len() {
-        if chars[i] == oc {
-            depth += 1;
-        } else if chars[i] == cc {
-            depth -= 1;
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-        i += 1;
-    }
-    chars.len()
 }
 
 /// A `let` statement in a body: the binding name, the lines its
@@ -732,7 +716,8 @@ fn collect_structs(fi: usize, scrubbed: &str, spans: &[(usize, usize)]) -> Vec<S
                     } else {
                         ('(', ')')
                     };
-                    let end = skip_group(&chars, j, oc, cc).saturating_sub(1);
+                    let end =
+                        match_forward(&chars, j, oc, cc).unwrap_or(chars.len().saturating_sub(1));
                     let mut lno = newlines(&chars[..j]) + 1;
                     let mut text = String::new();
                     for &c in &chars[j + 1..end] {
@@ -832,19 +817,11 @@ fn guard_extension(
 }
 
 // ---------------------------------------------------------------------
-// Small text helpers (local copies of parser-private scanners).
+// Small text helpers.
 // ---------------------------------------------------------------------
 
 fn newlines(chars: &[char]) -> usize {
     chars.iter().filter(|&&c| c == '\n').count()
-}
-
-fn starts_word_at(chars: &[char], i: usize, word: &str) -> bool {
-    let pat: Vec<char> = word.chars().collect();
-    i + pat.len() <= chars.len()
-        && chars[i..i + pat.len()] == pat[..]
-        && (i == 0 || !is_ident_char(chars[i - 1]))
-        && chars.get(i + pat.len()).is_none_or(|c| !is_ident_char(*c))
 }
 
 /// Whether the last word before index `i` (skipping whitespace) is
@@ -858,13 +835,6 @@ fn preceded_by(chars: &[char], i: usize, word: &str) -> bool {
     j >= pat.len()
         && chars[j - pat.len()..j] == pat[..]
         && (j == pat.len() || !is_ident_char(chars[j - pat.len() - 1]))
-}
-
-fn skip_ws(chars: &[char], mut i: usize) -> usize {
-    while i < chars.len() && chars[i].is_whitespace() {
-        i += 1;
-    }
-    i
 }
 
 fn skip_angles(chars: &[char], open: usize) -> usize {

@@ -184,23 +184,89 @@ pub fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
+/// True when `word` starts at `chars[i]` delimited by non-identifier
+/// characters (or the text boundary) on both sides.
+pub fn starts_word_at(chars: &[char], i: usize, word: &str) -> bool {
+    let mut end = i;
+    for w in word.chars() {
+        if chars.get(end) != Some(&w) {
+            return false;
+        }
+        end += 1;
+    }
+    (i == 0 || chars.get(i - 1).is_none_or(|c| !is_ident_char(*c)))
+        && chars.get(end).is_none_or(|c| !is_ident_char(*c))
+}
+
 /// True when `word` occurs in `text` delimited by non-identifier
 /// characters (or the text boundary) on both sides.
 pub fn contains_word(text: &str, word: &str) -> bool {
     let chars: Vec<char> = text.chars().collect();
-    let pat: Vec<char> = word.chars().collect();
-    if pat.is_empty() || chars.len() < pat.len() {
-        return false;
+    !word.is_empty() && (0..chars.len()).any(|i| starts_word_at(&chars, i, word))
+}
+
+/// Index of the first non-whitespace character at or after `i`.
+pub fn skip_ws(chars: &[char], mut i: usize) -> usize {
+    while i < chars.len() && chars[i].is_whitespace() {
+        i += 1;
     }
-    for i in 0..=chars.len() - pat.len() {
-        if chars[i..i + pat.len()] == pat[..]
-            && (i == 0 || !is_ident_char(chars[i - 1]))
-            && (i + pat.len() == chars.len() || !is_ident_char(chars[i + pat.len()]))
-        {
-            return true;
+    i
+}
+
+/// Index of the `)` closing the `(` at `open`.
+pub fn match_paren(chars: &[char], open: usize) -> Option<usize> {
+    match_forward(chars, open, '(', ')')
+}
+
+/// Index of the `}` closing the `{` at `open`. Safe on scrubbed text:
+/// no braces hide in literals.
+pub fn match_brace(chars: &[char], open: usize) -> Option<usize> {
+    match_forward(chars, open, '{', '}')
+}
+
+/// Index of the `closer` matching the `opener` at `open`, counting only
+/// that delimiter pair.
+pub fn match_forward(chars: &[char], open: usize, opener: char, closer: char) -> Option<usize> {
+    let mut depth = 0i32;
+    for (j, &c) in chars.iter().enumerate().skip(open) {
+        if c == opener {
+            depth += 1;
+        } else if c == closer {
+            depth -= 1;
+            if depth == 0 {
+                return Some(j);
+            }
         }
     }
-    false
+    None
+}
+
+/// Index of the `(` or `[` matching the `)` or `]` at `close`, walking
+/// backwards.
+pub fn match_back(chars: &[char], close: usize) -> Option<usize> {
+    let closer = *chars.get(close)?;
+    let opener = match closer {
+        ')' => '(',
+        ']' => '[',
+        _ => return None,
+    };
+    let mut depth = 0i32;
+    for k in (0..=close).rev() {
+        if chars[k] == closer {
+            depth += 1;
+        } else if chars[k] == opener {
+            depth -= 1;
+            if depth == 0 {
+                return Some(k);
+            }
+        }
+    }
+    None
+}
+
+/// Index of the last non-whitespace character before `before`.
+pub fn prev_non_ws(chars: &[char], before: usize) -> Option<usize> {
+    (0..before).rev().find(|&j| !chars[j].is_whitespace())
 }
 
 /// 1-based line number of a character index.
@@ -241,23 +307,10 @@ fn find_from(chars: &[char], needle: &str, from: usize) -> Option<usize> {
 }
 
 /// Finds the `{ ... }` body following `pos` and returns the char indices
-/// of its braces. Safe on scrubbed text: no braces hide in literals.
+/// of its braces.
 fn braced_body(chars: &[char], pos: usize) -> Option<(usize, usize)> {
     let open = (pos..chars.len()).find(|&i| chars[i] == '{')?;
-    let mut depth = 0usize;
-    for (i, &c) in chars.iter().enumerate().skip(open) {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((open, i));
-                }
-            }
-            _ => {}
-        }
-    }
-    None
+    Some((open, match_brace(chars, open)?))
 }
 
 #[cfg(test)]

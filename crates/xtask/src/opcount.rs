@@ -7,8 +7,9 @@
 //! *certifies* it statically, so a refactor cannot add a pairing to a
 //! hot path without failing the gate.
 //!
-//! The analysis is an interprocedural worst-case cost propagation over
-//! the [`crate::callgraph`]:
+//! It is one lattice ([`Counts`]) over the shared certification engine
+//! ([`crate::certify`]), which owns the budget grammar, the marker rule,
+//! the bottom-up propagation and the equality check. The lattice:
 //!
 //! * every call site whose callee name is one of the counted `ops`
 //!   frontends (`pair`, `pair_prepared`, `pairing_product_prepared`,
@@ -21,32 +22,32 @@
 //!   how the runtime counters count the frontend and not its innards;
 //! * any other resolved call contributes the **maximum** cost over its
 //!   candidate callees (name-based dispatch is over-approximate, so
-//!   the worst candidate bounds the truth);
+//!   the worst candidate bounds the truth), and a body sums its calls;
 //! * costs are symbolic `a·n + b` vectors per counter. A call inside a
 //!   `for` loop or iterator-adaptor closure multiplies by `n`
 //!   ([`crate::parser::LoopCtx::PerItem`]); a call inside `while`/
 //!   `loop`, under two nested per-item contexts, or on a call-graph
-//!   cycle is **unbounded** — reported, never silently summed;
+//!   cycle (over the full graph) is **unbounded** — reported, never
+//!   silently summed;
 //! * multi-pairing products take their factor count from the argument:
 //!   a slice literal counts its elements, a local `Vec` tracks
 //!   `Vec::new`/`with_capacity`, `push` (scaled by loop context) and
 //!   length-preserving `collect()` copies, anything else is unbounded.
 //!
-//! Budgets live in `opcount-budgets.toml` at the workspace root. Each
-//! entry names a function (plus its `impl` owner), its eight counter
-//! budgets as symbolic strings (`"0"`, `"2"`, `"n"`, `"n+1"`, `"2n"`),
-//! and optionally the Table 1 row it mirrors. Certification is an
-//! **equality**: an overrun fails the gate, and so does slack — the
-//! budget, the static bound, and the measured counts (cross-checked in
-//! `crates/core/tests/opcount_certified.rs`) must agree exactly.
-//! Budget entries that match no function, ambiguous entries, budgeted
-//! functions missing their `// opcount-budget: <key>` marker, and
-//! markers naming unknown keys are all findings.
+//! Each entry of `opcount-budgets.toml` names a function (plus its
+//! `impl` owner) and its counter budgets (`"0"`, `"2"`, `"n"`, `"n+1"`,
+//! `"2n"`); a `table1` key may note the Table 1 row it mirrors. The
+//! function carries a `// opcount-budget: <key>` marker, and every
+//! marker must name a live key. Budget, static bound and the measured
+//! counts (cross-checked in `crates/core/tests/opcount_certified.rs`)
+//! must agree exactly.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::callgraph::CallGraph;
+use crate::callgraph::{CallGraph, Edge};
+use crate::certify::{self, Bound, Lattice, Marker, Verdict};
+use crate::lexer::{contains_word, is_ident_char, skip_ws, starts_word_at};
 use crate::parser::{Call, FnItem, LoopCtx, ParsedFile};
 use crate::Finding;
 
@@ -178,6 +179,17 @@ impl Val {
     }
 }
 
+impl Bound for Val {
+    fn is_unbounded(&self) -> bool {
+        self.unbounded
+    }
+
+    fn le(&self, other: &Self) -> bool {
+        other.unbounded
+            || (!self.unbounded && self.konst <= other.konst && self.linear <= other.linear)
+    }
+}
+
 impl fmt::Display for Val {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.unbounded {
@@ -199,27 +211,15 @@ pub struct Cost(pub [Val; 8]);
 
 impl Cost {
     fn add(&self, other: &Self) -> Self {
-        let mut out = *self;
-        for (v, o) in out.0.iter_mut().zip(other.0.iter()) {
-            *v = v.add(o);
-        }
-        out
+        Self(std::array::from_fn(|i| self.0[i].add(&other.0[i])))
     }
 
     fn max(&self, other: &Self) -> Self {
-        let mut out = *self;
-        for (v, o) in out.0.iter_mut().zip(other.0.iter()) {
-            *v = v.max(o);
-        }
-        out
+        Self(std::array::from_fn(|i| self.0[i].max(&other.0[i])))
     }
 
     fn scale(&self, ctx: LoopCtx) -> Self {
-        let mut out = *self;
-        for v in out.0.iter_mut() {
-            *v = v.scale(ctx);
-        }
-        out
+        Self(self.0.map(|v| v.scale(ctx)))
     }
 
     /// Marks every nonzero counter unbounded — the effect of sitting
@@ -334,7 +334,7 @@ fn factor_count(call: &Call, lens: &BTreeMap<String, Val>) -> Val {
             .count() as u64;
         return Val::konst(k);
     }
-    if !arg.is_empty() && arg.chars().all(crate::lexer::is_ident_char) {
+    if !arg.is_empty() && arg.chars().all(is_ident_char) {
         if let Some(v) = lens.get(arg) {
             return *v;
         }
@@ -356,17 +356,17 @@ fn let_bindings(body: &str, body_line: usize) -> Vec<LetBinding> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < chars.len() {
-        if !word_at(&chars, i, "let") {
+        if !starts_word_at(&chars, i, "let") {
             i += 1;
             continue;
         }
         let line = body_line + chars[..i].iter().filter(|&&c| c == '\n').count();
         let mut j = skip_ws(&chars, i + 3);
-        if word_at(&chars, j, "mut") {
+        if starts_word_at(&chars, j, "mut") {
             j = skip_ws(&chars, j + 3);
         }
         let name_start = j;
-        while j < chars.len() && crate::lexer::is_ident_char(chars[j]) {
+        while j < chars.len() && is_ident_char(chars[j]) {
             j += 1;
         }
         if j == name_start {
@@ -415,29 +415,6 @@ fn let_bindings(body: &str, body_line: usize) -> Vec<LetBinding> {
         i = k;
     }
     out
-}
-
-fn word_at(chars: &[char], i: usize, word: &str) -> bool {
-    let pat: Vec<char> = word.chars().collect();
-    i + pat.len() <= chars.len()
-        && chars[i..i + pat.len()] == pat[..]
-        && (i == 0 || !crate::lexer::is_ident_char(chars[i - 1]))
-        && chars
-            .get(i + pat.len())
-            .is_none_or(|c| !crate::lexer::is_ident_char(*c))
-}
-
-fn skip_ws(chars: &[char], mut i: usize) -> usize {
-    while i < chars.len() && chars[i].is_whitespace() {
-        i += 1;
-    }
-    i
-}
-
-/// Ident-boundary containment check.
-fn contains_word(text: &str, word: &str) -> bool {
-    let chars: Vec<char> = text.chars().collect();
-    (0..chars.len()).any(|i| word_at(&chars, i, word))
 }
 
 fn apply_let(lens: &mut BTreeMap<String, Val>, binding: &LetBinding) {
@@ -493,377 +470,175 @@ fn local_analysis(f: &FnItem) -> LocalCost {
     LocalCost { cost, atomic }
 }
 
-/// Worst-case cost of every node, computed bottom-up over the SCC
-/// condensation. Members of a non-trivial SCC (or self-loop) have any
-/// nonzero counter saturated to unbounded: a cost inside a cycle has
-/// no static repetition bound.
+/// The operation-count lattice over one call graph: `a·n + b` cost
+/// vectors, summed along a body and maxed over dispatch candidates.
+pub struct Counts<'a> {
+    files: &'a [ParsedFile],
+    graph: &'a CallGraph,
+    locals: Vec<LocalCost>,
+}
+
+impl Lattice for Counts<'_> {
+    type Value = Cost;
+    type Bound = Val;
+
+    const LINT: &'static str = "opcount";
+    const BUDGET_FILE: &'static str = BUDGET_FILE;
+    const BUDGETS: &'static str = "the Table 1 budgets";
+    const MARKER: &'static str = BUDGET_MARKER;
+    const REQUIRED: &'static [&'static str] = &[];
+
+    fn assign(budget: &mut Cost, key: &str, text: &str) -> Option<Result<(), String>> {
+        // `table1` documents the Table 1 row an entry mirrors (the paper
+        // folds hash and precomputable terms differently); nothing
+        // certifies it.
+        if key == "table1" {
+            return Some(Ok(()));
+        }
+        let slot = COUNTERS.iter().position(|c| *c == key)?;
+        let Some(val) = Val::parse(text) else {
+            return Some(Err(format!(
+                "`{key} = \"{text}\"` is not of the form `a·n + b` (e.g. \"0\", \"2\", \"n\", \
+                 \"n+1\", \"2n\")"
+            )));
+        };
+        budget.0[slot] = val;
+        Some(Ok(()))
+    }
+
+    fn bounds(value: &Cost) -> Vec<(&'static str, Val)> {
+        COUNTERS.iter().copied().zip(value.0).collect()
+    }
+
+    fn miss(
+        verdict: Verdict,
+        entry: &BudgetEntry,
+        name: &str,
+        computed: Val,
+        budget: Val,
+    ) -> String {
+        let (target, key) = (entry.target(), &entry.key);
+        match verdict {
+            Verdict::Unbounded => format!(
+                "`{target}` has a statically unbounded worst-case {name} count (a cycle, \
+                 `while`/`loop`, or unresolvable pairing-product factor lies on some path); \
+                 budget `{key}` demands {budget}"
+            ),
+            Verdict::Overrun => {
+                format!(
+                    "`{target}` computes to {computed} {name}, exceeding budget `{key}` = {budget}"
+                )
+            }
+            Verdict::Slack => format!(
+                "`{target}` computes to {computed} {name}, below budget `{key}` = {budget}; \
+                 tighten the budget so certification stays exact"
+            ),
+        }
+    }
+
+    /// A budgeted function's marker must name its entry; any marker must
+    /// name a live entry.
+    fn judge(
+        f: &FnItem,
+        marker: Option<&Marker>,
+        entry: Option<&BudgetEntry>,
+        _cost: &Cost,
+        budgets: &Budgets,
+    ) -> Option<(usize, String)> {
+        let key = marker.map(|m| m.text.split_whitespace().next().unwrap_or(""));
+        let message = match (entry, key) {
+            (Some(entry), Some(key)) if key == entry.key => return None,
+            (Some(entry), Some(key)) if budgets.get(key).is_some() => format!(
+                "`{}` is budgeted as `{}` but its marker says `{BUDGET_MARKER} {key}`",
+                entry.target(),
+                entry.key
+            ),
+            (_, Some(key)) if budgets.get(key).is_none() => format!(
+                "`{}` carries marker `{BUDGET_MARKER} {key}` but `{BUDGET_FILE}` has no such \
+                 entry",
+                f.name
+            ),
+            (Some(entry), None) => format!(
+                "budgeted function `{}` lacks the `{BUDGET_MARKER} {}` marker above its \
+                 declaration",
+                entry.target(),
+                entry.key
+            ),
+            _ => return None,
+        };
+        Some((f.decl_line, message))
+    }
+
+    fn local(&self, ni: usize) -> Cost {
+        self.locals[ni].cost
+    }
+
+    /// Every resolved call can close a cycle, atomic frontends included.
+    fn cycle_edge(&self, _ni: usize, _e: &Edge) -> bool {
+        true
+    }
+
+    /// An atomic call was charged at its site; its callee's body is not
+    /// traversed.
+    fn flows(&self, ni: usize, e: &Edge) -> bool {
+        !self.locals[ni].atomic[e.call]
+    }
+
+    fn join(a: &Cost, b: &Cost) -> Cost {
+        a.max(b)
+    }
+
+    fn then(a: &Cost, b: &Cost) -> Cost {
+        a.add(b)
+    }
+
+    fn scale(&self, ni: usize, call: usize, callee: &Cost) -> Cost {
+        callee.scale(self.graph.item(self.files, ni).calls[call].ctx)
+    }
+
+    /// A cost inside a cycle has no static repetition bound: the
+    /// members' worst case with every nonzero counter unbounded.
+    fn saturate(members: &[Cost]) -> Cost {
+        members
+            .iter()
+            .fold(Cost::default(), |acc, m| acc.max(m))
+            .saturate_unbounded()
+    }
+}
+
+/// Worst-case cost of every node, computed bottom-up over the call
+/// graph's SCCs ([`certify::propagate`]).
 pub fn compute_costs(files: &[ParsedFile], graph: &CallGraph) -> Vec<Cost> {
-    let n = graph.nodes.len();
-    let locals: Vec<LocalCost> = (0..n)
+    let locals = (0..graph.nodes.len())
         .map(|ni| local_analysis(graph.item(files, ni)))
         .collect();
-    let mut component_of = vec![usize::MAX; n];
-    let sccs = graph.sccs();
-    for (si, component) in sccs.iter().enumerate() {
-        for &ni in component {
-            component_of[ni] = si;
-        }
-    }
-    let mut costs = vec![Cost::default(); n];
-    for (si, component) in sccs.iter().enumerate() {
-        let cyclic = component.len() > 1
-            || graph.edges[component[0]]
-                .iter()
-                .any(|e| e.callee == component[0]);
-        let mut member_costs = Vec::with_capacity(component.len());
-        for &ni in component {
-            let f = graph.item(files, ni);
-            let mut c = locals[ni].cost;
-            let mut by_call: BTreeMap<usize, Cost> = BTreeMap::new();
-            for e in &graph.edges[ni] {
-                if locals[ni].atomic[e.call] || component_of[e.callee] == si {
-                    continue;
-                }
-                let entry = by_call.entry(e.call).or_default();
-                *entry = entry.max(&costs[e.callee]);
-            }
-            for (ci, callee_cost) in by_call {
-                c = c.add(&callee_cost.scale(f.calls[ci].ctx));
-            }
-            member_costs.push(c);
-        }
-        if cyclic {
-            let mut combined = Cost::default();
-            for mc in &member_costs {
-                combined = combined.max(mc);
-            }
-            let combined = combined.saturate_unbounded();
-            for &ni in component {
-                costs[ni] = combined;
-            }
-        } else {
-            for (&ni, mc) in component.iter().zip(member_costs.iter()) {
-                costs[ni] = *mc;
-            }
-        }
-    }
-    costs
-}
-
-/// One entry of `opcount-budgets.toml`.
-#[derive(Debug, Clone)]
-pub struct BudgetEntry {
-    /// Section name, e.g. `mccls.verify`.
-    pub key: String,
-    /// The budgeted function's name.
-    pub fn_name: String,
-    /// Its `impl`/`trait` owner; `None` for free functions.
-    pub owner: Option<String>,
-    /// The certified counter budgets.
-    pub budget: Cost,
-    /// The Table 1 row this mirrors, for documentation and the bench
-    /// table (the paper folds hash and precomputable terms
-    /// differently, so this may differ from the counter budgets).
-    pub table1: Option<String>,
-    /// 1-based line of the section header in the budget file.
-    pub line: usize,
-}
-
-/// The parsed budget file.
-#[derive(Debug, Clone, Default)]
-pub struct Budgets {
-    /// Entries in file order.
-    pub entries: Vec<BudgetEntry>,
-}
-
-impl Budgets {
-    /// Looks up an entry by its section key.
-    pub fn get(&self, key: &str) -> Option<&BudgetEntry> {
-        self.entries.iter().find(|e| e.key == key)
-    }
-}
-
-/// Parses the committed budget file: a TOML subset of `[a.b]` section
-/// headers and `key = "value"` string assignments, with `#` comments.
-pub fn parse_budgets(text: &str) -> Result<Budgets, String> {
-    let mut budgets = Budgets::default();
-    let mut current: Option<BudgetEntry> = None;
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('[') {
-            let Some(key) = rest.strip_suffix(']') else {
-                return Err(format!("line {lineno}: malformed section header `{line}`"));
-            };
-            let key = key.trim();
-            if key.is_empty() {
-                return Err(format!("line {lineno}: empty section name"));
-            }
-            if let Some(done) = current.take() {
-                finish_entry(&mut budgets, done)?;
-            }
-            current = Some(BudgetEntry {
-                key: key.to_owned(),
-                fn_name: String::new(),
-                owner: None,
-                budget: Cost::default(),
-                table1: None,
-                line: lineno,
-            });
-            continue;
-        }
-        let Some(entry) = current.as_mut() else {
-            return Err(format!("line {lineno}: assignment outside any [section]"));
-        };
-        let Some((k, v)) = line.split_once('=') else {
-            return Err(format!("line {lineno}: expected `key = \"value\"`"));
-        };
-        let k = k.trim();
-        let v = v.trim();
-        let Some(v) = v.strip_prefix('"').and_then(|v| v.strip_suffix('"')) else {
-            return Err(format!(
-                "line {lineno}: value for `{k}` must be a quoted string"
-            ));
-        };
-        match k {
-            "fn" => entry.fn_name = v.to_owned(),
-            "impl" => entry.owner = Some(v.to_owned()),
-            "table1" => entry.table1 = Some(v.to_owned()),
-            counter => {
-                let Some(slot) = COUNTERS.iter().position(|c| c == &counter) else {
-                    return Err(format!("line {lineno}: unknown key `{counter}`"));
-                };
-                let Some(val) = Val::parse(v) else {
-                    return Err(format!(
-                        "line {lineno}: `{counter} = \"{v}\"` is not of the form `a·n + b` \
-                         (e.g. \"0\", \"2\", \"n\", \"n+1\", \"2n\")"
-                    ));
-                };
-                entry.budget.0[slot] = val;
-            }
-        }
-    }
-    if let Some(done) = current.take() {
-        finish_entry(&mut budgets, done)?;
-    }
-    Ok(budgets)
-}
-
-fn finish_entry(budgets: &mut Budgets, entry: BudgetEntry) -> Result<(), String> {
-    if entry.fn_name.is_empty() {
-        return Err(format!(
-            "entry `{}` (line {}) is missing its `fn = \"...\"` target",
-            entry.key, entry.line
-        ));
-    }
-    if budgets.get(&entry.key).is_some() {
-        return Err(format!(
-            "duplicate entry `{}` (line {})",
-            entry.key, entry.line
-        ));
-    }
-    budgets.entries.push(entry);
-    Ok(())
-}
-
-/// Human-readable target of a budget entry (`McCls::verify`).
-fn entry_target(entry: &BudgetEntry) -> String {
-    match &entry.owner {
-        Some(o) => format!("{o}::{}", entry.fn_name),
-        None => entry.fn_name.clone(),
-    }
-}
-
-/// The `// opcount-budget: <key>` marker above a declaration, if any:
-/// scans the contiguous run of comment/attribute lines directly above
-/// `decl_line`, plus a trailing comment on the line itself.
-fn marker_key(raw_lines: &[String], decl_line: usize) -> Option<String> {
-    let key_in = |text: &str| {
-        text.find(BUDGET_MARKER).map(|pos| {
-            text[pos + BUDGET_MARKER.len()..]
-                .split_whitespace()
-                .next()
-                .unwrap_or("")
-                .to_owned()
-        })
+    let lattice = Counts {
+        files,
+        graph,
+        locals,
     };
-    if let Some(text) = raw_lines.get(decl_line.wrapping_sub(1)) {
-        if let Some(k) = key_in(text) {
-            return Some(k);
-        }
-    }
-    let mut above = decl_line.wrapping_sub(1);
-    while above >= 1 {
-        let Some(text) = raw_lines.get(above - 1) else {
-            break;
-        };
-        let t = text.trim_start();
-        if !t.starts_with("//") && !t.starts_with("#[") {
-            break;
-        }
-        if let Some(k) = key_in(text) {
-            return Some(k);
-        }
-        above -= 1;
-    }
-    None
+    certify::propagate(&lattice, graph)
+}
+
+/// One entry of `opcount-budgets.toml`: a function and its counter
+/// budgets.
+pub type BudgetEntry = certify::BudgetEntry<Cost>;
+
+/// The parsed `opcount-budgets.toml`.
+pub type Budgets = certify::Budgets<Cost>;
+
+/// Parses an operation-count budget file ([`certify::parse_budgets`]):
+/// each section sets `fn`, optionally `impl` and `table1`, and any of
+/// the [`COUNTERS`] as `a·n + b` strings.
+pub fn parse_budgets(text: &str) -> Result<Budgets, String> {
+    certify::parse_budgets::<Counts<'_>>(text)
 }
 
 /// Runs the certification over parsed files against the budgets.
 pub fn analyze(files: &[ParsedFile], budgets: &Budgets) -> Vec<Finding> {
     let graph = CallGraph::build(files);
     let costs = compute_costs(files, &graph);
-    let mut findings = Vec::new();
-
-    for entry in &budgets.entries {
-        let matches: Vec<usize> = graph
-            .named(&entry.fn_name)
-            .iter()
-            .copied()
-            .filter(|&ni| graph.item(files, ni).owner.as_deref() == entry.owner.as_deref())
-            .collect();
-        match matches.as_slice() {
-            [] => findings.push(Finding {
-                file: BUDGET_FILE.to_owned(),
-                line: entry.line,
-                lint: "opcount",
-                message: format!(
-                    "dead budget entry `{}`: no non-test function `{}` exists in the analyzed \
-                     crates",
-                    entry.key,
-                    entry_target(entry)
-                ),
-            }),
-            [ni] => findings.extend(check_entry(files, &graph, &costs, entry, *ni, budgets)),
-            many => {
-                let sites: Vec<String> = many
-                    .iter()
-                    .map(|&ni| graph.file(files, ni).path.clone())
-                    .collect();
-                findings.push(Finding {
-                    file: BUDGET_FILE.to_owned(),
-                    line: entry.line,
-                    lint: "opcount",
-                    message: format!(
-                        "ambiguous budget entry `{}`: `{}` matches {} functions ({})",
-                        entry.key,
-                        entry_target(entry),
-                        many.len(),
-                        sites.join(", ")
-                    ),
-                });
-            }
-        }
-    }
-
-    // Reverse direction: every marker must name a live budget key.
-    for file in files {
-        for f in &file.fns {
-            if f.is_test {
-                continue;
-            }
-            if let Some(key) = marker_key(&file.raw_lines, f.decl_line) {
-                if budgets.get(&key).is_none() {
-                    findings.push(Finding {
-                        file: file.path.clone(),
-                        line: f.decl_line,
-                        lint: "opcount",
-                        message: format!(
-                            "`{}` carries marker `{BUDGET_MARKER} {key}` but `{BUDGET_FILE}` \
-                             has no such entry",
-                            f.name
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
-    findings
-}
-
-/// Checks one resolved budget entry against the computed cost.
-fn check_entry(
-    files: &[ParsedFile],
-    graph: &CallGraph,
-    costs: &[Cost],
-    entry: &BudgetEntry,
-    ni: usize,
-    budgets: &Budgets,
-) -> Vec<Finding> {
-    let f = graph.item(files, ni);
-    let file = graph.file(files, ni);
-    let mut findings = Vec::new();
-    let target = entry_target(entry);
-
-    match marker_key(&file.raw_lines, f.decl_line) {
-        Some(ref k) if k == &entry.key => {}
-        Some(other) => {
-            // A marker naming a *different* live key is caught by the
-            // reverse pass only when that key is dead; name the
-            // mismatch here so it cannot slip through.
-            if budgets.get(&other).is_some() {
-                findings.push(Finding {
-                    file: file.path.clone(),
-                    line: f.decl_line,
-                    lint: "opcount",
-                    message: format!(
-                        "`{target}` is budgeted as `{}` but its marker says \
-                         `{BUDGET_MARKER} {other}`",
-                        entry.key
-                    ),
-                });
-            }
-        }
-        None => findings.push(Finding {
-            file: file.path.clone(),
-            line: f.decl_line,
-            lint: "opcount",
-            message: format!(
-                "budgeted function `{target}` lacks the `{BUDGET_MARKER} {}` marker above \
-                 its declaration",
-                entry.key
-            ),
-        }),
-    }
-
-    let cost = &costs[ni];
-    for (slot, name) in COUNTERS.iter().enumerate() {
-        let computed = cost.0[slot];
-        let budget = entry.budget.0[slot];
-        if computed == budget {
-            continue;
-        }
-        let message = if computed.unbounded {
-            format!(
-                "`{target}` has a statically unbounded worst-case {name} count (a cycle, \
-                 `while`/`loop`, or unresolvable pairing-product factor lies on some path); \
-                 budget `{}` demands {budget}",
-                entry.key
-            )
-        } else if computed.konst > budget.konst || computed.linear > budget.linear {
-            format!(
-                "`{target}` computes to {computed} {name}, exceeding budget `{}` = {budget}",
-                entry.key
-            )
-        } else {
-            format!(
-                "`{target}` computes to {computed} {name}, below budget `{}` = {budget}; \
-                 tighten the budget so certification stays exact",
-                entry.key
-            )
-        };
-        findings.push(Finding {
-            file: file.path.clone(),
-            line: f.decl_line,
-            lint: "opcount",
-            message,
-        });
-    }
-    findings
+    certify::certify::<Counts<'_>>(files, &graph, &costs, budgets)
 }
 
 #[cfg(test)]
@@ -1070,7 +845,9 @@ fn unmarked(s: &Sig) { ops::exp_gt(&s.t, &s.k); }\n\
 // opcount-budget: t.ghost\n\
 fn stray(s: &Sig) {}\n\
 // opcount-budget: t.exact\n\
-fn exact(s: &Sig) { ops::hash_to_g1(&s.m, DST); }\n";
+fn exact(s: &Sig) { ops::hash_to_g1(&s.m, DST); }\n\
+/// Budgeted entry points carry a `// opcount-budget: <key>` marker.\n\
+fn helper(s: &Sig) { ops::mul_g1(&s.p, &s.k); }\n";
         let budgets = parse_budgets(
             "[t.hot]\nfn = \"hot\"\npairings = \"1\"\nmiller_loops = \"2\"\nfinal_exps = \"2\"\n\
              [t.loose]\nfn = \"loose\"\ng1_muls = \"2\"\n\
@@ -1093,6 +870,10 @@ fn exact(s: &Sig) { ops::hash_to_g1(&s.m, DST); }\n";
         assert!(
             !findings.iter().any(|f| f.message.contains("`exact`")),
             "an exact entry is silent: {findings:?}"
+        );
+        assert!(
+            !findings.iter().any(|f| f.message.contains("`helper`")),
+            "doc prose naming the marker is not a marker: {findings:?}"
         );
     }
 

@@ -17,7 +17,7 @@
 
 use std::collections::VecDeque;
 
-use crate::callgraph::CallGraph;
+use crate::callgraph::{chain_text, CallGraph};
 use crate::parser::ParsedFile;
 use crate::{panic_lint, suppression_near, Finding, Suppression};
 
@@ -69,7 +69,7 @@ pub fn analyze(files: &[ParsedFile]) -> Vec<Finding> {
         }
         let item = graph.item(files, ni);
         let file = graph.file(files, ni);
-        let raw: Vec<&str> = file.raw_lines.iter().map(String::as_str).collect();
+        let raw = file.lines();
         for (body_line, message) in panic_lint::panic_sites(&item.body) {
             let line = item.body_line + body_line - 1;
             match suppression_near(&raw, line, panic_lint::ALLOW_MARKER) {
@@ -90,23 +90,6 @@ pub fn analyze(files: &[ParsedFile]) -> Vec<Finding> {
     findings.sort();
     findings.dedup();
     findings
-}
-
-/// Renders the BFS chain from an API root down to node `ni`.
-fn chain_text(
-    files: &[ParsedFile],
-    graph: &CallGraph,
-    parent: &[Option<usize>],
-    ni: usize,
-) -> String {
-    let mut names = vec![graph.item(files, ni).name.clone()];
-    let mut cur = ni;
-    while let Some(p) = parent[cur] {
-        names.push(graph.item(files, p).name.clone());
-        cur = p;
-    }
-    names.reverse();
-    names.join(" -> ")
 }
 
 #[cfg(test)]

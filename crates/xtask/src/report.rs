@@ -170,7 +170,7 @@ fn sarif(findings: &[Finding]) -> String {
 }
 
 /// JSON string quoting (std-only, ASCII control escapes).
-fn quote(s: &str) -> String {
+pub(crate) fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -27,8 +27,9 @@
 
 use std::collections::BTreeSet;
 
+use crate::lexer::{self, contains_word, skip_ws, starts_word_at};
 use crate::parser::ParsedFile;
-use crate::{lexer, suppression_near, Finding, Suppression};
+use crate::{suppression_near, Finding, Suppression};
 
 /// Suppression marker for deliberate lifecycle exceptions.
 pub const MARKER: &str = "// secret-ok:";
@@ -51,27 +52,6 @@ struct StructDef {
     in_test: bool,
 }
 
-fn word_positions(chars: &[char], word: &str) -> Vec<usize> {
-    let pat: Vec<char> = word.chars().collect();
-    let mut out = Vec::new();
-    for i in 0..chars.len().saturating_sub(pat.len() - 1) {
-        if chars[i..i + pat.len()] == pat[..]
-            && (i == 0 || !lexer::is_ident_char(chars[i - 1]))
-            && chars
-                .get(i + pat.len())
-                .is_none_or(|c| !lexer::is_ident_char(*c))
-        {
-            out.push(i);
-        }
-    }
-    out
-}
-
-fn contains_word(text: &str, word: &str) -> bool {
-    let chars: Vec<char> = text.chars().collect();
-    !word_positions(&chars, word).is_empty()
-}
-
 /// Collects struct definitions with their derive lists.
 fn collect_structs(files: &[ParsedFile]) -> Vec<StructDef> {
     let mut out = Vec::new();
@@ -80,15 +60,12 @@ fn collect_structs(files: &[ParsedFile]) -> Vec<StructDef> {
         let scrubbed = lexer::scrub(&raw);
         let spans = lexer::test_spans(&scrubbed);
         let chars: Vec<char> = scrubbed.chars().collect();
-        for pos in word_positions(&chars, "struct") {
+        for pos in (0..chars.len()).filter(|&i| starts_word_at(&chars, i, "struct")) {
             // `struct` must be item-position: start of line or after
             // `pub`/`pub(...)` — this also skips `macro struct` uses in
             // strings (already scrubbed) and derive-internal text.
             let line = chars[..pos].iter().filter(|&&c| c == '\n').count() + 1;
-            let mut i = pos + "struct".len();
-            while i < chars.len() && chars[i].is_whitespace() {
-                i += 1;
-            }
+            let mut i = skip_ws(&chars, pos + "struct".len());
             let name_start = i;
             while i < chars.len() && lexer::is_ident_char(chars[i]) {
                 i += 1;
@@ -171,30 +148,17 @@ fn derives_above(raw_lines: &[String], line: usize) -> Vec<String> {
 /// *above* `#[derive(...)]`, so also probe at the top of the
 /// attribute/comment run.
 fn suppressed(lines: &[&str], decl_line: usize) -> Suppression {
-    let at_decl = suppression_near(lines, decl_line, MARKER);
-    if at_decl != Suppression::None {
-        return at_decl;
-    }
-    let mut l = decl_line.wrapping_sub(1);
-    while l >= 1 {
-        let Some(text) = lines.get(l - 1) else {
-            break;
-        };
-        let t = text.trim_start();
-        if !t.starts_with("#[") && !t.starts_with("//") {
-            break;
-        }
-        if let Some(pos) = text.find(MARKER) {
-            let reason = &text[pos + MARKER.len()..];
-            return if reason.chars().any(char::is_alphanumeric) {
-                Suppression::Justified
-            } else {
-                Suppression::MissingReason
-            };
+    let mut l = decl_line;
+    loop {
+        let found = suppression_near(lines, l, MARKER);
+        let above = lines.get(l.wrapping_sub(2)).map(|t| t.trim_start());
+        if found != Suppression::None
+            || !above.is_some_and(|t| t.starts_with("#[") || t.starts_with("//"))
+        {
+            return found;
         }
         l -= 1;
     }
-    Suppression::None
 }
 
 /// The transitive secret set: seeds plus every struct with a field
@@ -229,7 +193,7 @@ pub fn analyze(files: &[ParsedFile]) -> Vec<Finding> {
             continue;
         }
         let file = &files[def.file];
-        let lines: Vec<&str> = file.raw_lines.iter().map(String::as_str).collect();
+        let lines = file.lines();
         let is_seed = SEED_TYPES.contains(&def.name.as_str());
         let why = if is_seed {
             "is key material".to_owned()
