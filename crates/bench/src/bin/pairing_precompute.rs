@@ -21,14 +21,15 @@
 //! [--update-baseline] [--baseline <path>]`.
 //!
 //! `--smoke` shrinks sample counts for CI; in both modes the run fails
-//! (non-zero exit) on any op-count violation or on a >10x median
-//! regression against the committed `BENCH_pairing.json`. Pass
+//! (non-zero exit) on any op-count violation and on the shared baseline
+//! gate ([`mccls_bench::baseline::gate`]) against the committed
+//! `BENCH_pairing.json`: a missing or mistagged file, a >10x median
+//! regression, or a committed row the run no longer produces. Pass
 //! `--update-baseline` to rewrite that file from the current run.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use mccls_bench::baseline::{self, Entry};
+use mccls_bench::baseline::{self, Entry, Mode};
 use mccls_bench::harness::Criterion;
 use mccls_core::batch::{batch_verify, BatchItem};
 use mccls_core::{ops, CertificatelessScheme, McCls, Verifier};
@@ -39,46 +40,11 @@ use mccls_pairing::{
 use mccls_rng::rngs::StdRng;
 use mccls_rng::SeedableRng;
 
-/// Median regression budget against the committed baseline.
-const REGRESSION_FACTOR: f64 = 10.0;
+/// Schema tag of `BENCH_pairing.json`.
+const SCHEMA: &str = "mccls-bench/pairing_precompute/v1";
 
 /// Batch size for the batch-verify comparison.
 const BATCH_N: usize = 8;
-
-struct Opts {
-    smoke: bool,
-    update_baseline: bool,
-    baseline_path: PathBuf,
-}
-
-impl Opts {
-    fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let mut opts = Self {
-            smoke: false,
-            update_baseline: false,
-            baseline_path: PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_pairing.json"),
-        };
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--smoke" => opts.smoke = true,
-                "--update-baseline" => opts.update_baseline = true,
-                "--baseline" => {
-                    if let Some(p) = args.get(i + 1) {
-                        opts.baseline_path = PathBuf::from(p);
-                        i += 1;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        opts
-    }
-}
 
 /// One signer's worth of McCLS material for the verify benchmarks.
 struct World {
@@ -271,16 +237,15 @@ fn run_benches(c: &mut Criterion, smoke: bool, world: &mut World) {
 }
 
 fn main() -> ExitCode {
-    let opts = Opts::from_args();
-    let mode = if opts.smoke { "smoke" } else { "full" };
-    println!("pairing_precompute harness ({mode} mode)\n");
+    let mode = Mode::from_args("BENCH_pairing.json");
+    println!("pairing_precompute harness ({} mode)\n", mode.label());
 
     let mut world = build_world();
     assert_op_counts(&mut world);
     println!();
 
     let mut c = Criterion::default();
-    run_benches(&mut c, opts.smoke, &mut world);
+    run_benches(&mut c, mode.smoke, &mut world);
     c.final_summary();
 
     let current: Vec<Entry> = c
@@ -292,47 +257,5 @@ fn main() -> ExitCode {
         })
         .collect();
 
-    if opts.update_baseline {
-        let doc = baseline::render(mode, &current);
-        match std::fs::write(&opts.baseline_path, doc) {
-            Ok(()) => {
-                println!("\nbaseline written to {}", opts.baseline_path.display());
-                return ExitCode::SUCCESS;
-            }
-            Err(e) => {
-                eprintln!(
-                    "\nfailed to write baseline {}: {e}",
-                    opts.baseline_path.display()
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    match std::fs::read_to_string(&opts.baseline_path) {
-        Ok(doc) => {
-            let committed = baseline::parse(&doc);
-            let bad = baseline::regressions(&current, &committed, REGRESSION_FACTOR);
-            if bad.is_empty() {
-                println!(
-                    "\nno regression > {REGRESSION_FACTOR}x against {}",
-                    opts.baseline_path.display()
-                );
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("\nregressions against {}:", opts.baseline_path.display());
-                for line in &bad {
-                    eprintln!("  {line}");
-                }
-                ExitCode::FAILURE
-            }
-        }
-        Err(_) => {
-            println!(
-                "\nno committed baseline at {} — run with --update-baseline to create one",
-                opts.baseline_path.display()
-            );
-            ExitCode::SUCCESS
-        }
-    }
+    baseline::gate(SCHEMA, &mode, &current)
 }

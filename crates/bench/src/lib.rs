@@ -1,5 +1,6 @@
 //! Shared plumbing for the figure-regeneration binaries (`fig1`–`fig5`,
-//! `table1`): CLI parsing and the standard sweep configurations.
+//! `table1`): CLI parsing and the standard sweep configurations. The
+//! bench bins share one baseline gate ([`baseline`]).
 //!
 //! Each binary reproduces one table or figure of the paper's evaluation
 //! section; run them with `cargo run --release -p mccls-bench --bin
