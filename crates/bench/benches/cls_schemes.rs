@@ -4,7 +4,7 @@
 
 use mccls_bench::harness::Criterion;
 use mccls_bench::{criterion_group, criterion_main};
-use mccls_core::{all_schemes, CertificatelessScheme, McCls, VerifierCache};
+use mccls_core::{all_schemes, CertificatelessScheme, McCls, Verifier};
 use mccls_rng::SeedableRng;
 
 fn bench_sign_verify(c: &mut Criterion) {
@@ -44,16 +44,16 @@ fn bench_mccls_cached_verify(c: &mut Criterion) {
     let msg = b"bench message: routing control packet";
     let sig = scheme.sign(&params, b"node-1", &partial, &keys, msg, &mut rng);
 
-    let mut cache = VerifierCache::new();
-    assert!(cache
-        .verify(&params, b"node-1", &keys.public, msg, &sig)
+    let mut verifier = Verifier::new(params);
+    assert!(verifier
+        .verify_with_key(b"node-1", &keys.public, msg, &sig)
         .is_ok());
     let mut group = c.benchmark_group("table1/McCLS");
     group.sample_size(10);
     group.bench_function("verify_cached", |b| {
         b.iter(|| {
-            assert!(cache
-                .verify(&params, b"node-1", &keys.public, msg, &sig)
+            assert!(verifier
+                .verify_with_key(b"node-1", &keys.public, msg, &sig)
                 .is_ok());
         })
     });

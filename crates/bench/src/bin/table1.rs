@@ -180,20 +180,15 @@ fn run() -> Result<(), String> {
         let keys = scheme.generate_key_pair(&params, &mut rng);
         let msg = b"table-1 measurement message (32B)";
         let sig = scheme.sign(&params, b"node-1", &partial, &keys, msg, &mut rng);
-        let mut cache = mccls_core::VerifierCache::new();
-        assert!(cache
-            .verify(&params, b"node-1", &keys.public, msg, &sig)
-            .is_ok());
-        let (ok, verify_counts) =
-            ops::measure(|| cache.verify(&params, b"node-1", &keys.public, msg, &sig));
+        let mut verifier = mccls_core::Verifier::new(params);
+        assert!(verifier.register_peer(b"node-1", keys.public).is_ok());
+        let (ok, verify_counts) = ops::measure(|| verifier.verify(b"node-1", msg, &sig));
         assert!(ok.is_ok());
-        // The warm cached path is certified as the stateful
-        // `Verifier::verify` entry; the cache variant takes the same
-        // operations, so it must measure the same.
+        // The warm path is the certified `Verifier::verify` entry itself.
         let warm_cert = certify(&budgets, "verifier.verify", &verify_counts)?;
         let verify_ms = time_op(
             || {
-                let _ = cache.verify(&params, b"node-1", &keys.public, msg, &sig);
+                let _ = verifier.verify(b"node-1", msg, &sig);
             },
             10,
         );

@@ -68,7 +68,7 @@ pub use batch::{
     batch_verify, BatchAccumulator, BatchItem, BatchOutcome, BatchStats, FlushPolicy,
     OfflineSigner, Verdict,
 };
-pub use mccls::{McCls, VerifierCache};
+pub use mccls::McCls;
 pub use params::{
     h2_scalar, Kgc, MasterSecret, PartialPrivateKey, SystemParams, UserKeyPair, UserPublicKey,
 };

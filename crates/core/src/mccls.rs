@@ -20,11 +20,9 @@
 //! = e(Q_ID, s·P) = e(Q_ID, P_pub)`.
 //!
 //! The right-hand side depends only on `(ID, P_pub)`, so a verifier that
-//! talks to the same peers repeatedly caches it ([`VerifierCache`]) and
-//! pays exactly **one** pairing per verification — the efficiency claim
-//! the paper's Table 1 rests on.
-
-use std::collections::HashMap;
+//! talks to the same peers repeatedly caches it ([`crate::Verifier`],
+//! [`crate::ShardedVerifier`]) and pays exactly **one** pairing per
+//! verification — the efficiency claim the paper's Table 1 rests on.
 
 use mccls_pairing::{g2_generator_table, Fr, G2Projective, Gt};
 use mccls_rng::RngCore;
@@ -77,8 +75,8 @@ impl McCls {
 
     /// The verifier's left-hand pairing `e(S/h, V·P - h·R)`.
     ///
-    /// Shared by [`CertificatelessScheme::verify`],
-    /// [`VerifierCache::verify`] and [`crate::Verifier`]. `V·P` goes
+    /// Shared by [`CertificatelessScheme::verify`] and both registries,
+    /// [`crate::Verifier`] and [`crate::ShardedVerifier`]. `V·P` goes
     /// through the fixed-base generator table, so the only full
     /// double-and-add left on the hot path is `h·R` (the nonce point
     /// changes per signature).
@@ -183,60 +181,6 @@ impl CertificatelessScheme for McCls {
 
     fn claimed_public_key_points(&self) -> usize {
         1
-    }
-}
-
-/// A verifying node's cache of the constant pairing
-/// `e(Q_ID, P_pub)` per peer identity.
-///
-/// With the cache warm, McCLS verification costs one pairing and three
-/// scalar multiplications; the first contact with a new identity pays
-/// one extra pairing (plus the `H1` map) to fill the cache.
-///
-/// Superseded by [`crate::Verifier`], which additionally owns the
-/// system parameters and the peers' public keys so call sites stop
-/// threading `(params, public)` through every verification. This type
-/// remains for callers that manage key distribution themselves.
-#[derive(Debug, Default)]
-pub struct VerifierCache {
-    entries: HashMap<Vec<u8>, Gt>,
-}
-
-impl VerifierCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of cached identities.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no identities are cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Verifies a McCLS signature, caching `e(Q_ID, P_pub)` per identity.
-    pub fn verify(
-        &mut self,
-        params: &SystemParams,
-        id: &[u8],
-        public: &UserPublicKey,
-        msg: &[u8],
-        sig: &Signature,
-    ) -> Result<(), VerifyError> {
-        let lhs = McCls::verification_pairing(public, msg, sig)?;
-        let rhs = self.entries.entry(id.to_vec()).or_insert_with(|| {
-            let q_id = params.hash_identity(id);
-            ops::pair_prepared(&q_id.to_affine(), params.prepared_p_pub())
-        });
-        if lhs == *rhs {
-            Ok(())
-        } else {
-            Err(VerifyError::PairingMismatch)
-        }
     }
 }
 
@@ -364,44 +308,6 @@ mod tests {
         assert!(scheme
             .verify(&params, b"alice", &keys.public, b"m", &s2)
             .is_ok());
-    }
-
-    #[test]
-    fn cached_verification_agrees_with_plain() {
-        let (params, _kgc, partial, keys, mut rng) = setup();
-        let scheme = McCls::new();
-        let mut cache = VerifierCache::new();
-        for i in 0..3u8 {
-            let msg = [i; 8];
-            let sig = scheme.sign(&params, b"alice", &partial, &keys, &msg, &mut rng);
-            assert!(cache
-                .verify(&params, b"alice", &keys.public, &msg, &sig)
-                .is_ok());
-            assert!(cache
-                .verify(&params, b"alice", &keys.public, b"zzz", &sig)
-                .is_err());
-        }
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn cached_verification_costs_one_pairing() {
-        let (params, _kgc, partial, keys, mut rng) = setup();
-        let scheme = McCls::new();
-        let mut cache = VerifierCache::new();
-        let sig = scheme.sign(&params, b"alice", &partial, &keys, b"m", &mut rng);
-        // Warm the cache.
-        assert!(cache
-            .verify(&params, b"alice", &keys.public, b"m", &sig)
-            .is_ok());
-        let (ok, counts) =
-            ops::measure(|| cache.verify(&params, b"alice", &keys.public, b"m", &sig));
-        assert!(ok.is_ok());
-        assert_eq!(counts.pairings, 1, "Table 1: verify = 1p with warm cache");
-        assert_eq!(counts.miller_loops, 1, "exactly one Miller loop");
-        assert_eq!(counts.final_exps, 1, "exactly one final exponentiation");
-        assert_eq!(counts.g1_muls, 1);
-        assert_eq!(counts.g2_muls, 2);
     }
 
     #[test]

@@ -52,11 +52,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::CallGraph;
-use crate::lexer::{
-    self, contains_word, is_ident_char, match_forward, match_paren, skip_ws, starts_word_at,
-};
+use crate::lexer::{self, contains_word, match_forward, match_paren, skip_ws, starts_word_at};
 use crate::opcount::{self, Cost};
-use crate::parser::{FnItem, ParsedFile};
+use crate::parser::{non_test_structs, FnItem, ParsedFile};
 use crate::{suppression_near, Finding, Suppression};
 
 /// The suppression marker, written as `// lock-ok: <reason>`.
@@ -195,134 +193,9 @@ fn lock_class(receiver: &str) -> String {
     out.strip_prefix("self.").unwrap_or(&out).to_owned()
 }
 
-/// A `let` statement in a body: the binding name, the lines its
-/// right-hand side spans, and the line its enclosing block closes on.
-#[derive(Debug)]
-struct LetScope {
-    name: String,
-    start_line: usize,
-    rhs_end_line: usize,
-    scope_end_line: usize,
-}
-
-/// Scans a scrubbed body for `let` statements. `if let`/`while let`
-/// heads are skipped: their "right-hand side" has no terminating `;`
-/// and their scrutinees never bind guards in this codebase.
-fn let_scopes(body: &str, body_line: usize) -> Vec<LetScope> {
-    let chars: Vec<char> = body.chars().collect();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < chars.len() {
-        if !starts_word_at(&chars, i, "let")
-            || preceded_by(&chars, i, "if")
-            || preceded_by(&chars, i, "while")
-        {
-            i += 1;
-            continue;
-        }
-        let start_line = body_line + newlines(&chars[..i]);
-        let mut j = skip_ws(&chars, i + 3);
-        if starts_word_at(&chars, j, "mut") {
-            j = skip_ws(&chars, j + 3);
-        }
-        let name_start = j;
-        while j < chars.len() && is_ident_char(chars[j]) {
-            j += 1;
-        }
-        let name: String = chars[name_start..j].iter().collect();
-        if name.is_empty() {
-            i += 3;
-            continue;
-        }
-        // `=` at depth 0 (skipping a type annotation's generics and
-        // `==`/`=>`/compound-assignment shapes).
-        let mut depth = 0i32;
-        let mut eq = None;
-        let mut k = j;
-        while k < chars.len() {
-            match chars[k] {
-                '(' | '[' | '{' | '<' => depth += 1,
-                ')' | ']' | '}' => depth -= 1,
-                '>' if k > 0 && chars[k - 1] != '-' && chars[k - 1] != '=' => depth -= 1,
-                ';' if depth <= 0 => break,
-                '=' if depth == 0
-                    && chars.get(k + 1) != Some(&'=')
-                    && chars.get(k + 1) != Some(&'>')
-                    && k > 0
-                    && !matches!(chars[k - 1], '=' | '!' | '<' | '>') =>
-                {
-                    eq = Some(k);
-                    break;
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        let Some(eq) = eq else {
-            i = k.max(i + 3);
-            continue;
-        };
-        // Right-hand side runs to the `;` at depth 0.
-        let mut depth = 0i32;
-        let mut m = eq + 1;
-        let mut semi = None;
-        while m < chars.len() {
-            match chars[m] {
-                '(' | '[' | '{' => depth += 1,
-                ')' | ']' | '}' => {
-                    if depth == 0 {
-                        break;
-                    }
-                    depth -= 1;
-                }
-                ';' if depth == 0 => {
-                    semi = Some(m);
-                    break;
-                }
-                _ => {}
-            }
-            m += 1;
-        }
-        let Some(semi) = semi else {
-            i = eq + 1;
-            continue;
-        };
-        // The binding's scope closes at the first unmatched `}` after
-        // the statement.
-        let mut depth = 0i32;
-        let mut e = semi + 1;
-        let mut scope_end = chars.len().saturating_sub(1);
-        while e < chars.len() {
-            match chars[e] {
-                '{' => depth += 1,
-                '}' => {
-                    if depth == 0 {
-                        scope_end = e;
-                        break;
-                    }
-                    depth -= 1;
-                }
-                _ => {}
-            }
-            e += 1;
-        }
-        out.push(LetScope {
-            name,
-            start_line,
-            rhs_end_line: body_line + newlines(&chars[..semi]),
-            scope_end_line: body_line + newlines(&chars[..scope_end]),
-        });
-        // Continue just past `=` so `let`s nested in the right-hand
-        // side (block expressions) are still scanned.
-        i = eq + 1;
-    }
-    out
-}
-
 /// Extracts every guard creation site of a function with its liveness
 /// window.
 fn guard_sites(f: &FnItem) -> Vec<GuardSite> {
-    let scopes = let_scopes(&f.body, f.body_line);
     let mut out = Vec::new();
     for (ci, call) in f.calls.iter().enumerate() {
         if !call.is_method
@@ -336,9 +209,10 @@ fn guard_sites(f: &FnItem) -> Vec<GuardSite> {
         };
         let class = lock_class(receiver);
         // The innermost `let` whose right-hand side spans the call.
-        let binding = scopes
+        let binding = f
+            .lets
             .iter()
-            .rfind(|s| s.start_line <= call.line && call.line <= s.rhs_end_line);
+            .rfind(|s| s.line <= call.line && call.line <= s.rhs_end_line);
         let (end, name) = match binding {
             // A `_` binding drops the guard on the spot (reported
             // separately as a guard-extension hazard).
@@ -574,23 +448,11 @@ fn expensive(c: &Cost) -> bool {
 // (3) Send/Sync boundary audit.
 // ---------------------------------------------------------------------
 
-/// A struct definition with per-line field text, for reachability.
-#[derive(Debug)]
-struct StructDef {
-    file: usize,
-    name: String,
-    field_lines: Vec<(usize, String)>,
-}
-
 fn send_sync_audit(files: &[ParsedFile], extra_roots: &[&str], findings: &mut Vec<Finding>) {
-    let mut structs: Vec<StructDef> = Vec::new();
-    for (fi, file) in files.iter().enumerate() {
-        let scrubbed = lexer::scrub(&file.raw_lines.join("\n"));
-        let spans = lexer::test_spans(&scrubbed);
-
-        for (li, text) in scrubbed.lines().enumerate() {
+    for file in files {
+        for (li, text) in file.scrubbed.lines().enumerate() {
             let lno = li + 1;
-            if lexer::in_spans(lno, &spans) {
+            if lexer::in_spans(lno, &file.test_spans) {
                 continue;
             }
             if contains_word(text, "unsafe")
@@ -623,30 +485,29 @@ fn send_sync_audit(files: &[ParsedFile], extra_roots: &[&str], findings: &mut Ve
                 ));
             }
         }
-
-        structs.extend(collect_structs(fi, &scrubbed, &spans));
     }
 
     // Roots: structs defined in a `registry.rs` file, plus explicit
     // extras (the fixture path).
+    let structs = non_test_structs(files);
     let mut reachable: BTreeSet<String> = structs
         .iter()
-        .filter(|s| files[s.file].path.ends_with("registry.rs"))
-        .map(|s| s.name.clone())
+        .filter(|(file, _)| file.path.ends_with("registry.rs"))
+        .map(|(_, s)| s.name.clone())
         .collect();
     reachable.extend(extra_roots.iter().map(|r| (*r).to_owned()));
 
     // Transitive closure over field type mentions.
     loop {
         let mut grew = false;
-        for s in &structs {
+        for (_, s) in &structs {
             if reachable.contains(&s.name) {
                 continue;
             }
             let mentioned = structs
                 .iter()
-                .filter(|r| reachable.contains(&r.name))
-                .any(|r| r.field_lines.iter().any(|(_, t)| contains_word(t, &s.name)));
+                .filter(|(_, r)| reachable.contains(&r.name))
+                .any(|(_, r)| r.mentions(&s.name));
             if mentioned {
                 reachable.insert(s.name.clone());
                 grew = true;
@@ -657,15 +518,15 @@ fn send_sync_audit(files: &[ParsedFile], extra_roots: &[&str], findings: &mut Ve
         }
     }
 
-    for s in &structs {
+    for (file, s) in &structs {
         if !reachable.contains(&s.name) {
             continue;
         }
         for (lno, text) in &s.field_lines {
             for cell in INTERIOR_MUTABILITY {
-                if contains_word(text, cell) && !lock_ok(&files[s.file], *lno, findings) {
+                if contains_word(text, cell) && !lock_ok(file, *lno, findings) {
                     findings.push(finding(
-                        &files[s.file].path,
+                        &file.path,
                         *lno,
                         format!(
                             "interior-mutability cell `{cell}` in `{}`, which is reachable from \
@@ -678,74 +539,6 @@ fn send_sync_audit(files: &[ParsedFile], extra_roots: &[&str], findings: &mut Ve
             }
         }
     }
-}
-
-/// Collects struct definitions (outside test spans) with their field
-/// lines from one scrubbed file.
-fn collect_structs(fi: usize, scrubbed: &str, spans: &[(usize, usize)]) -> Vec<StructDef> {
-    let chars: Vec<char> = scrubbed.chars().collect();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < chars.len() {
-        if !starts_word_at(&chars, i, "struct") {
-            i += 1;
-            continue;
-        }
-        let line = newlines(&chars[..i]) + 1;
-        let mut j = skip_ws(&chars, i + 6);
-        let name_start = j;
-        while j < chars.len() && is_ident_char(chars[j]) {
-            j += 1;
-        }
-        let name: String = chars[name_start..j].iter().collect();
-        i = j;
-        if name.is_empty() || lexer::in_spans(line, spans) {
-            continue;
-        }
-        if chars.get(j) == Some(&'<') {
-            j = skip_angles(&chars, j);
-        }
-        // Body: the first `{` (named fields) or `(` (tuple fields)
-        // before a terminating `;` (unit struct).
-        let mut field_lines = Vec::new();
-        while j < chars.len() {
-            match chars[j] {
-                '{' | '(' => {
-                    let (oc, cc) = if chars[j] == '{' {
-                        ('{', '}')
-                    } else {
-                        ('(', ')')
-                    };
-                    let end =
-                        match_forward(&chars, j, oc, cc).unwrap_or(chars.len().saturating_sub(1));
-                    let mut lno = newlines(&chars[..j]) + 1;
-                    let mut text = String::new();
-                    for &c in &chars[j + 1..end] {
-                        if c == '\n' {
-                            field_lines.push((lno, std::mem::take(&mut text)));
-                            lno += 1;
-                        } else {
-                            text.push(c);
-                        }
-                    }
-                    if !text.is_empty() {
-                        field_lines.push((lno, text));
-                    }
-                    j = end;
-                    break;
-                }
-                ';' => break,
-                _ => j += 1,
-            }
-        }
-        out.push(StructDef {
-            file: fi,
-            name,
-            field_lines,
-        });
-        i = j.max(i) + 1;
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -792,24 +585,19 @@ fn guard_extension(
     }
 
     // Guards stored in struct fields, anywhere in scope.
-    for (fi, file) in files.iter().enumerate() {
-        let scrubbed = lexer::scrub(&file.raw_lines.join("\n"));
-        let spans = lexer::test_spans(&scrubbed);
-        for s in collect_structs(fi, &scrubbed, &spans) {
-            for (lno, text) in &s.field_lines {
-                for ty in GUARD_TYPES {
-                    if contains_word(text, ty) && !lock_ok(file, *lno, findings) {
-                        findings.push(finding(
-                            &file.path,
-                            *lno,
-                            format!(
-                                "struct `{}` stores a `{ty}`: a guard living in a field pins \
-                                 its lock open indefinitely and defeats any lexical lock-order \
-                                 reasoning",
-                                s.name
-                            ),
-                        ));
-                    }
+    for (file, s) in non_test_structs(files) {
+        for (lno, text) in &s.field_lines {
+            for ty in GUARD_TYPES {
+                if contains_word(text, ty) && !lock_ok(file, *lno, findings) {
+                    findings.push(finding(
+                        &file.path,
+                        *lno,
+                        format!(
+                            "struct `{}` stores a `{ty}`: a guard living in a field pins its \
+                             lock open indefinitely and defeats any lexical lock-order reasoning",
+                            s.name
+                        ),
+                    ));
                 }
             }
         }
@@ -819,42 +607,6 @@ fn guard_extension(
 // ---------------------------------------------------------------------
 // Small text helpers.
 // ---------------------------------------------------------------------
-
-fn newlines(chars: &[char]) -> usize {
-    chars.iter().filter(|&&c| c == '\n').count()
-}
-
-/// Whether the last word before index `i` (skipping whitespace) is
-/// `word`.
-fn preceded_by(chars: &[char], i: usize, word: &str) -> bool {
-    let mut j = i;
-    while j > 0 && chars[j - 1].is_whitespace() {
-        j -= 1;
-    }
-    let pat: Vec<char> = word.chars().collect();
-    j >= pat.len()
-        && chars[j - pat.len()..j] == pat[..]
-        && (j == pat.len() || !is_ident_char(chars[j - pat.len() - 1]))
-}
-
-fn skip_angles(chars: &[char], open: usize) -> usize {
-    let mut depth = 0i32;
-    let mut i = open;
-    while i < chars.len() {
-        match chars[i] {
-            '<' => depth += 1,
-            '>' => {
-                depth -= 1;
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    chars.len()
-}
 
 /// Whether `first` is directly followed (modulo whitespace) by
 /// `second`, both on word boundaries — catches `static mut` without

@@ -39,6 +39,7 @@
 use std::collections::HashSet;
 
 use crate::lexer::{self, contains_word, is_ident_char, match_back, skip_ws, starts_word_at};
+use crate::parser::ParsedFile;
 use crate::{suppression_near, unless_suppressed, Finding, Suppression};
 
 /// The suppression marker for this lint.
@@ -161,33 +162,25 @@ pub fn analyze_body(
     }
 }
 
-/// Scans one file's source with the function-scoped policy of PR 1;
-/// `file` is the label used in findings.
+/// Scans one parsed file with the function-scoped policy of PR 1.
 ///
 /// Each `fn` body is analysed in isolation — a `b` tainted in one
 /// function does not condemn every other `b` in the file — and
-/// parameters are not taint sources. Bodies inside test spans are
-/// skipped outright (tests branch on random draws constantly, by
-/// design).
-pub fn scan(file: &str, src: &str) -> Vec<Finding> {
-    let scrubbed = lexer::scrub(src);
-    let spans = lexer::test_spans(&scrubbed);
-    let raw_lines: Vec<&str> = src.lines().collect();
+/// parameters are not taint sources. Test functions are skipped
+/// outright (tests branch on random draws constantly, by design).
+pub fn scan(file: &ParsedFile) -> Vec<Finding> {
+    let raw_lines = file.lines();
     let no_secret_calls = HashSet::new();
 
     let mut findings = Vec::new();
-    for body in fn_bodies(&scrubbed) {
-        if lexer::in_spans(body.start_line, &spans) {
-            continue;
-        }
-        let analysis = analyze_body(
-            &body.text,
-            body.start_line,
+    for f in file.fns.iter().filter(|f| !f.is_test) {
+        let analysis = analyze_body(&f.body, f.body_line, &raw_lines, &[], &no_secret_calls);
+        findings.extend(filter_violations(
+            &file.path,
             &raw_lines,
-            &[],
-            &no_secret_calls,
-        );
-        findings.extend(filter_violations(file, &raw_lines, &spans, &analysis));
+            &file.test_spans,
+            &analysis,
+        ));
     }
     findings
 }
@@ -226,74 +219,6 @@ pub fn filter_violations(
         });
     }
     findings
-}
-
-/// One `fn` body: the 1-based line its `{` opens on, plus its text
-/// (from the opening brace through the matching close).
-pub(crate) struct FnBody {
-    pub(crate) start_line: usize,
-    pub(crate) text: String,
-}
-
-/// Extracts every top-level-or-method `fn` body. A `fn` nested inside a
-/// body already collected is analysed as part of that outer body, like
-/// a closure would be.
-pub(crate) fn fn_bodies(scrubbed: &str) -> Vec<FnBody> {
-    let chars: Vec<char> = scrubbed.chars().collect();
-    let mut out = Vec::new();
-    let mut last_close = 0usize;
-    let mut i = 0;
-    while i < chars.len() {
-        if !starts_word_at(&chars, i, "fn") {
-            i += 1;
-            continue;
-        }
-        if i < last_close {
-            // Nested fn inside a body we already captured.
-            i += 2;
-            continue;
-        }
-        // Find the body's `{`; a `;` first means a bodyless trait decl.
-        // Depth-track brackets so the `;` inside an array type like
-        // `[u64; 4]` (params or return) is not mistaken for one.
-        let mut j = i + 2;
-        let mut depth = 0i32;
-        while j < chars.len() {
-            match chars[j] {
-                '(' | '[' => depth += 1,
-                ')' | ']' => depth -= 1,
-                '{' | ';' if depth == 0 => break,
-                _ => {}
-            }
-            j += 1;
-        }
-        if j >= chars.len() || chars[j] == ';' {
-            i = j + 1;
-            continue;
-        }
-        let mut depth = 0i32;
-        let mut close = j;
-        for (k, &c) in chars.iter().enumerate().skip(j) {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        close = k;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        out.push(FnBody {
-            start_line: lexer::line_of(scrubbed, j),
-            text: chars[j..=close.min(chars.len() - 1)].iter().collect(),
-        });
-        last_close = close;
-        i = j + 1;
-    }
-    out
 }
 
 /// Violation messages for a single scrubbed line.
@@ -670,12 +595,13 @@ fn returns_secret(body: &str, tainted: &[String]) -> bool {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
+    use crate::parser::parse_file;
 
     const FIXTURE: &str = include_str!("../fixtures/ct_cases.rs");
 
     #[test]
     fn fixture_violations_are_found() {
-        let findings = scan("fixtures/ct_cases.rs", FIXTURE);
+        let findings = scan(&parse_file("fixtures/ct_cases.rs", FIXTURE));
         let msgs: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
         assert!(
             msgs.iter().any(|m| m.contains("secret-carrying `x`")),
@@ -697,7 +623,7 @@ mod tests {
 
     #[test]
     fn fixture_clean_lines_stay_clean() {
-        for f in scan("fixtures/ct_cases.rs", FIXTURE) {
+        for f in scan(&parse_file("fixtures/ct_cases.rs", FIXTURE)) {
             let line = FIXTURE.lines().nth(f.line - 1).unwrap_or("");
             assert!(
                 !line.contains("CLEAN"),
@@ -711,13 +637,13 @@ mod tests {
     #[test]
     fn justified_ct_ok_suppresses() {
         let src = "fn f(rng: &mut R) {\n    let x = Fr::random(rng);\n    // ct-ok: rejection sampling leaks only candidate-was-zero\n    if x.is_zero() { retry(); }\n}\n";
-        assert!(scan("x.rs", src).is_empty());
+        assert!(scan(&parse_file("x.rs", src)).is_empty());
     }
 
     #[test]
     fn taint_propagates_through_lets() {
         let src = "fn f(k: &Keys) {\n    let a = k.secret.invert_ct();\n    let b = mul(&a);\n    if b.is_identity() { bail(); }\n}\n";
-        let findings = scan("x.rs", src);
+        let findings = scan(&parse_file("x.rs", src));
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("`b`"));
     }
@@ -725,7 +651,7 @@ mod tests {
     #[test]
     fn taint_propagates_through_assignments() {
         let src = "fn f(k: &Keys) {\n    let mut acc = Acc::zero();\n    acc = acc.mix(&k.secret.invert_ct());\n    if acc.is_zero() { bail(); }\n}\n";
-        let findings = scan("x.rs", src);
+        let findings = scan(&parse_file("x.rs", src));
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("`acc`"));
     }
@@ -733,7 +659,7 @@ mod tests {
     #[test]
     fn parameters_are_not_sources() {
         let src = "fn f(secret_ish: u64) {\n    if secret_ish > 0 { g(); }\n}\n";
-        assert!(scan("x.rs", src).is_empty());
+        assert!(scan(&parse_file("x.rs", src)).is_empty());
     }
 
     #[test]
@@ -741,7 +667,7 @@ mod tests {
         // `y` is secret in `f` but a perfectly public coordinate in `g`;
         // only the branch inside `f` may fire.
         let src = "fn f(rng: &mut R) {\n    let y = Fr::random(rng);\n    if y.is_zero() { retry(); }\n}\n\nfn g(p: &Point) {\n    let y = p.y;\n    if y.is_zero() { infinity(); }\n}\n";
-        let findings = scan("x.rs", src);
+        let findings = scan(&parse_file("x.rs", src));
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].line, 3);
     }
@@ -749,7 +675,7 @@ mod tests {
     #[test]
     fn test_modules_are_exempt() {
         let src = "#[cfg(test)]\nmod tests {\n    fn t(k: &Keys) {\n        let x = k.secret;\n        if x.is_zero() { panic!(); }\n    }\n}\n";
-        assert!(scan("x.rs", src).is_empty());
+        assert!(scan(&parse_file("x.rs", src)).is_empty());
     }
 
     #[test]
@@ -805,14 +731,14 @@ mod tests {
         let src = "fn f(rng: &mut R) -> G2 {\n    let n = Fr::random(rng);\n    // taint-public: R is a published signature component\n    let r = ladder(&n);\n    if r.is_identity() { retry(); }\n    r\n}\n";
         // `ladder` is not a secret-returning call here, but `r` would be
         // tainted through `n`… unless declassified.
-        let findings = scan("x.rs", src);
+        let findings = scan(&parse_file("x.rs", src));
         assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
     fn bare_declass_marker_is_reported() {
         let src = "fn f(rng: &mut R) -> G2 {\n    let n = Fr::random(rng);\n    // taint-public:\n    let r = ladder(&n);\n    r\n}\n";
-        let findings = scan("x.rs", src);
+        let findings = scan(&parse_file("x.rs", src));
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("gives no reason"));
     }
@@ -820,7 +746,10 @@ mod tests {
     #[test]
     fn secret_index_division_and_try_are_flagged() {
         let src = "fn f(k: &Keys) {\n    let d = k.secret;\n    let e = table[d];\n    let q = n / d;\n    let w = d.checked()?;\n}\n";
-        let msgs: Vec<String> = scan("x.rs", src).into_iter().map(|f| f.message).collect();
+        let msgs: Vec<String> = scan(&parse_file("x.rs", src))
+            .into_iter()
+            .map(|f| f.message)
+            .collect();
         assert!(
             msgs.iter().any(|m| m.contains("secret-dependent index")),
             "{msgs:?}"
@@ -838,6 +767,6 @@ mod tests {
     #[test]
     fn plain_loop_indexing_is_not_flagged() {
         let src = "fn f(k: &Keys) {\n    let d = k.secret;\n    let mut out = [0u64; 4];\n    for i in 0..4 { out[i] = base[i]; }\n    g(&d);\n}\n";
-        assert!(scan("x.rs", src).is_empty());
+        assert!(scan(&parse_file("x.rs", src)).is_empty());
     }
 }

@@ -80,6 +80,12 @@
 //! * **deps** — every `Cargo.toml` dependency resolves in-repo (path or
 //!   workspace), keeping the build offline-safe by construction.
 //!
+//! Every source lint reads one model, [`parser::ParsedFile`]: each file
+//! is scrubbed and parsed once into its test spans, `struct` items and
+//! `fn` items (with their calls, loop regions and `let` statements), and
+//! [`check_workspace`] parses the crypto crates once for the per-file
+//! lints (`panic`, `ct`, `overflow`) and the call-graph lints alike.
+//!
 //! Suppression reasons are mandatory everywhere: a marker whose reason
 //! has no alphanumeric content is itself a finding.
 //!
@@ -110,6 +116,8 @@ pub mod validate;
 
 use std::fmt;
 use std::path::{Path, PathBuf};
+
+use parser::ParsedFile;
 
 /// One lint result, pointing at a file and 1-based line.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -271,42 +279,46 @@ pub const VALIDATE_SCOPE: &[&str] = &[
 /// discrete-event simulation and the AODV protocol logic it drives.
 pub const COMPLEXITY_SCOPE: &[&str] = &["crates/sim", "crates/aodv"];
 
-/// Every `.rs` file under the `src` of each scope crate, as
-/// `(workspace-relative path, source)` pairs.
-fn scope_sources(root: &Path, scope: &[&str]) -> Vec<(String, String)> {
-    let mut sources = Vec::new();
+/// Reads and parses every `.rs` file under the `src` of each scope
+/// crate, labelled with workspace-relative paths.
+pub fn parse_scope(root: &Path, scope: &[&str]) -> Vec<ParsedFile> {
+    let mut files = Vec::new();
     for rel in scope {
         for file in rust_files(&root.join(rel).join("src")) {
             if let Ok(src) = std::fs::read_to_string(&file) {
-                sources.push((display_path(root, &file), src));
+                files.push(parser::parse_file(&display_path(root, &file), &src));
             }
         }
     }
-    sources
+    files
 }
 
-/// Reads and parses every `.rs` file in the given scope directories,
-/// labelled with workspace-relative paths.
-pub fn parse_scope(root: &Path, scope: &[&str]) -> Vec<parser::ParsedFile> {
-    parser::parse_files(&scope_sources(root, scope))
+/// Whether a workspace-relative path lies in one of the scope crates.
+fn in_scope(path: &str, scope: &[&str]) -> bool {
+    scope.iter().any(|rel| {
+        path.strip_prefix(rel)
+            .is_some_and(|rest| rest.starts_with('/'))
+    })
 }
 
-/// Runs all thirteen lints over the workspace rooted at `root`.
+/// Runs all thirteen lints over the workspace rooted at `root`. The
+/// per-file lints read the [`GRAPH_SCOPE`] parse, which covers their
+/// scopes.
 pub fn check_workspace(root: &Path) -> Vec<Finding> {
+    let parsed = parse_scope(root, GRAPH_SCOPE);
     let mut findings = Vec::new();
     for (scope, scan) in [
         (
             PANIC_SCOPE,
-            panic_lint::scan as fn(&str, &str) -> Vec<Finding>,
+            panic_lint::scan as fn(&ParsedFile) -> Vec<Finding>,
         ),
         (CT_SCOPE, ct_lint::scan),
         (OVERFLOW_SCOPE, overflow::scan),
     ] {
-        for (path, src) in scope_sources(root, scope) {
-            findings.extend(scan(&path, &src));
+        for file in parsed.iter().filter(|f| in_scope(&f.path, scope)) {
+            findings.extend(scan(file));
         }
     }
-    let parsed = parse_scope(root, GRAPH_SCOPE);
     findings.extend(taint::analyze(&parsed));
     findings.extend(range::analyze(&parsed));
     findings.extend(reach::analyze(&parsed));
@@ -366,6 +378,18 @@ mod tests {
     fn suppression_stops_at_code_lines() {
         let lines = vec!["// ct-ok: reason", "let a = 1;", "if secret > 0 {"];
         assert_eq!(suppression_near(&lines, 3, "ct-ok:"), Suppression::None);
+    }
+
+    #[test]
+    fn per_file_lint_scopes_lie_inside_the_graph_scope() {
+        // `check_workspace` runs `panic`, `ct` and `overflow` over the
+        // `GRAPH_SCOPE` parse; a crate outside it would go unscanned.
+        for scope in [PANIC_SCOPE, CT_SCOPE, OVERFLOW_SCOPE] {
+            assert!(scope.iter().all(|c| GRAPH_SCOPE.contains(c)), "{scope:?}");
+        }
+        assert!(in_scope("crates/core/src/mccls.rs", CT_SCOPE));
+        assert!(!in_scope("crates/hash/src/lib.rs", CT_SCOPE));
+        assert!(!in_scope("crates/core2/src/lib.rs", CT_SCOPE));
     }
 
     #[test]

@@ -47,8 +47,8 @@ use std::fmt;
 
 use crate::callgraph::{CallGraph, Edge};
 use crate::certify::{self, Bound, Lattice, Marker, Verdict};
-use crate::lexer::{contains_word, is_ident_char, skip_ws, starts_word_at};
-use crate::parser::{Call, FnItem, LoopCtx, ParsedFile};
+use crate::lexer::{contains_word, is_ident_char};
+use crate::parser::{Call, FnItem, Let, LoopCtx, ParsedFile};
 use crate::Finding;
 
 /// Marker comment tying a function declaration to its budget entry.
@@ -342,82 +342,9 @@ fn factor_count(call: &Call, lens: &BTreeMap<String, Val>) -> Val {
     Val::unbounded()
 }
 
-/// A `let` binding event used by the `Vec`-length tracker.
-struct LetBinding {
-    line: usize,
-    name: String,
-    rhs: String,
-}
-
-/// Extracts `let [mut] name [: ty] = rhs;` bindings from a scrubbed
-/// body, in source order.
-fn let_bindings(body: &str, body_line: usize) -> Vec<LetBinding> {
-    let chars: Vec<char> = body.chars().collect();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < chars.len() {
-        if !starts_word_at(&chars, i, "let") {
-            i += 1;
-            continue;
-        }
-        let line = body_line + chars[..i].iter().filter(|&&c| c == '\n').count();
-        let mut j = skip_ws(&chars, i + 3);
-        if starts_word_at(&chars, j, "mut") {
-            j = skip_ws(&chars, j + 3);
-        }
-        let name_start = j;
-        while j < chars.len() && is_ident_char(chars[j]) {
-            j += 1;
-        }
-        if j == name_start {
-            i += 3;
-            continue;
-        }
-        let name: String = chars[name_start..j].iter().collect();
-        // Scan to `=` at depth 0 (skipping the optional type
-        // annotation), then capture the rhs up to the `;`.
-        let mut depth = 0i32;
-        let mut eq = None;
-        while j < chars.len() {
-            match chars[j] {
-                '(' | '[' | '{' | '<' => depth += 1,
-                ')' | ']' | '}' => depth -= 1,
-                '>' if j > 0 && chars[j - 1] != '-' => depth -= 1,
-                '=' if depth == 0 && chars.get(j + 1) != Some(&'=') => {
-                    eq = Some(j);
-                    break;
-                }
-                ';' if depth == 0 => break,
-                _ => {}
-            }
-            j += 1;
-        }
-        let Some(eq) = eq else {
-            i = j;
-            continue;
-        };
-        let mut k = eq + 1;
-        let mut d = 0i32;
-        while k < chars.len() {
-            match chars[k] {
-                '(' | '[' | '{' => d += 1,
-                ')' | ']' | '}' => d -= 1,
-                ';' if d == 0 => break,
-                _ => {}
-            }
-            k += 1;
-        }
-        out.push(LetBinding {
-            line,
-            name,
-            rhs: chars[eq + 1..k.min(chars.len())].iter().collect(),
-        });
-        i = k;
-    }
-    out
-}
-
-fn apply_let(lens: &mut BTreeMap<String, Val>, binding: &LetBinding) {
+/// Tracks `Vec` lengths through one `let`: a fresh `Vec` starts at
+/// zero, and a `collect()` over a tracked `Vec` copies its length.
+fn apply_let(lens: &mut BTreeMap<String, Val>, binding: &Let) {
     let fresh_vec = contains_word(&binding.rhs, "Vec")
         && (contains_word(&binding.rhs, "new") || contains_word(&binding.rhs, "with_capacity"));
     if fresh_vec {
@@ -444,7 +371,7 @@ struct LocalCost {
 }
 
 fn local_analysis(f: &FnItem) -> LocalCost {
-    let lets = let_bindings(&f.body, f.body_line);
+    let lets = &f.lets;
     let mut lens: BTreeMap<String, Val> = BTreeMap::new();
     let mut li = 0;
     let mut cost = Cost::default();
@@ -747,6 +674,22 @@ mod tests {
         assert_eq!(c.0[FINAL_EXPS], Val::konst(1));
         assert_eq!(c.0[G1_MULS], Val::parse("n").unwrap());
         assert_eq!(c.0[PAIRINGS], Val::konst(0));
+    }
+
+    #[test]
+    fn if_let_heads_do_not_hide_later_bindings() {
+        // Read as a binding, the `if let` head's "initializer" would run
+        // on to the next top-level `;` and swallow `let mut pairs`,
+        // leaving the one-factor product unbounded.
+        let files = parse(
+            "fn entry(s: &Sig, opt: Option<G1>) { if let Some(p) = opt { use_it(p); } \
+             let mut pairs = Vec::new(); pairs.push((s.a, s.b)); \
+             ops::pairing_product_prepared(&pairs); }\n",
+        );
+        let c = cost_of(&files, "entry");
+        assert_eq!(c.0[PAIRINGS], Val::konst(1));
+        assert_eq!(c.0[MILLER_LOOPS], Val::konst(1));
+        assert_eq!(c.0[FINAL_EXPS], Val::konst(1));
     }
 
     #[test]

@@ -34,7 +34,7 @@
 use std::collections::HashSet;
 
 use crate::lexer::{contains_word, is_ident_char, match_back, match_forward};
-use crate::parser::{self, FnItem};
+use crate::parser::{FnItem, ParsedFile};
 use crate::{unless_suppressed, Finding};
 
 /// The suppression marker for this lint.
@@ -53,13 +53,12 @@ const NARROWING_CASTS: &[&str] = &[
     "as f32", "as f64",
 ];
 
-/// Scans one file's source; `file` is the label used in findings.
-pub fn scan(file: &str, src: &str) -> Vec<Finding> {
-    let parsed = parser::parse_file(file, src);
-    let raw = parsed.lines();
+/// Scans one parsed file's non-test functions.
+pub fn scan(file: &ParsedFile) -> Vec<Finding> {
+    let raw = file.lines();
 
     let mut findings = Vec::new();
-    for item in &parsed.fns {
+    for item in &file.fns {
         if item.is_test || INTRINSIC_FNS.contains(&item.name.as_str()) {
             continue;
         }
@@ -71,7 +70,7 @@ pub fn scan(file: &str, src: &str) -> Vec<Finding> {
             for message in line_sites(line, &limbs) {
                 findings.extend(unless_suppressed(
                     &raw,
-                    file,
+                    &file.path,
                     lineno,
                     "overflow",
                     ALLOW_MARKER,
@@ -286,11 +285,12 @@ fn right_operand(chars: &[char], mut j: usize) -> String {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
+    use crate::parser::parse_file;
 
     #[test]
     fn bare_add_on_limb_params_fires() {
         let src = "fn sum(a: u64, b: u64) -> u64 { a + b }\n";
-        let findings = scan("x.rs", src);
+        let findings = scan(&parse_file("x.rs", src));
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("bare `+`"));
     }
@@ -299,13 +299,13 @@ mod tests {
     fn wrapping_and_intrinsic_calls_are_clean() {
         let src = "fn sum(a: u64, b: u64) -> u64 {\n    let (v, c) = adc(a, b, 0);\n    \
                    v.wrapping_add(c)\n}\n";
-        assert!(scan("x.rs", src).is_empty());
+        assert!(scan(&parse_file("x.rs", src)).is_empty());
     }
 
     #[test]
     fn limbness_propagates_through_bindings() {
         let src = "fn f(t: &[u64; 4]) -> u64 {\n    let hi = t[1];\n    hi << 62\n}\n";
-        let findings = scan("x.rs", src);
+        let findings = scan(&parse_file("x.rs", src));
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("bare `<<`"));
     }
@@ -314,13 +314,13 @@ mod tests {
     fn index_arithmetic_is_not_flagged() {
         let src = "fn f(t: &[u64; 4]) -> u64 {\n    let mut acc = 0usize;\n    \
                    let n = acc + 1;\n    t[n - 1].wrapping_add(0)\n}\n";
-        assert!(scan("x.rs", src).is_empty());
+        assert!(scan(&parse_file("x.rs", src)).is_empty());
     }
 
     #[test]
     fn literal_shift_without_limb_operand_is_clean() {
         let src = "fn f(q: &mut [u64; 4], i: usize) {\n    q[i / 64] |= 1 << (i % 64);\n}\n";
-        assert!(scan("x.rs", src).is_empty());
+        assert!(scan(&parse_file("x.rs", src)).is_empty());
     }
 
     #[test]
@@ -328,20 +328,20 @@ mod tests {
         let src = "fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {\n    \
                    let t = (a as u128) + (b as u128) + (carry as u128);\n    \
                    (t as u64, (t >> 64) as u64)\n}\n";
-        assert!(scan("x.rs", src).is_empty());
+        assert!(scan(&parse_file("x.rs", src)).is_empty());
     }
 
     #[test]
     fn narrowing_cast_drops_limbness() {
         let src = "fn f(limb: u64) -> i8 {\n    let nibble = (limb & 0xF) as i8;\n    \
                    nibble + 1\n}\n";
-        assert!(scan("x.rs", src).is_empty());
+        assert!(scan(&parse_file("x.rs", src)).is_empty());
     }
 
     #[test]
     fn widening_cast_in_operand_is_a_limb() {
         let src = "fn f(a: u32, b: u32) -> u128 { (a as u128) * (b as u128) }\n";
-        let findings = scan("x.rs", src);
+        let findings = scan(&parse_file("x.rs", src));
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("bare `*`"));
     }
@@ -349,9 +349,9 @@ mod tests {
     #[test]
     fn justified_suppression_silences_and_bare_does_not() {
         let ok = "fn f(a: u64, b: u64) -> u64 {\n    // overflow-ok: caller guarantees a >= b\n    a - b\n}\n";
-        assert!(scan("x.rs", ok).is_empty());
+        assert!(scan(&parse_file("x.rs", ok)).is_empty());
         let bare = "fn f(a: u64, b: u64) -> u64 {\n    // overflow-ok:\n    a - b\n}\n";
-        let findings = scan("x.rs", bare);
+        let findings = scan(&parse_file("x.rs", bare));
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("gives no reason"));
     }
@@ -360,20 +360,20 @@ mod tests {
     fn len_calls_and_arrows_are_not_operands() {
         let src = "fn f(limbs: &[u64]) -> usize {\n    let n = limbs.len() + 1;\n    n\n}\n\
                    fn g(x: u64) -> u64 { x.wrapping_add(1) }\n";
-        assert!(scan("x.rs", src).is_empty());
+        assert!(scan(&parse_file("x.rs", src)).is_empty());
     }
 
     #[test]
     fn for_pattern_over_limbs_is_tracked() {
         let src = "fn f(ls: &[u64; 4]) -> u64 {\n    let mut acc = 0u64;\n    \
                    for l in ls {\n        acc = l + acc;\n    }\n    acc\n}\n";
-        let findings = scan("x.rs", src);
+        let findings = scan(&parse_file("x.rs", src));
         assert_eq!(findings.len(), 1, "{findings:?}");
     }
 
     #[test]
     fn test_functions_are_skipped() {
         let src = "#[cfg(test)]\nmod tests {\n    fn t(a: u64, b: u64) -> u64 { a + b }\n}\n";
-        assert!(scan("x.rs", src).is_empty());
+        assert!(scan(&parse_file("x.rs", src)).is_empty());
     }
 }

@@ -19,6 +19,7 @@
 //! mandatory, and a bare marker is itself reported.
 
 use crate::lexer::{self, is_ident_char, prev_non_ws};
+use crate::parser::ParsedFile;
 use crate::{unless_suppressed, Finding};
 
 /// The suppression marker for this lint.
@@ -38,21 +39,17 @@ pub fn panic_sites(scrubbed: &str) -> Vec<(usize, String)> {
     raw
 }
 
-/// Scans one file's source; `file` is the label used in findings.
-pub fn scan(file: &str, src: &str) -> Vec<Finding> {
-    let scrubbed = lexer::scrub(src);
-    let spans = lexer::test_spans(&scrubbed);
-    let raw_lines: Vec<&str> = src.lines().collect();
-    let raw = panic_sites(&scrubbed);
-
+/// Scans one parsed file outside its test spans.
+pub fn scan(file: &ParsedFile) -> Vec<Finding> {
+    let raw_lines = file.lines();
     let mut findings = Vec::new();
-    for (line, message) in raw {
-        if lexer::in_spans(line, &spans) {
+    for (line, message) in panic_sites(&file.scrubbed) {
+        if lexer::in_spans(line, &file.test_spans) {
             continue;
         }
         findings.extend(unless_suppressed(
             &raw_lines,
-            file,
+            &file.path,
             line,
             "panic",
             ALLOW_MARKER,
@@ -207,6 +204,7 @@ fn next_non_ws(chars: &[char], from: usize) -> Option<char> {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
+    use crate::parser::parse_file;
 
     const FIXTURE: &str = include_str!("../fixtures/panic_cases.rs");
 
@@ -216,7 +214,7 @@ mod tests {
 
     #[test]
     fn fixture_violations_are_found() {
-        let findings = scan("fixtures/panic_cases.rs", FIXTURE);
+        let findings = scan(&parse_file("fixtures/panic_cases.rs", FIXTURE));
         // One finding per seeded violation; see the fixture's comments.
         let msgs: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
         assert!(msgs.iter().any(|m| m.contains("`.unwrap()`")), "{msgs:?}");
@@ -242,7 +240,7 @@ mod tests {
 
     #[test]
     fn fixture_non_violations_are_not_flagged() {
-        let findings = scan("fixtures/panic_cases.rs", FIXTURE);
+        let findings = scan(&parse_file("fixtures/panic_cases.rs", FIXTURE));
         for f in &findings {
             let line = FIXTURE.lines().nth(f.line - 1).unwrap_or("");
             assert!(
@@ -257,13 +255,13 @@ mod tests {
     #[test]
     fn justified_allow_suppresses() {
         let src = "fn f(v: &[u8]) -> u8 {\n    // lint:allow(panic) length checked by caller contract\n    v[compute()]\n}\n";
-        assert!(scan("x.rs", src).is_empty());
+        assert!(scan(&parse_file("x.rs", src)).is_empty());
     }
 
     #[test]
     fn bare_allow_does_not_suppress() {
         let src = "fn f(v: &[u8]) -> u8 {\n    // lint:allow(panic)\n    v[compute()]\n}\n";
-        let findings = scan("x.rs", src);
+        let findings = scan(&parse_file("x.rs", src));
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("gives no reason"));
     }
@@ -272,20 +270,20 @@ mod tests {
     fn test_code_is_exempt() {
         let src =
             "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { x.unwrap(); panic!(); }\n}\n";
-        assert!(scan("x.rs", src).is_empty());
+        assert!(scan(&parse_file("x.rs", src)).is_empty());
     }
 
     #[test]
     fn doc_comments_and_strings_do_not_trip() {
         let src =
             "/// Call `.unwrap()` and panic! freely in docs.\nfn f() { let s = \"panic!\"; }\n";
-        assert!(scan("x.rs", src).is_empty());
+        assert!(scan(&parse_file("x.rs", src)).is_empty());
     }
 
     #[test]
     fn unwrap_or_is_not_unwrap() {
         let src = "fn f() { x.unwrap_or(1); x.unwrap_or_default(); }\n";
-        assert!(scan("x.rs", src).is_empty());
+        assert!(scan(&parse_file("x.rs", src)).is_empty());
     }
 
     #[test]
@@ -298,7 +296,7 @@ mod tests {
                    fn h() { let [mut a, mut b] = state; }\n\
                    fn i() { let roots = [a.c0.add(&x).mul(&y), a.c0.sub(&x).mul(&y)]; }\n\
                    fn j(c6: &Fp6) { for c in [&c6.c0, &c6.c1, &c6.c2] {} }\n";
-        let findings = scan("x.rs", src);
+        let findings = scan(&parse_file("x.rs", src));
         // Only the genuine range indexing on line 3 remains.
         assert_eq!(lines_of(&findings), vec![3], "{findings:?}");
     }
@@ -306,7 +304,7 @@ mod tests {
     #[test]
     fn full_range_reborrow_is_tolerated() {
         let src = "fn f(v: &[u8]) { g(&v[..]); h(&v[1..]); }\n";
-        let findings = scan("x.rs", src);
+        let findings = scan(&parse_file("x.rs", src));
         // Only `[1..]` can actually panic.
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("[1..]"));
@@ -316,13 +314,13 @@ mod tests {
     fn index_with_nested_call_commas_still_fires() {
         // A comma nested inside parens is part of the index expression.
         let src = "fn f() { let y = v[idx(a, b)]; }\n";
-        assert_eq!(scan("x.rs", src).len(), 1);
+        assert_eq!(scan(&parse_file("x.rs", src)).len(), 1);
     }
 
     #[test]
     fn single_token_index_is_tolerated() {
         let src = "fn f() { let y = a[i]; let z = b[0]; let w = t[j]; }\n";
-        assert!(scan("x.rs", src).is_empty());
-        assert!(lines_of(&scan("x.rs", "fn f() { a[i + 1]; }\n")) == vec![1]);
+        assert!(scan(&parse_file("x.rs", src)).is_empty());
+        assert!(lines_of(&scan(&parse_file("x.rs", "fn f() { a[i + 1]; }\n"))) == vec![1]);
     }
 }

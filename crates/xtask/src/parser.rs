@@ -1,12 +1,16 @@
-//! A lightweight Rust item parser on top of [`crate::lexer`].
+//! A lightweight Rust item parser on top of [`crate::lexer`]: the one
+//! source model every lint reads.
 //!
-//! The interprocedural passes ([`crate::taint`], [`crate::reach`]) need
-//! more structure than "lines of scrubbed text": which functions exist,
-//! what their parameters are, and which calls each body makes. This
-//! module extracts exactly that — `fn` signatures (with the owning
-//! `impl` type), parameter names and types, return types, and every
-//! call expression with its receiver and argument texts — from scrubbed
-//! source, without a full Rust grammar.
+//! Each file is scrubbed and parsed once. [`ParsedFile`] keeps the
+//! scrubbed text and the test spans for the line-oriented lints
+//! (`panic`, the Send/Sync audit, the field caps of `range`), every
+//! `struct` item with its field text line by line (`concurrency`,
+//! `secret`), and every `fn` item: its signature (with the owning
+//! `impl` type), parameter names and types, return type, every call
+//! expression with its receiver and argument texts, its loop and
+//! adaptor regions, and its `let` statements with the lines their
+//! right-hand sides and scopes end on — all from scrubbed source,
+//! without a full Rust grammar.
 //!
 //! Deliberate approximations, documented in DESIGN.md §8:
 //!
@@ -20,7 +24,8 @@
 //!   closures.
 
 use crate::lexer::{
-    self, is_ident_char, match_back, match_brace, match_paren, prev_non_ws, skip_ws, starts_word_at,
+    self, contains_word, is_ident_char, match_back, match_brace, match_forward, match_paren,
+    prev_non_ws, skip_ws, starts_word_at,
 };
 
 /// One parsed source file.
@@ -30,8 +35,44 @@ pub struct ParsedFile {
     pub path: String,
     /// The raw source lines, for suppression-comment lookup.
     pub raw_lines: Vec<String>,
+    /// The source with comments and literals blanked ([`lexer::scrub`]).
+    pub scrubbed: String,
+    /// Line spans of test-only code ([`lexer::test_spans`]).
+    pub test_spans: Vec<(usize, usize)>,
     /// All `fn` items found in the file.
     pub fns: Vec<FnItem>,
+    /// All `struct` items found in the file.
+    pub structs: Vec<StructItem>,
+}
+
+/// A parsed `struct` item.
+#[derive(Debug)]
+pub struct StructItem {
+    /// The struct name.
+    pub name: String,
+    /// 1-based line the `struct` keyword sits on.
+    pub line: usize,
+    /// True when the item sits inside a `#[cfg(test)]`/`#[test]` span.
+    pub is_test: bool,
+    /// Scrubbed text between the body's `{}` or `()`, one entry per
+    /// source line as `(1-based line, text)`; empty for unit structs.
+    pub field_lines: Vec<(usize, String)>,
+}
+
+/// A `let` statement in a function body.
+#[derive(Debug)]
+pub struct Let {
+    /// The first identifier of the pattern: the binding name for
+    /// `let [mut] name`, `_` for `let _`.
+    pub name: String,
+    /// 1-based line of the `let` keyword.
+    pub line: usize,
+    /// Right-hand-side text, from after `=` to the terminating `;`.
+    pub rhs: String,
+    /// 1-based line of the terminating `;`.
+    pub rhs_end_line: usize,
+    /// 1-based line of the `}` closing the block the binding lives in.
+    pub scope_end_line: usize,
 }
 
 /// A parsed `fn` item.
@@ -61,6 +102,8 @@ pub struct FnItem {
     /// Loop bodies and per-item adaptor arguments in the body, in
     /// source order.
     pub regions: Vec<Region>,
+    /// `let` statements in the body, in source order.
+    pub lets: Vec<Let>,
 }
 
 /// One function parameter.
@@ -148,6 +191,13 @@ impl ParsedFile {
     }
 }
 
+impl StructItem {
+    /// Whether any field mentions `word` (on identifier boundaries).
+    pub fn mentions(&self, word: &str) -> bool {
+        self.field_lines.iter().any(|(_, t)| contains_word(t, word))
+    }
+}
+
 impl FnItem {
     /// The parameter names that can carry taint (plain bindings only).
     pub fn param_names(&self) -> Vec<&str> {
@@ -157,6 +207,15 @@ impl FnItem {
             .map(|p| p.name.as_str())
             .collect()
     }
+}
+
+/// Every non-test `struct` item of `files`, with the file it is in.
+pub fn non_test_structs(files: &[ParsedFile]) -> Vec<(&ParsedFile, &StructItem)> {
+    files
+        .iter()
+        .flat_map(|file| file.structs.iter().map(move |s| (file, s)))
+        .filter(|(_, s)| !s.is_test)
+        .collect()
 }
 
 /// Parses a batch of `(path, source)` pairs.
@@ -170,7 +229,7 @@ pub fn parse_files(sources: &[(String, String)]) -> Vec<ParsedFile> {
 /// Parses one file.
 pub fn parse_file(path: &str, src: &str) -> ParsedFile {
     let scrubbed = lexer::scrub(src);
-    let spans = lexer::test_spans(&scrubbed);
+    let test_spans = lexer::test_spans(&scrubbed);
     let chars: Vec<char> = scrubbed.chars().collect();
     let impls = impl_spans(&chars);
 
@@ -187,7 +246,7 @@ pub fn parse_file(path: &str, src: &str) -> ParsedFile {
             i += 2;
             continue;
         }
-        let Some(item) = parse_fn(&chars, &scrubbed, i, &impls, &spans) else {
+        let Some(item) = parse_fn(&chars, &scrubbed, i, &impls, &test_spans) else {
             i += 2;
             continue;
         };
@@ -196,12 +255,80 @@ pub fn parse_file(path: &str, src: &str) -> ParsedFile {
         last_close = body_end;
         i += 2;
     }
+    let structs = structs(&chars, &scrubbed, &test_spans);
 
     ParsedFile {
         path: path.to_owned(),
         raw_lines: src.lines().map(str::to_owned).collect(),
+        scrubbed,
+        test_spans,
         fns,
+        structs,
     }
+}
+
+/// Every `struct` item with its field text. A generic parameter list is
+/// skipped, so a bound like `F: Fn(u64)` is not read as a tuple body.
+fn structs(chars: &[char], scrubbed: &str, spans: &[(usize, usize)]) -> Vec<StructItem> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < chars.len() {
+        if !starts_word_at(chars, i, "struct") {
+            i += 1;
+            continue;
+        }
+        let line = lexer::line_of(scrubbed, i);
+        let mut j = skip_ws(chars, i + 6);
+        let name_start = j;
+        while j < chars.len() && is_ident_char(chars[j]) {
+            j += 1;
+        }
+        let name: String = chars[name_start..j].iter().collect();
+        i = j;
+        if name.is_empty() {
+            continue;
+        }
+        if chars.get(j) == Some(&'<') {
+            j = match_forward(chars, j, '<', '>').map_or(chars.len(), |c| c + 1);
+        }
+        // Body: the first `{` (named fields) or `(` (tuple fields)
+        // before a terminating `;` (unit struct).
+        let mut field_lines = Vec::new();
+        while j < chars.len() {
+            match chars[j] {
+                open @ ('{' | '(') => {
+                    let close = if open == '{' { '}' } else { ')' };
+                    let end = match_forward(chars, j, open, close)
+                        .unwrap_or(chars.len().saturating_sub(1));
+                    let mut lno = lexer::line_of(scrubbed, j);
+                    let mut text = String::new();
+                    for &c in chars.get(j + 1..end).unwrap_or_default() {
+                        if c == '\n' {
+                            field_lines.push((lno, std::mem::take(&mut text)));
+                            lno += 1;
+                        } else {
+                            text.push(c);
+                        }
+                    }
+                    if !text.is_empty() {
+                        field_lines.push((lno, text));
+                    }
+                    j = end;
+                    break;
+                }
+                ';' => break,
+                _ => j += 1,
+            }
+        }
+        out.push(StructItem {
+            name,
+            line,
+            is_test: lexer::in_spans(line, spans),
+            field_lines,
+        });
+        i = j.max(i) + 1;
+    }
+    out
 }
 
 /// `impl`/`trait` block spans: `(open_brace, close_brace, owner_type)`.
@@ -426,7 +553,7 @@ fn parse_fn(
     let body_close = match_brace(chars, body_open)?;
     let body: String = chars[body_open..=body_close].iter().collect();
     let body_line = lexer::line_of(scrubbed, body_open);
-    let (calls, regions) = scan_body(&body, body_line);
+    let (calls, regions, lets) = scan_body(&body, body_line);
 
     Some((
         FnItem {
@@ -441,6 +568,7 @@ fn parse_fn(
                 || lexer::in_spans(lexer::line_of(scrubbed, start), spans),
             calls,
             regions,
+            lets,
         },
         body_close,
     ))
@@ -560,9 +688,10 @@ pub const PER_ITEM_ADAPTORS: &[&str] = &[
     "inspect",
 ];
 
-/// Extracts the calls and repeated regions of a scrubbed body.
-/// `body_line` is the 1-based file line of the body's first character.
-fn scan_body(body: &str, body_line: usize) -> (Vec<Call>, Vec<Region>) {
+/// Extracts the calls, repeated regions and `let` statements of a
+/// scrubbed body. `body_line` is the 1-based file line of the body's
+/// first character.
+fn scan_body(body: &str, body_line: usize) -> (Vec<Call>, Vec<Region>, Vec<Let>) {
     let chars: Vec<char> = body.chars().collect();
     let mut newlines = vec![0usize; chars.len() + 1];
     for (i, &c) in chars.iter().enumerate() {
@@ -571,7 +700,123 @@ fn scan_body(body: &str, body_line: usize) -> (Vec<Call>, Vec<Region>) {
     let line_at = |i: usize| body_line + newlines[i.min(chars.len())];
     let regions = regions(&chars, &line_at);
     let calls = collect_calls(&chars, &regions, &line_at);
-    (calls, regions)
+    let lets = lets(&chars, &line_at);
+    (calls, regions, lets)
+}
+
+/// The `let` statements of a body. `if let`/`while let` heads are
+/// skipped: they have no terminating `;`, and their scrutinee binds a
+/// pattern, not a name. Scanning resumes just past each `=`, so a
+/// `let` nested in a block initializer is seen too.
+fn lets(chars: &[char], line_at: &dyn Fn(usize) -> usize) -> Vec<Let> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < chars.len() {
+        if !starts_word_at(chars, i, "let")
+            || preceded_by(chars, i, "if")
+            || preceded_by(chars, i, "while")
+        {
+            i += 1;
+            continue;
+        }
+        let mut j = skip_ws(chars, i + 3);
+        if starts_word_at(chars, j, "mut") {
+            j = skip_ws(chars, j + 3);
+        }
+        let name_start = j;
+        while j < chars.len() && is_ident_char(chars[j]) {
+            j += 1;
+        }
+        let name: String = chars[name_start..j].iter().collect();
+        if name.is_empty() {
+            i += 3;
+            continue;
+        }
+        // `=` at depth 0 (skipping a type annotation's generics and
+        // `==`/`=>`/compound-assignment shapes).
+        let mut depth = 0i32;
+        let mut eq = None;
+        let mut k = j;
+        while k < chars.len() {
+            match chars[k] {
+                '(' | '[' | '{' | '<' => depth += 1,
+                ')' | ']' | '}' => depth -= 1,
+                '>' if k > 0 && chars[k - 1] != '-' && chars[k - 1] != '=' => depth -= 1,
+                ';' if depth <= 0 => break,
+                '=' if depth == 0
+                    && chars.get(k + 1) != Some(&'=')
+                    && chars.get(k + 1) != Some(&'>')
+                    && k > 0
+                    && !matches!(chars[k - 1], '=' | '!' | '<' | '>') =>
+                {
+                    eq = Some(k);
+                    break;
+                }
+                _ => {}
+            }
+            k += 1;
+        }
+        let Some(eq) = eq else {
+            i = k.max(i + 3);
+            continue;
+        };
+        // The right-hand side runs to the `;` at depth 0.
+        let mut depth = 0i32;
+        let mut semi = None;
+        for (m, &c) in chars.iter().enumerate().skip(eq + 1) {
+            match c {
+                '(' | '[' | '{' => depth += 1,
+                ')' | ']' | '}' => {
+                    if depth == 0 {
+                        break;
+                    }
+                    depth -= 1;
+                }
+                ';' if depth == 0 => {
+                    semi = Some(m);
+                    break;
+                }
+                _ => {}
+            }
+        }
+        let Some(semi) = semi else {
+            i = eq + 1;
+            continue;
+        };
+        // The binding's scope closes at the first unmatched `}` after
+        // the statement.
+        let mut depth = 0i32;
+        let mut scope_end = chars.len().saturating_sub(1);
+        for (e, &c) in chars.iter().enumerate().skip(semi + 1) {
+            match c {
+                '{' => depth += 1,
+                '}' if depth == 0 => {
+                    scope_end = e;
+                    break;
+                }
+                '}' => depth -= 1,
+                _ => {}
+            }
+        }
+        out.push(Let {
+            name,
+            line: line_at(i),
+            rhs: chars[eq + 1..semi].iter().collect(),
+            rhs_end_line: line_at(semi),
+            scope_end_line: line_at(scope_end),
+        });
+        i = eq + 1;
+    }
+    out
+}
+
+/// Whether the last word before index `i` (skipping whitespace) is
+/// `word`.
+fn preceded_by(chars: &[char], i: usize, word: &str) -> bool {
+    prev_non_ws(chars, i).is_some_and(|end| {
+        let len = word.chars().count();
+        end + 1 >= len && starts_word_at(chars, end + 1 - len, word)
+    })
 }
 
 /// Regions of repeated execution inside a body: `for` bodies run per
@@ -867,6 +1112,56 @@ mod tests {
         let f = parse_file("x.rs", src);
         assert!(!f.fns[0].is_test);
         assert!(f.fns[1].is_test);
+    }
+
+    #[test]
+    fn structs_and_lets_are_recorded() {
+        let src = "pub struct Shard<F: Fn(u64)> {\n\
+                   map: Vec<F>,\n\
+                   hits: u64,\n\
+                   }\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                   struct Probe(u8);\n\
+                   }\n\
+                   fn f(opt: Option<u64>) {\n\
+                   if let Some(v) = opt { use_it(v); }\n\
+                   let n = {\n\
+                   let g = m.lock();\n\
+                   g.len()\n\
+                   };\n\
+                   let total = n\n\
+                   + 1;\n\
+                   }\n";
+        let f = parse_file("x.rs", src);
+        let shard = &f.structs[0];
+        assert_eq!((shard.name.as_str(), shard.line), ("Shard", 1));
+        assert!(!shard.is_test);
+        // The `(` of the generic bound is not a tuple body.
+        assert_eq!(
+            shard.field_lines,
+            vec![
+                (1, String::new()),
+                (2, "map: Vec<F>,".to_owned()),
+                (3, "hits: u64,".to_owned())
+            ]
+        );
+        assert!(shard.mentions("Vec") && !shard.mentions("Fn"));
+        assert_eq!(f.structs[1].name, "Probe");
+        assert!(f.structs[1].is_test);
+
+        // `(name, line, rhs_end_line, scope_end_line)`: no entry for the
+        // `if let` head, and the block initializer's own `let` is seen.
+        let lets: Vec<(&str, usize, usize, usize)> = f.fns[0]
+            .lets
+            .iter()
+            .map(|l| (l.name.as_str(), l.line, l.rhs_end_line, l.scope_end_line))
+            .collect();
+        assert_eq!(
+            lets,
+            vec![("n", 11, 14, 17), ("g", 12, 12, 14), ("total", 15, 16, 17)]
+        );
+        assert_eq!(f.fns[0].lets[2].rhs, " n\n+ 1");
     }
 
     #[test]

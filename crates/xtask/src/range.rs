@@ -55,7 +55,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::certify::read_marker;
-use crate::lexer::{self, is_ident_char, match_brace, match_paren};
+use crate::lexer::{is_ident_char, match_brace, match_paren};
 use crate::parser::{split_top_level, FnItem, ParsedFile};
 use crate::{unless_suppressed, Finding};
 
@@ -288,7 +288,7 @@ fn is_lazy_name(name: &str) -> bool {
 fn scan_field_caps(scope: &[&ParsedFile]) -> Vec<FieldCaps> {
     let mut out: Vec<FieldCaps> = Vec::new();
     for file in scope {
-        let scrubbed = lexer::scrub(&file.raw_lines.join("\n"));
+        let scrubbed = &file.scrubbed;
         let mut from = 0;
         while let Some(pos) = scrubbed[from..].find("montgomery_field!") {
             let start = from + pos + "montgomery_field!".len();

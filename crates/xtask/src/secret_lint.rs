@@ -27,8 +27,8 @@
 
 use std::collections::BTreeSet;
 
-use crate::lexer::{self, contains_word, skip_ws, starts_word_at};
-use crate::parser::ParsedFile;
+use crate::lexer::contains_word;
+use crate::parser::{non_test_structs, ParsedFile, StructItem};
 use crate::{suppression_near, Finding, Suppression};
 
 /// Suppression marker for deliberate lifecycle exceptions.
@@ -38,81 +38,6 @@ pub const MARKER: &str = "// secret-ok:";
 pub const SEED_TYPES: [&str; 2] = ["MasterSecret", "PartialPrivateKey"];
 
 const FORBIDDEN_DERIVES: [&str; 5] = ["Debug", "Clone", "Copy", "Serialize", "Deserialize"];
-
-/// A struct definition found in a scrubbed file.
-struct StructDef {
-    file: usize,
-    name: String,
-    /// 1-based line of the `struct` keyword.
-    line: usize,
-    /// Field declarations text (brace or tuple body).
-    fields: String,
-    /// Derive idents collected from the attributes above.
-    derives: Vec<String>,
-    in_test: bool,
-}
-
-/// Collects struct definitions with their derive lists.
-fn collect_structs(files: &[ParsedFile]) -> Vec<StructDef> {
-    let mut out = Vec::new();
-    for (fi, file) in files.iter().enumerate() {
-        let raw = file.raw_lines.join("\n");
-        let scrubbed = lexer::scrub(&raw);
-        let spans = lexer::test_spans(&scrubbed);
-        let chars: Vec<char> = scrubbed.chars().collect();
-        for pos in (0..chars.len()).filter(|&i| starts_word_at(&chars, i, "struct")) {
-            // `struct` must be item-position: start of line or after
-            // `pub`/`pub(...)` — this also skips `macro struct` uses in
-            // strings (already scrubbed) and derive-internal text.
-            let line = chars[..pos].iter().filter(|&&c| c == '\n').count() + 1;
-            let mut i = skip_ws(&chars, pos + "struct".len());
-            let name_start = i;
-            while i < chars.len() && lexer::is_ident_char(chars[i]) {
-                i += 1;
-            }
-            if i == name_start {
-                continue;
-            }
-            let name: String = chars[name_start..i].iter().collect();
-            // Body: up to matching `}` for brace structs, `;` for
-            // tuple/unit structs.
-            let mut fields = String::new();
-            let mut j = i;
-            let mut depth = 0i32;
-            while j < chars.len() {
-                match chars[j] {
-                    '{' | '(' => {
-                        depth += 1;
-                        if depth == 1 {
-                            fields.clear();
-                        }
-                    }
-                    '}' | ')' => {
-                        depth -= 1;
-                        if depth == 0 && chars[j] == '}' {
-                            break;
-                        }
-                    }
-                    ';' if depth == 0 => break,
-                    c if depth >= 1 => fields.push(c),
-                    _ => {}
-                }
-                j += 1;
-            }
-            let derives = derives_above(&file.raw_lines, line);
-            let in_test = spans.iter().any(|&(a, b)| a <= line && line <= b);
-            out.push(StructDef {
-                file: fi,
-                name,
-                line,
-                fields,
-                derives,
-                in_test,
-            });
-        }
-    }
-    out
-}
 
 /// Derive idents from the contiguous attribute/comment run above
 /// `line` (1-based).
@@ -163,15 +88,15 @@ fn suppressed(lines: &[&str], decl_line: usize) -> Suppression {
 
 /// The transitive secret set: seeds plus every struct with a field
 /// whose type mentions a secret type.
-fn secret_set(structs: &[StructDef]) -> BTreeSet<String> {
+fn secret_set(structs: &[(&ParsedFile, &StructItem)]) -> BTreeSet<String> {
     let mut secret: BTreeSet<String> = SEED_TYPES.iter().map(|s| (*s).to_owned()).collect();
     loop {
         let mut grew = false;
-        for def in structs {
-            if def.in_test || secret.contains(&def.name) {
+        for (_, def) in structs {
+            if secret.contains(&def.name) {
                 continue;
             }
-            if secret.iter().any(|s| contains_word(&def.fields, s)) {
+            if secret.iter().any(|s| def.mentions(s)) {
                 secret.insert(def.name.clone());
                 grew = true;
             }
@@ -184,15 +109,14 @@ fn secret_set(structs: &[StructDef]) -> BTreeSet<String> {
 
 /// Runs the lint over parsed files.
 pub fn analyze(files: &[ParsedFile]) -> Vec<Finding> {
-    let structs = collect_structs(files);
+    let structs = non_test_structs(files);
     let secret = secret_set(&structs);
     let mut findings = Vec::new();
 
-    for def in &structs {
-        if def.in_test || !secret.contains(&def.name) {
+    for &(file, def) in &structs {
+        if !secret.contains(&def.name) {
             continue;
         }
-        let file = &files[def.file];
         let lines = file.lines();
         let is_seed = SEED_TYPES.contains(&def.name.as_str());
         let why = if is_seed {
@@ -201,7 +125,7 @@ pub fn analyze(files: &[ParsedFile]) -> Vec<Finding> {
             "holds a secret-typed field".to_owned()
         };
 
-        for derive in &def.derives {
+        for derive in &derives_above(&file.raw_lines, def.line) {
             if !FORBIDDEN_DERIVES.contains(&derive.as_str()) {
                 continue;
             }

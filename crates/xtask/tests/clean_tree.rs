@@ -10,6 +10,8 @@
 
 use std::path::PathBuf;
 
+use mccls_xtask::parser::parse_file;
+
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
@@ -34,7 +36,9 @@ fn fixture_findings_match_the_committed_lists() {
         secret_lint, taint, validate, Finding,
     };
     let parsed = |name: &str| parser::parse_files(&[(name.to_owned(), fixture(name))]);
-    let scan = |name: &str, lint: fn(&str, &str) -> Vec<Finding>| lint(name, &fixture(name));
+    let scan = |name: &str, lint: fn(&parser::ParsedFile) -> Vec<Finding>| {
+        lint(&parse_file(name, &fixture(name)))
+    };
     let opcount_budgets = opcount::parse_budgets(&fixture("opcount_budgets.toml"))
         .expect("opcount fixture budgets parse");
     let complexity_budgets = complexity::parse_budgets(&fixture("complexity_budgets.toml"))
@@ -137,8 +141,8 @@ fn fixtures_do_fail_the_gate() {
     let panic_src =
         std::fs::read_to_string(dir.join("panic_cases.rs")).expect("panic fixture exists");
     let ct_src = std::fs::read_to_string(dir.join("ct_cases.rs")).expect("ct fixture exists");
-    assert!(!mccls_xtask::panic_lint::scan("panic_cases.rs", &panic_src).is_empty());
-    assert!(!mccls_xtask::ct_lint::scan("ct_cases.rs", &ct_src).is_empty());
+    assert!(!mccls_xtask::panic_lint::scan(&parse_file("panic_cases.rs", &panic_src)).is_empty());
+    assert!(!mccls_xtask::ct_lint::scan(&parse_file("ct_cases.rs", &ct_src)).is_empty());
 }
 
 #[test]
@@ -152,7 +156,7 @@ fn taint_fixture_trips_only_the_interprocedural_pass() {
     // Sanity: the function-scoped scan sees nothing, so anything the
     // taint pass reports is genuinely interprocedural.
     assert!(
-        mccls_xtask::ct_lint::scan("taint_cases.rs", &src).is_empty(),
+        mccls_xtask::ct_lint::scan(&parse_file("taint_cases.rs", &src)).is_empty(),
         "fixture must be locally clean or the test proves nothing"
     );
     let files = mccls_xtask::parser::parse_files(&[("taint_cases.rs".to_owned(), src)]);
@@ -200,12 +204,12 @@ fn bare_suppression_reasons_do_not_suppress() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
     let src = std::fs::read_to_string(dir.join("suppression_cases.rs"))
         .expect("suppression fixture exists");
-    let ct = mccls_xtask::ct_lint::scan("suppression_cases.rs", &src);
+    let ct = mccls_xtask::ct_lint::scan(&parse_file("suppression_cases.rs", &src));
     assert!(
         ct.iter().any(|f| f.message.contains("gives no reason")),
         "bare ct-ok must still be reported: {ct:?}"
     );
-    let panics = mccls_xtask::panic_lint::scan("suppression_cases.rs", &src);
+    let panics = mccls_xtask::panic_lint::scan(&parse_file("suppression_cases.rs", &src));
     assert!(
         !panics.is_empty(),
         "bare lint:allow(panic) must still be reported"
@@ -262,7 +266,7 @@ fn overflow_fixture_fires_and_twins_stay_silent() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
     let src =
         std::fs::read_to_string(dir.join("overflow_cases.rs")).expect("overflow fixture exists");
-    let findings = mccls_xtask::overflow::scan("overflow_cases.rs", &src);
+    let findings = mccls_xtask::overflow::scan(&parse_file("overflow_cases.rs", &src));
     for op in ["`+`", "`*`", "`<<`"] {
         assert!(
             findings.iter().any(|f| f.message.contains(op)),
@@ -555,12 +559,12 @@ fn prepared_pairing_fixture_fails_both_gates() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
     let src =
         std::fs::read_to_string(dir.join("prepared_cases.rs")).expect("prepared fixture exists");
-    let panic_findings = mccls_xtask::panic_lint::scan("prepared_cases.rs", &src);
+    let panic_findings = mccls_xtask::panic_lint::scan(&parse_file("prepared_cases.rs", &src));
     assert!(
         panic_findings.len() >= 3,
         "expected the computed-index/unwrap/expect seeds to fire, got: {panic_findings:?}"
     );
-    let ct_findings = mccls_xtask::ct_lint::scan("prepared_cases.rs", &src);
+    let ct_findings = mccls_xtask::ct_lint::scan(&parse_file("prepared_cases.rs", &src));
     assert!(
         !ct_findings.is_empty(),
         "expected the secret-digit/blinder branches to fire"

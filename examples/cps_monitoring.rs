@@ -13,9 +13,7 @@
 
 use std::time::Instant;
 
-use mccls::cls::{
-    batch_verify, BatchItem, CertificatelessScheme, McCls, OfflineSigner, VerifierCache,
-};
+use mccls::cls::{batch_verify, BatchItem, CertificatelessScheme, McCls, OfflineSigner, Verifier};
 use mccls_rng::SeedableRng;
 
 fn main() {
@@ -53,13 +51,13 @@ fn main() {
         .collect();
 
     // Sink, path A: verify one by one (with the pairing cache warm).
-    let mut cache = VerifierCache::new();
+    let mut verifier = Verifier::new(params.clone());
     for ((id, _, keys), ((_, msg), sig)) in sensors.iter().zip(readings.iter().zip(&sigs)) {
-        assert!(cache.verify(&params, id, &keys.public, msg, sig).is_ok());
+        assert!(verifier.verify_with_key(id, &keys.public, msg, sig).is_ok());
     }
     let t = Instant::now();
     for ((id, _, keys), ((_, msg), sig)) in sensors.iter().zip(readings.iter().zip(&sigs)) {
-        assert!(cache.verify(&params, id, &keys.public, msg, sig).is_ok());
+        assert!(verifier.verify_with_key(id, &keys.public, msg, sig).is_ok());
     }
     let one_by_one = t.elapsed();
 
