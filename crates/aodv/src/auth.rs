@@ -15,9 +15,11 @@
 //!   equivalence to the real provider is asserted by tests.
 //!
 //! Crypto *time* is independent of the provider: [`CryptoCost`] carries
-//! the virtual-time price of a sign/verify, either the defaults measured
-//! from this workspace's release-mode benches or values calibrated on
-//! the host at run time.
+//! the virtual-time price of one sign and one verify. This crate keeps
+//! no crypto time of its own. A scenario's default is
+//! [`CryptoCost::FREE`]; the figure binaries in `mccls-bench` charge the
+//! McCLS sign and warm-verify medians that `table1` commits to
+//! `BENCH_table1.json`.
 //!
 //! [`RealAuthProvider`] is generic over any
 //! [`mccls_core::VerifierBackend`]. The simulator is single-threaded
@@ -53,55 +55,21 @@ pub struct CryptoCost {
 }
 
 impl CryptoCost {
-    /// No crypto cost (plain AODV).
+    /// No crypto cost: plain AODV's, and every scenario's default.
     pub const FREE: CryptoCost = CryptoCost {
         sign: SimDuration::ZERO,
         verify: SimDuration::ZERO,
     };
-
-    /// Defaults for McCLS measured on this workspace's release build
-    /// (Criterion `cls_schemes` bench): sign ≈ 2 scalar mults ≈ 1.2 ms,
-    /// verify ≈ 1 pairing + 3 scalar mults ≈ 9 ms.
-    pub fn mccls_default() -> Self {
-        Self {
-            sign: SimDuration::from_micros(1_200),
-            verify: SimDuration::from_micros(9_000),
-        }
-    }
-
-    /// Calibrates by timing the real scheme on this host (one warm-up +
-    /// a small averaged batch). Useful when the simulation should mirror
-    /// the machine it runs on.
-    pub fn calibrate() -> Self {
-        let mut rng = StdRng::seed_from_u64(0xCA11B);
-        let scheme = McCls::new();
-        let (params, kgc) = scheme.setup(&mut rng);
-        let partial = kgc.extract_partial_private_key(b"calib");
-        let keys = scheme.generate_key_pair(&params, &mut rng);
-        let msg = b"calibration message";
-        // Warm up (fills pairing-exponent caches).
-        let sig = scheme.sign(&params, b"calib", &partial, &keys, msg, &mut rng);
-        assert!(scheme
-            .verify(&params, b"calib", &keys.public, msg, &sig)
-            .is_ok());
-
-        const N: u32 = 5;
-        let t0 = std::time::Instant::now();
-        for _ in 0..N {
-            let _ = scheme.sign(&params, b"calib", &partial, &keys, msg, &mut rng);
-        }
-        let sign = t0.elapsed() / N;
-        let t0 = std::time::Instant::now();
-        for _ in 0..N {
-            let _ = scheme.verify(&params, b"calib", &keys.public, msg, &sig);
-        }
-        let verify = t0.elapsed() / N;
-        Self {
-            sign: SimDuration::from_nanos(sign.as_nanos() as u64),
-            verify: SimDuration::from_nanos(verify.as_nanos() as u64),
-        }
-    }
 }
+
+/// The per-hop cost the figures charged before they read the committed
+/// Table 1 medians: 1.2 ms sign, 9 ms verify. Tests whose assertions
+/// were tuned under it pass it explicitly.
+#[cfg(test)]
+pub(crate) const LEGACY_COST: CryptoCost = CryptoCost {
+    sign: SimDuration::from_micros(1_200),
+    verify: SimDuration::from_micros(9_000),
+};
 
 /// An authentication tag attached to a routing packet.
 #[derive(Debug, Clone, PartialEq)]
@@ -408,16 +376,6 @@ mod tests {
                 "divergence for signer {signer}, payload {payload:?} vs {verify_payload:?}"
             );
         }
-    }
-
-    #[test]
-    fn crypto_cost_defaults_are_ordered() {
-        let c = CryptoCost::mccls_default();
-        assert!(
-            c.verify > c.sign,
-            "verification (1 pairing) must dominate signing"
-        );
-        assert_eq!(CryptoCost::FREE.sign, SimDuration::ZERO);
     }
 
     #[test]

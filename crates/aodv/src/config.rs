@@ -147,7 +147,8 @@ pub struct ScenarioConfig {
     pub duration: SimDuration,
     /// RNG seed (mobility, jitter, traffic placement).
     pub seed: u64,
-    /// Virtual-time crypto costs (only used by `McClsSecured`).
+    /// Virtual-time crypto costs (only used by `McClsSecured`; free
+    /// unless the caller sets them).
     pub crypto_cost: CryptoCost,
     /// Use the real BLS12-381 signatures instead of the modeled
     /// provider (slow; for validation runs and examples).
@@ -186,7 +187,7 @@ impl ScenarioConfig {
             flows: Vec::new(), // filled by `with_default_flows`
             duration: SimDuration::from_secs(200),
             seed,
-            crypto_cost: CryptoCost::mccls_default(),
+            crypto_cost: CryptoCost::FREE,
             real_crypto: false,
             aodv: AodvConfig::default(),
             loss_rate: 0.0,
@@ -331,6 +332,8 @@ mod tests {
     fn secured_switches_protocol() {
         let cfg = ScenarioConfig::paper_baseline(5.0, 2).secured();
         assert_eq!(cfg.protocol, Protocol::McClsSecured);
+        // The crate keeps no crypto time: a caller charges one.
+        assert_eq!(cfg.crypto_cost, CryptoCost::FREE);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The experiment harness: speed sweeps over the paper's scenario,
 //! multi-trial averaging, and the exact series Figures 1–5 plot.
 
+use crate::auth::CryptoCost;
 use crate::config::{Behavior, Protocol, ScenarioConfig};
 use crate::metrics::Metrics;
 use crate::network::Network;
@@ -77,7 +78,9 @@ impl SweepSeries {
 /// Builds one experiment scenario exactly the way the figure sweeps do:
 /// the paper-baseline placement at `speed`/`seed`, secured when the
 /// protocol is McCLS, with the attack applied and (optionally) a
-/// shortened run duration for scratchpads and smoke tests.
+/// shortened run duration for scratchpads and smoke tests. Its crypto
+/// cost is the [`ScenarioConfig`] default, [`CryptoCost::FREE`]; a
+/// sweep charges the cost its caller passes.
 ///
 /// This is the single source of truth for experiment setup — the `fig*`
 /// binaries (via [`sweep`]), the ablation harness, and the `debug_sim` /
@@ -125,9 +128,12 @@ pub fn run_seed(base_seed: u64, speed: f64, trial: u64) -> u64 {
 
 /// Runs one configuration for every speed in `speeds`, pooling `trials`
 /// seeds per point, fanned out over one scoped worker thread per core.
+/// Secured runs charge `cost` per signed and per verified routing
+/// packet; plain AODV runs ignore it.
 pub fn sweep(
     protocol: Protocol,
     attack: AttackKind,
+    cost: CryptoCost,
     speeds: &[f64],
     trials: u64,
     base_seed: u64,
@@ -135,7 +141,7 @@ pub fn sweep(
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    sweep_parallel(protocol, attack, speeds, trials, base_seed, workers)
+    sweep_parallel(protocol, attack, cost, speeds, trials, base_seed, workers)
 }
 
 /// [`sweep`] with an explicit worker count. Results are bit-identical
@@ -145,6 +151,7 @@ pub fn sweep(
 pub fn sweep_parallel(
     protocol: Protocol,
     attack: AttackKind,
+    cost: CryptoCost,
     speeds: &[f64],
     trials: u64,
     base_seed: u64,
@@ -167,7 +174,8 @@ pub fn sweep_parallel(
                         };
                         let speed = speeds[si];
                         let seed = run_seed(base_seed, speed, trial);
-                        let cfg = scenario(protocol, attack, speed, seed, None);
+                        let mut cfg = scenario(protocol, attack, speed, seed, None);
+                        cfg.crypto_cost = cost;
                         out.push((i, Network::new(cfg).run()));
                     }
                     out
@@ -242,6 +250,7 @@ pub fn render_table(
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
+    use crate::auth::LEGACY_COST;
 
     fn tiny_speeds() -> [f64; 2] {
         [0.0, 10.0]
@@ -275,7 +284,14 @@ mod tests {
 
     #[test]
     fn sweep_produces_one_point_per_speed() {
-        let s = sweep(Protocol::Aodv, AttackKind::None, &tiny_speeds(), 1, 1);
+        let s = sweep(
+            Protocol::Aodv,
+            AttackKind::None,
+            CryptoCost::FREE,
+            &tiny_speeds(),
+            1,
+            1,
+        );
         assert_eq!(s.points.len(), 2);
         assert!(s.points[0].metrics.data_sent > 0);
         assert_eq!(s.label(), "AODV");
@@ -297,8 +313,25 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_sweep_results() {
-        let serial = sweep_parallel(Protocol::Aodv, AttackKind::None, &tiny_speeds(), 2, 5, 1);
-        let fanned = sweep_parallel(Protocol::Aodv, AttackKind::None, &tiny_speeds(), 2, 5, 4);
+        let free = CryptoCost::FREE;
+        let serial = sweep_parallel(
+            Protocol::Aodv,
+            AttackKind::None,
+            free,
+            &tiny_speeds(),
+            2,
+            5,
+            1,
+        );
+        let fanned = sweep_parallel(
+            Protocol::Aodv,
+            AttackKind::None,
+            free,
+            &tiny_speeds(),
+            2,
+            5,
+            4,
+        );
         assert_eq!(serial.points.len(), fanned.points.len());
         for (a, b) in serial.points.iter().zip(&fanned.points) {
             assert_eq!(a.speed, b.speed);
@@ -308,9 +341,23 @@ mod tests {
 
     #[test]
     fn labels_match_paper_legends() {
-        let s = sweep(Protocol::McClsSecured, AttackKind::Rushing2, &[0.0], 1, 1);
+        let s = sweep(
+            Protocol::McClsSecured,
+            AttackKind::Rushing2,
+            LEGACY_COST,
+            &[0.0],
+            1,
+            1,
+        );
         assert_eq!(s.label(), "McCLS rushing attack");
-        let s = sweep(Protocol::Aodv, AttackKind::BlackHole2, &[0.0], 1, 1);
+        let s = sweep(
+            Protocol::Aodv,
+            AttackKind::BlackHole2,
+            CryptoCost::FREE,
+            &[0.0],
+            1,
+            1,
+        );
         assert_eq!(s.label(), "AODV black hole attack");
     }
 
@@ -319,6 +366,7 @@ mod tests {
         let series = vec![sweep(
             Protocol::Aodv,
             AttackKind::None,
+            CryptoCost::FREE,
             &tiny_speeds(),
             1,
             2,

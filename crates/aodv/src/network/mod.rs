@@ -140,9 +140,12 @@ mod tests {
     use super::*;
     use mccls_sim::SimDuration;
 
+    /// A 60 s paper scenario. Secured runs built from it charge the
+    /// legacy 1.2/9 ms cost their assertions were tuned under.
     fn quick_cfg(speed: f64, seed: u64) -> ScenarioConfig {
         let mut cfg = ScenarioConfig::paper_baseline(speed, seed);
         cfg.duration = SimDuration::from_secs(60);
+        cfg.crypto_cost = crate::auth::LEGACY_COST;
         cfg
     }
 

@@ -38,9 +38,10 @@ fn fmt(v: f64) -> String {
 ///
 /// ```
 /// use mccls_aodv::experiment::{sweep, AttackKind};
-/// use mccls_aodv::{plot, Metrics, Protocol};
+/// use mccls_aodv::{plot, CryptoCost, Metrics, Protocol};
 ///
-/// let series = vec![sweep(Protocol::Aodv, AttackKind::None, &[0.0, 10.0], 1, 1)];
+/// let free = CryptoCost::FREE;
+/// let series = vec![sweep(Protocol::Aodv, AttackKind::None, free, &[0.0, 10.0], 1, 1)];
 /// let svg = plot::render_svg("Fig. 1", "PDR", &series, Metrics::packet_delivery_ratio);
 /// assert!(svg.starts_with("<svg"));
 /// assert!(svg.contains("polyline"));
@@ -186,14 +187,15 @@ pub fn render_svg(
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
+    use crate::auth::LEGACY_COST;
     use crate::config::Protocol;
     use crate::experiment::{sweep, AttackKind};
 
     fn tiny_series() -> Vec<SweepSeries> {
-        vec![
-            sweep(Protocol::Aodv, AttackKind::None, &[0.0, 10.0], 1, 3),
-            sweep(Protocol::McClsSecured, AttackKind::None, &[0.0, 10.0], 1, 3),
-        ]
+        [Protocol::Aodv, Protocol::McClsSecured]
+            .into_iter()
+            .map(|p| sweep(p, AttackKind::None, LEGACY_COST, &[0.0, 10.0], 1, 3))
+            .collect()
     }
 
     #[test]

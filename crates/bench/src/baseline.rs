@@ -1,6 +1,7 @@
 //! Reading, writing, and regression-gating the committed benchmark
 //! baselines (`BENCH_pairing.json`, `BENCH_throughput.json`,
-//! `BENCH_batch.json` and `BENCH_sim.json` at the repository root).
+//! `BENCH_batch.json`, `BENCH_sim.json` and `BENCH_table1.json` at the
+//! repository root).
 //!
 //! Every bench bin shares one command line ([`Mode::from_args`]:
 //! `--smoke`, `--update-baseline`, `--baseline <path>`) and one gate
@@ -54,9 +55,7 @@ impl Mode {
         let mut mode = Self {
             smoke: false,
             update_baseline: false,
-            baseline: PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(file),
+            baseline: committed_path(file),
         };
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
@@ -82,6 +81,13 @@ impl Mode {
             "full"
         }
     }
+}
+
+/// The path of the committed file `file` at the repository root.
+pub fn committed_path(file: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(file)
 }
 
 /// Renders entries as the committed JSON document under `schema`: each
@@ -143,14 +149,23 @@ fn check(schema: &str, committed: Option<&str>, current: &[Entry]) -> Vec<String
     let Some(doc) = committed else {
         return vec!["no committed baseline: run with --update-baseline to create one".to_owned()];
     };
+    match entries(schema, doc) {
+        Ok(base) => regressions(current, &base, REGRESSION_FACTOR),
+        Err(problem) => vec![problem],
+    }
+}
+
+/// The entries of a committed document, which must carry the tag
+/// `schema`; an `Err` names the missing or foreign tag.
+pub fn entries(schema: &str, doc: &str) -> Result<Vec<Entry>, String> {
     match string_field(doc, "schema") {
-        Some(tag) if tag == schema => regressions(current, &parse(doc), REGRESSION_FACTOR),
-        Some(tag) => vec![format!(
-            "the committed file is tagged `{tag}`, not this bench's `{schema}`"
-        )],
-        None => vec![format!(
-            "the committed file has no schema tag; this bench writes `{schema}`"
-        )],
+        Some(tag) if tag == schema => Ok(parse(doc)),
+        Some(tag) => Err(format!(
+            "the committed file is tagged `{tag}`, not `{schema}`"
+        )),
+        None => Err(format!(
+            "the committed file has no schema tag; expected `{schema}`"
+        )),
     }
 }
 

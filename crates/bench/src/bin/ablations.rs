@@ -6,11 +6,13 @@
 //! 3. expanding-ring search vs flat flooding,
 //! 4. link-break sensing latency (the blind window behind Fig. 1's
 //!    speed decay),
-//! 5. crypto cost sensitivity for Fig. 3's delay gap.
+//! 5. crypto cost sensitivity for Fig. 3's delay gap: free, the
+//!    committed Table 1 cost the figures charge, and 50x that cost (a
+//!    2008-era pairing).
 
 use mccls_aodv::experiment::{scenario, AttackKind};
 use mccls_aodv::{Behavior, CryptoCost, Metrics, Network, Protocol, ScenarioConfig};
-use mccls_bench::FigureOpts;
+use mccls_bench::{committed_cost, FigureOpts};
 use mccls_sim::SimDuration;
 
 fn pooled(opts: FigureOpts, build: impl Fn(u64) -> ScenarioConfig) -> Metrics {
@@ -21,8 +23,9 @@ fn pooled(opts: FigureOpts, build: impl Fn(u64) -> ScenarioConfig) -> Metrics {
     m
 }
 
-fn main() {
+fn main() -> Result<(), String> {
     let opts = FigureOpts::from_args();
+    let committed = committed_cost()?;
     let speed = 10.0;
     // All ablations start from the shared experiment-setup helper and
     // tweak exactly one knob from there.
@@ -79,22 +82,25 @@ fn main() {
     println!();
 
     println!("## 5. Crypto cost sensitivity (secured, no attack)");
+    let times50 = CryptoCost {
+        sign: committed.sign.saturating_mul(50),
+        verify: committed.verify.saturating_mul(50),
+    };
     for (label, cost) in [
         ("free", CryptoCost::FREE),
-        ("measured (this impl)", CryptoCost::mccls_default()),
-        (
-            "2008-era (50x)",
-            CryptoCost {
-                sign: SimDuration::from_micros(60_000),
-                verify: SimDuration::from_micros(450_000),
-            },
-        ),
+        ("committed (table1)", committed),
+        ("2008-era (50x)", times50),
     ] {
         let m = pooled(opts, |s| {
             let mut cfg = base(s).secured();
             cfg.crypto_cost = cost;
             cfg
         });
-        println!("{label:<22}: {m}");
+        println!(
+            "{label:<22}: sign {:.3} ms, verify {:.3} ms: {m}",
+            cost.sign.as_secs_f64() * 1e3,
+            cost.verify.as_secs_f64() * 1e3
+        );
     }
+    Ok(())
 }

@@ -6,7 +6,7 @@
 
 use mccls_aodv::experiment::{render_table, SweepSeries};
 use mccls_aodv::{plot, Metrics};
-use mccls_bench::{attack_series, baseline_series, FigureOpts};
+use mccls_bench::{attack_series, baseline_series, committed_cost, FigureOpts};
 
 fn svg_dir() -> Option<std::path::PathBuf> {
     let args: Vec<String> = std::env::args().collect();
@@ -32,18 +32,24 @@ fn write_svg(
     }
 }
 
-fn main() {
+fn main() -> Result<(), String> {
     let opts = FigureOpts::from_args();
+    let cost = committed_cost()?;
+    eprintln!(
+        "McCLS series charge {:.3} ms per sign and {:.3} ms per verify (BENCH_table1.json)",
+        cost.sign.as_secs_f64() * 1e3,
+        cost.verify.as_secs_f64() * 1e3
+    );
     eprintln!(
         "running baseline sweeps (2 series x 5 speeds x {} trials)...",
         opts.trials
     );
-    let baseline = baseline_series(opts);
+    let baseline = baseline_series(opts, cost);
     eprintln!(
         "running attack sweeps (4 series x 5 speeds x {} trials)...",
         opts.trials
     );
-    let attacks = attack_series(opts);
+    let attacks = attack_series(opts, cost);
 
     println!(
         "{}",
@@ -94,7 +100,7 @@ fn main() {
     if let Some(dir) = svg_dir() {
         if let Err(e) = std::fs::create_dir_all(&dir) {
             eprintln!("cannot create {}: {e}", dir.display());
-            return;
+            return Ok(());
         }
         write_svg(
             &dir,
@@ -137,4 +143,5 @@ fn main() {
             Metrics::packet_drop_ratio,
         );
     }
+    Ok(())
 }

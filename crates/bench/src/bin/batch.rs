@@ -22,9 +22,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 use mccls_bench::baseline::{self, Entry, Mode};
+use mccls_bench::sampler;
 use mccls_core::{
     batch_verify, ops, BatchItem, CertificatelessScheme, McCls, Signature, SystemParams,
     UserKeyPair,
@@ -145,19 +145,6 @@ fn assert_op_counts(world: &World) {
     }
 }
 
-/// Median wall-clock nanoseconds of `samples` runs of `f`.
-fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
-    let mut runs: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos() as f64
-        })
-        .collect();
-    runs.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    runs[runs.len() / 2]
-}
-
 fn main() -> ExitCode {
     let mode = Mode::from_args("BENCH_batch.json");
     println!("batch isolation harness ({} mode)\n", mode.label());
@@ -172,7 +159,7 @@ fn main() -> ExitCode {
     for (bad, name) in BAD_RATES {
         let msgs = world.poisoned_msgs(bad);
         let items = world.items(&msgs);
-        let ns = median_ns(samples, || {
+        let ns = sampler::median_ns(samples, 1.0, || {
             let outcome = batch_verify(&world.params, &items, &mut rng);
             assert_eq!(outcome.invalid_indices().len(), bad);
         });

@@ -3,11 +3,11 @@
 
 use mccls_aodv::experiment::render_table;
 use mccls_aodv::Metrics;
-use mccls_bench::{baseline_series, FigureOpts};
+use mccls_bench::{baseline_series, committed_cost, FigureOpts};
 
-fn main() {
+fn main() -> Result<(), String> {
     let opts = FigureOpts::from_args();
-    let series = baseline_series(opts);
+    let series = baseline_series(opts, committed_cost()?);
     print!(
         "{}",
         render_table(
@@ -17,4 +17,5 @@ fn main() {
             Metrics::rreq_ratio,
         )
     );
+    Ok(())
 }

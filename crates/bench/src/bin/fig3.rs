@@ -1,15 +1,16 @@
 //! Reproduces **Figure 3**: average end-to-end delay vs. node speed for
 //! plain AODV and McCLS-secured AODV, no attackers. The McCLS series
 //! carries the virtual-time cost of signing and verifying each routing
-//! control packet.
+//! control packet: the committed `table1/McCLS/sign` and
+//! `table1/McCLS/verify_cached` medians in `BENCH_table1.json`.
 
 use mccls_aodv::experiment::render_table;
 use mccls_aodv::Metrics;
-use mccls_bench::{baseline_series, FigureOpts};
+use mccls_bench::{baseline_series, committed_cost, FigureOpts};
 
-fn main() {
+fn main() -> Result<(), String> {
     let opts = FigureOpts::from_args();
-    let series = baseline_series(opts);
+    let series = baseline_series(opts, committed_cost()?);
     print!(
         "{}",
         render_table(
@@ -19,4 +20,5 @@ fn main() {
             Metrics::avg_end_to_end_delay,
         )
     );
+    Ok(())
 }

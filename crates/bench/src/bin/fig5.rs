@@ -4,11 +4,11 @@
 
 use mccls_aodv::experiment::render_table;
 use mccls_aodv::Metrics;
-use mccls_bench::{attack_series, FigureOpts};
+use mccls_bench::{attack_series, committed_cost, FigureOpts};
 
-fn main() {
+fn main() -> Result<(), String> {
     let opts = FigureOpts::from_args();
-    let series = attack_series(opts);
+    let series = attack_series(opts, committed_cost()?);
     print!(
         "{}",
         render_table(
@@ -18,4 +18,5 @@ fn main() {
             Metrics::packet_drop_ratio,
         )
     );
+    Ok(())
 }

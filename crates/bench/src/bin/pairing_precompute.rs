@@ -30,7 +30,7 @@
 use std::process::ExitCode;
 
 use mccls_bench::baseline::{self, Entry, Mode};
-use mccls_bench::harness::Criterion;
+use mccls_bench::sampler::row;
 use mccls_core::batch::{batch_verify, BatchItem};
 use mccls_core::{ops, CertificatelessScheme, McCls, Verifier};
 use mccls_pairing::{
@@ -136,7 +136,7 @@ fn assert_op_counts(world: &mut World) {
     );
 }
 
-fn run_benches(c: &mut Criterion, smoke: bool, world: &mut World) {
+fn run_benches(smoke: bool, world: &mut World) -> Vec<Entry> {
     let samples = if smoke { 3 } else { 12 };
     let mut rng = StdRng::seed_from_u64(0xF1E1D);
     let p = G1Projective::generator()
@@ -145,14 +145,12 @@ fn run_benches(c: &mut Criterion, smoke: bool, world: &mut World) {
     let q_proj = G2Projective::generator().mul_scalar(&Fr::random_nonzero(&mut rng));
     let q = q_proj.to_affine();
     let q_prep = G2Prepared::from_affine(&q);
-
-    let mut g = c.benchmark_group("pairing");
-    g.sample_size(samples);
-    g.bench_function("before_unprepared", |b| b.iter(|| pairing(&p, &q)));
-    g.bench_function("after_prepared", |b| {
-        b.iter(|| multi_miller_loop(&[(&p, &q_prep)]).final_exponentiation())
-    });
-    g.finish();
+    let mut rows = vec![
+        row("pairing/before_unprepared", samples, || pairing(&p, &q)),
+        row("pairing/after_prepared", samples, || {
+            multi_miller_loop(&[(&p, &q_prep)]).final_exponentiation()
+        }),
+    ];
 
     // Tower-multiplication micro-rows: eager (per-product Montgomery
     // reduction) vs. the lazy-reduction chains certified by the `range`
@@ -160,56 +158,43 @@ fn run_benches(c: &mut Criterion, smoke: bool, world: &mut World) {
     // an honest like-for-like comparison.
     let x2 = Fp2::random(&mut rng);
     let y2 = Fp2::random(&mut rng);
-    let mut g = c.benchmark_group("fp2_mul");
-    g.sample_size(samples);
-    g.bench_function("before_eager", |b| b.iter(|| x2.mul_eager(&y2)));
-    g.bench_function("after_lazy", |b| b.iter(|| x2 * y2));
-    g.finish();
+    rows.push(row("fp2_mul/before_eager", samples, || x2.mul_eager(&y2)));
+    rows.push(row("fp2_mul/after_lazy", samples, || x2 * y2));
 
     let x6 = Fp6::random(&mut rng);
     let y6 = Fp6::random(&mut rng);
-    let mut g = c.benchmark_group("fp6_mul");
-    g.sample_size(samples);
-    g.bench_function("before_eager", |b| b.iter(|| x6.mul_eager6(&y6)));
-    g.bench_function("after_lazy", |b| b.iter(|| x6 * y6));
-    g.finish();
+    rows.push(row("fp6_mul/before_eager", samples, || x6.mul_eager6(&y6)));
+    rows.push(row("fp6_mul/after_lazy", samples, || x6 * y6));
 
     let x12 = Fp12::random(&mut rng);
     let y12 = Fp12::random(&mut rng);
-    let mut g = c.benchmark_group("fp12_mul");
-    g.sample_size(samples);
-    g.bench_function("before_eager", |b| b.iter(|| x12.mul_eager12(&y12)));
-    g.bench_function("after_lazy", |b| b.iter(|| x12 * y12));
-    g.finish();
+    rows.push(row("fp12_mul/before_eager", samples, || {
+        x12.mul_eager12(&y12)
+    }));
+    rows.push(row("fp12_mul/after_lazy", samples, || x12 * y12));
 
     let k = Fr::random_nonzero(&mut rng);
-    let mut g = c.benchmark_group("fixed_base_g1");
-    g.sample_size(samples);
-    g.bench_function("before_generic", |b| {
-        b.iter(|| G1Projective::generator().mul_scalar(&k))
-    });
-    g.bench_function("after_table", |b| b.iter(|| g1_generator_table().mul(&k)));
-    g.finish();
-
-    let mut g = c.benchmark_group("fixed_base_g2");
-    g.sample_size(samples);
-    g.bench_function("before_generic", |b| {
-        b.iter(|| G2Projective::generator().mul_scalar(&k))
-    });
-    g.bench_function("after_table", |b| b.iter(|| g2_generator_table().mul(&k)));
-    g.finish();
+    rows.push(row("fixed_base_g1/before_generic", samples, || {
+        G1Projective::generator().mul_scalar(&k)
+    }));
+    rows.push(row("fixed_base_g1/after_table", samples, || {
+        g1_generator_table().mul(&k)
+    }));
+    rows.push(row("fixed_base_g2/before_generic", samples, || {
+        G2Projective::generator().mul_scalar(&k)
+    }));
+    rows.push(row("fixed_base_g2/after_table", samples, || {
+        g2_generator_table().mul(&k)
+    }));
 
     let scheme = McCls::new();
     let (id, public, msg, sig) = world.items[0].clone();
-    let mut g = c.benchmark_group("verify");
-    g.sample_size(samples);
-    g.bench_function("before_stateless", |b| {
-        b.iter(|| scheme.verify(&world.params, &id, &public, &msg, &sig))
-    });
-    g.bench_function("after_cached", |b| {
-        b.iter(|| world.verifier.verify(&id, &msg, &sig))
-    });
-    g.finish();
+    rows.push(row("verify/before_stateless", samples, || {
+        scheme.verify(&world.params, &id, &public, &msg, &sig)
+    }));
+    rows.push(row("verify/after_cached", samples, || {
+        world.verifier.verify(&id, &msg, &sig)
+    }));
 
     let items = world.items.clone();
     let batch: Vec<BatchItem> = items
@@ -221,19 +206,15 @@ fn run_benches(c: &mut Criterion, smoke: bool, world: &mut World) {
             sig,
         })
         .collect();
-    let mut g = c.benchmark_group("batch8");
-    g.sample_size(samples);
-    g.bench_function("before_individual", |b| {
-        b.iter(|| {
-            batch
-                .iter()
-                .all(|item| world.verifier.verify(item.id, item.msg, item.sig).is_ok())
-        })
-    });
-    g.bench_function("after_multi_miller_loop", |b| {
-        b.iter(|| batch_verify(&world.params, &batch, &mut world.rng))
-    });
-    g.finish();
+    rows.push(row("batch8/before_individual", samples, || {
+        batch
+            .iter()
+            .all(|item| world.verifier.verify(item.id, item.msg, item.sig).is_ok())
+    }));
+    rows.push(row("batch8/after_multi_miller_loop", samples, || {
+        batch_verify(&world.params, &batch, &mut world.rng)
+    }));
+    rows
 }
 
 fn main() -> ExitCode {
@@ -244,18 +225,6 @@ fn main() -> ExitCode {
     assert_op_counts(&mut world);
     println!();
 
-    let mut c = Criterion::default();
-    run_benches(&mut c, mode.smoke, &mut world);
-    c.final_summary();
-
-    let current: Vec<Entry> = c
-        .results()
-        .iter()
-        .map(|r| Entry {
-            id: r.id.clone(),
-            median_ns: r.median_ns,
-        })
-        .collect();
-
+    let current = run_benches(mode.smoke, &mut world);
     baseline::gate(SCHEMA, &mode, &current)
 }

@@ -1,8 +1,9 @@
 //! City-scale simulation throughput harness: what the spatial grid and
-//! the calendar queue buy as the node count grows.
+//! the calendar queue buy as the node count grows, and what the paper
+//! scenario's protocol and attack variants cost.
 //!
-//! Four rows, each the median wall-clock cost of one full simulation
-//! run normalized to nanoseconds per simulated second:
+//! Every row is the median wall-clock cost of one full simulation run
+//! normalized to nanoseconds per simulated second:
 //!
 //! * `sim/run_n20` — the paper's 20-node scenario;
 //! * `sim/run_n500` / `sim/run_n5000` — density-preserving scale-ups
@@ -10,7 +11,15 @@
 //!   `complexity` lint certifies neighbor-bound;
 //! * `sim/linear_n5000` — the same 5,000-node scenario with the
 //!   `linear_scan` ablation, the node-bound path the lint only admits
-//!   under its reviewed bench-only suppression.
+//!   under its reviewed bench-only suppression;
+//! * six variants of the 20-node scenario: McCLS-secured
+//!   (`sim/mccls_n20`), secured under two black holes
+//!   (`sim/mccls_blackhole_n20`), plain AODV under two drop-only and
+//!   two forging black holes (`sim/blackhole_n20`,
+//!   `sim/forging_blackhole_n20`), first-RREP-wins route selection
+//!   (`sim/first_rrep_wins_n20`), and secured with real BLS12-381
+//!   signatures (`sim/real_crypto_n20`). Secured runs charge no virtual
+//!   crypto time (the scenario default); the rows time the simulator.
 //!
 //! The run asserts two contracts before any baseline gating: the
 //! linear-scan ablation must cost at least [`GRID_SPEEDUP`]× the grid
@@ -29,12 +38,12 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::process::ExitCode;
-use std::time::Instant;
 
-use mccls_aodv::config::ScenarioConfig;
+use mccls_aodv::config::{Behavior, ScenarioConfig};
 use mccls_aodv::metrics::Metrics;
 use mccls_aodv::network::Network;
 use mccls_bench::baseline::{self, Entry, Mode};
+use mccls_bench::sampler;
 use mccls_sim::SimDuration;
 
 /// Schema tag of `BENCH_sim.json`.
@@ -62,19 +71,14 @@ fn scenario(n: usize, sim_secs: u64, linear_scan: bool) -> ScenarioConfig {
     cfg
 }
 
-/// Runs `samples` full simulations and returns the median wall-clock
-/// nanoseconds per simulated second, plus the (run-invariant) metrics.
+/// The sampler's median wall-clock nanoseconds per simulated second
+/// over `samples` runs, plus the (run-invariant) metrics.
 fn measure(cfg: &ScenarioConfig, samples: usize) -> (f64, Metrics) {
     let sim_secs = cfg.duration.as_nanos() as f64 / 1e9;
-    let mut runs: Vec<(f64, Metrics)> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            let metrics = Network::new(cfg.clone()).run();
-            (start.elapsed().as_nanos() as f64 / sim_secs, metrics)
-        })
-        .collect();
-    runs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("timings are finite"));
-    let (ns, metrics) = runs.swap_remove(runs.len() / 2);
+    let mut metrics = Metrics::default();
+    let ns = sampler::median_ns(samples, sim_secs, || {
+        metrics = Network::new(cfg.clone()).run();
+    });
     (ns, metrics)
 }
 
@@ -88,8 +92,8 @@ fn main() -> ExitCode {
     let (sim_secs, samples) = if mode.smoke { (2, 1) } else { (10, 3) };
 
     let mut current: Vec<Entry> = Vec::new();
-    let mut row = |id: &str, n: usize, linear: bool| -> (f64, Metrics) {
-        let (ns, metrics) = measure(&scenario(n, sim_secs, linear), samples);
+    let mut row = |id: &str, cfg: ScenarioConfig| -> (f64, Metrics) {
+        let (ns, metrics) = measure(&cfg, samples);
         println!(
             "{id}: {ns:>14.0} ns/sim-sec  (pdr {:.3}, {} data delivered)",
             metrics.packet_delivery_ratio(),
@@ -102,10 +106,30 @@ fn main() -> ExitCode {
         (ns, metrics)
     };
 
-    row("sim/run_n20", 20, false);
-    row("sim/run_n500", 500, false);
-    let (grid_ns, grid_metrics) = row("sim/run_n5000", 5_000, false);
-    let (linear_ns, linear_metrics) = row("sim/linear_n5000", 5_000, true);
+    let paper = || scenario(20, sim_secs, false);
+    row("sim/run_n20", paper());
+    row("sim/run_n500", scenario(500, sim_secs, false));
+    let (grid_ns, grid_metrics) = row("sim/run_n5000", scenario(5_000, sim_secs, false));
+    let (linear_ns, linear_metrics) = row("sim/linear_n5000", scenario(5_000, sim_secs, true));
+    row("sim/mccls_n20", paper().secured());
+    row(
+        "sim/mccls_blackhole_n20",
+        paper().secured().with_attackers(Behavior::BlackHole, 2),
+    );
+    row(
+        "sim/blackhole_n20",
+        paper().with_attackers(Behavior::BlackHole, 2),
+    );
+    row(
+        "sim/forging_blackhole_n20",
+        paper().with_attackers(Behavior::ForgingBlackHole, 2),
+    );
+    let mut first_wins = paper();
+    first_wins.aodv.first_rrep_wins = true;
+    row("sim/first_rrep_wins_n20", first_wins);
+    let mut real = paper().secured();
+    real.real_crypto = true;
+    row("sim/real_crypto_n20", real);
 
     // Contract 1: the ablation must produce the exact same simulation,
     // only slower — neighbor enumeration order can never leak into

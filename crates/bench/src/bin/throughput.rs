@@ -12,12 +12,12 @@
 //!   insert plus a possible clock eviction.
 //!
 //! Each family runs at 1, 2, and 4 threads and reports nanoseconds per
-//! operation plus derived verifications/sec. The numbers are gated
-//! against the committed `BENCH_throughput.json` with the same >10x
-//! median budget as `BENCH_pairing.json`. Thread-count *scaling* is
-//! deliberately not asserted: CI machines (and this one) may expose a
-//! single core, where scaling is noise — the committed baseline is the
-//! regression signal.
+//! operation plus derived verifications/sec, next to the host's
+//! `available_parallelism`. The numbers are gated against the committed
+//! `BENCH_throughput.json` with the same >10x median budget as
+//! `BENCH_pairing.json`. Thread-count *scaling* is deliberately not
+//! asserted: CI machines may expose a single core, where scaling is
+//! noise — the committed baseline is the regression signal.
 //!
 //! Usage: `cargo run -p mccls-bench --release --bin throughput
 //! [-- --smoke] [--update-baseline] [--baseline <path>]`.
@@ -26,9 +26,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 use mccls_bench::baseline::{self, Entry, Mode};
+use mccls_bench::sampler;
 use mccls_core::{ops, CertificatelessScheme, McCls, ShardedVerifier, Signature, UserPublicKey};
 use mccls_rng::rngs::StdRng;
 use mccls_rng::SeedableRng;
@@ -94,28 +94,22 @@ fn assert_op_counts(world: &World) {
 }
 
 /// Runs `total_ops` operations split across `threads` scoped workers
-/// and returns wall-clock nanoseconds per operation, taking the median
-/// of `samples` runs.
+/// and returns the sampler's median wall-clock nanoseconds per
+/// operation.
 fn measure(samples: usize, threads: usize, total_ops: usize, op: &(dyn Fn(usize) + Sync)) -> f64 {
-    let mut per_op: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            std::thread::scope(|scope| {
-                for w in 0..threads {
-                    scope.spawn(move || {
-                        let mut i = w;
-                        while i < total_ops {
-                            op(i);
-                            i += threads;
-                        }
-                    });
-                }
-            });
-            start.elapsed().as_nanos() as f64 / total_ops as f64
+    sampler::median_ns(samples, total_ops as f64, || {
+        std::thread::scope(|scope| {
+            for w in 0..threads {
+                scope.spawn(move || {
+                    let mut i = w;
+                    while i < total_ops {
+                        op(i);
+                        i += threads;
+                    }
+                });
+            }
         })
-        .collect();
-    per_op.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    per_op[per_op.len() / 2]
+    })
 }
 
 fn main() -> ExitCode {
@@ -125,6 +119,9 @@ fn main() -> ExitCode {
     let world = build_world(32);
     assert_op_counts(&world);
     println!();
+    // The hot_t*/churn_t* rows only read against the cores that ran
+    // them: on one core, more threads cannot beat hot_t1.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let samples = if mode.smoke { 3 } else { 7 };
     let ops_per_run = if mode.smoke { 48 } else { 192 };
@@ -138,7 +135,8 @@ fn main() -> ExitCode {
             assert_eq!(registry.verify(&p.id, &p.msg, &p.sig), Ok(()));
         });
         println!(
-            "throughput/hot_t{t}: {ns:>12.0} ns/verify  ({:>8.0} verifications/sec aggregate)",
+            "throughput/hot_t{t}: {ns:>12.0} ns/verify  ({:>8.0} verifications/sec aggregate, \
+             {cores} core(s))",
             1e9 / ns
         );
         current.push(Entry {
@@ -154,7 +152,8 @@ fn main() -> ExitCode {
                 .expect("benchmark keys are honest");
         });
         println!(
-            "throughput/churn_t{t}: {ns:>10.0} ns/register  ({:>8.0} registrations/sec aggregate)",
+            "throughput/churn_t{t}: {ns:>10.0} ns/register  ({:>8.0} registrations/sec aggregate, \
+             {cores} core(s))",
             1e9 / ns
         );
         current.push(Entry {

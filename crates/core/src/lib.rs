@@ -50,14 +50,12 @@
 mod ap;
 mod backend;
 pub mod batch;
-pub mod ibs;
 mod mccls;
 pub mod ops;
 pub mod params;
 pub mod registry;
 mod scheme;
 pub mod security;
-pub mod threshold;
 mod verify;
 mod yhg;
 mod zwxf;
@@ -74,9 +72,6 @@ pub use params::{
 };
 pub use registry::{ShardedVerifier, SnapshotError};
 pub use scheme::{CertificatelessScheme, ClaimedOps, Signature};
-pub use threshold::{
-    combine_shares, threshold_setup, KgcShareServer, PartialKeyShare, ThresholdSetup,
-};
 pub use verify::{Verifier, VerifyError};
 pub use yhg::Yhg;
 pub use zwxf::Zwxf;

@@ -4,10 +4,18 @@
 // Tests may panic freely; that is how they fail.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use mccls::aodv::{Behavior, Network, ScenarioConfig};
+use mccls::aodv::{Behavior, CryptoCost, Network, ScenarioConfig};
 use mccls::cls::{CertificatelessScheme, McCls, Signature, Verifier};
 use mccls::sim::SimDuration;
 use mccls_rng::SeedableRng;
+
+/// The per-hop cost the secured runs below were tuned under (1.2 ms
+/// sign, 9 ms verify), pinned so the figures' committed cost cannot
+/// move them.
+const LEGACY_COST: CryptoCost = CryptoCost {
+    sign: SimDuration::from_micros(1_200),
+    verify: SimDuration::from_micros(9_000),
+};
 
 #[test]
 fn full_key_hierarchy_and_signature_lifecycle() {
@@ -53,6 +61,7 @@ fn real_crypto_simulation_smoke() {
     let mut cfg = ScenarioConfig::paper_baseline(5.0, 77).secured();
     cfg.duration = SimDuration::from_secs(5);
     cfg.real_crypto = true;
+    cfg.crypto_cost = LEGACY_COST;
     let metrics = Network::new(cfg).run();
     assert!(metrics.data_sent > 0);
     assert!(metrics.data_delivered > 0, "{metrics}");
@@ -69,6 +78,7 @@ fn real_crypto_rejects_real_attackers() {
         .with_attackers(Behavior::ForgingBlackHole, 2);
     cfg.duration = SimDuration::from_secs(5);
     cfg.real_crypto = true;
+    cfg.crypto_cost = LEGACY_COST;
     let metrics = Network::new(cfg).run();
     assert!(
         metrics.auth_rejected > 0,
@@ -88,6 +98,7 @@ fn model_and_real_crypto_agree_on_outcomes() {
             .with_attackers(Behavior::Rushing, 2);
         cfg.duration = SimDuration::from_secs(5);
         cfg.real_crypto = real;
+        cfg.crypto_cost = LEGACY_COST;
         Network::new(cfg).run()
     };
     let modeled = build(false);
