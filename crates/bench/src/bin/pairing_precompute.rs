@@ -6,7 +6,8 @@
 //!
 //! * **pairing** — a full `pairing()` call (Miller-loop lines recomputed
 //!   every time) vs. a prepared evaluation over cached [`G2Prepared`]
-//!   line coefficients.
+//!   line coefficients, plus its two halves on their own: the final
+//!   exponentiation of a Miller-loop output and `G2Prepared::from_affine`.
 //! * **tower** — `Fp2`, `Fp6` and `Fp12` multiplication with a
 //!   Montgomery reduction after every product (`before_eager`) vs. the
 //!   lazy-reduction chains (`after_lazy`).
@@ -145,10 +146,17 @@ fn run_benches(smoke: bool, world: &mut World) -> Vec<Entry> {
     let q_proj = G2Projective::generator().mul_scalar(&Fr::random_nonzero(&mut rng));
     let q = q_proj.to_affine();
     let q_prep = G2Prepared::from_affine(&q);
+    let miller = multi_miller_loop(&[(&p, &q_prep)]);
     let mut rows = vec![
         row("pairing/before_unprepared", samples, || pairing(&p, &q)),
         row("pairing/after_prepared", samples, || {
             multi_miller_loop(&[(&p, &q_prep)]).final_exponentiation()
+        }),
+        row("pairing/final_exp", samples, || {
+            miller.final_exponentiation()
+        }),
+        row("pairing/g2_prepare", samples, || {
+            G2Prepared::from_affine(&q)
         }),
     ];
 

@@ -10,9 +10,10 @@
 //! Everything is implemented in this workspace: Montgomery-form prime
 //! fields whose constants are derived at compile time from the modulus,
 //! the `Fp2/Fp6/Fp12` tower, Jacobian group arithmetic for G1/G2, XMD
-//! hash-to-curve, and the optimal ate pairing (affine Miller loop with
-//! one `Fp2` inversion per doubling and per addition step, plus final
-//! exponentiation).
+//! hash-to-curve, and the optimal ate pairing (a Miller loop over
+//! inversion-free lines from Jacobian coordinates, plus a final
+//! exponentiation whose hard part is the exact chain in the BLS
+//! parameter `u`).
 //!
 //! # Examples
 //!

@@ -46,7 +46,6 @@
 use std::sync::OnceLock;
 
 use crate::curve::{AffinePoint, Curve, ProjectivePoint};
-use crate::fp::Fp;
 use crate::fp12::Fp12;
 use crate::fp2::Fp2;
 use crate::fr::Fr;
@@ -54,24 +53,62 @@ use crate::g1::{G1Affine, G1Params};
 use crate::g2::{G2Affine, G2Params, G2Projective};
 use crate::pairing_impl::{final_exponentiation, Gt, BLS_X};
 
-/// One (ξ-scaled) Miller-loop line `ℓ(P) = ξ·y_P + b·v·w + λ·(-x_P)·v²·w`
-/// through the working point, reduced to the two coefficients that do
-/// not depend on the G1 argument.
+/// One Miller-loop line `ℓ(P) = a·y_P + (b·v + c·x_P·v²)·w`, reduced
+/// to the three coefficients that do not depend on the G1 argument.
+///
+/// Through the untwist `ψ(x', y') = (x'·v²/ξ, y'·v·w/ξ)` of the M-type
+/// sextic twist, the affine line through `(x₁, y₁)` with slope `λ`,
+/// scaled by `ξ` and evaluated at `P`, is
+/// `ξ·y_P + (λ·x₁ - y₁)·v·w - λ·x_P·v²·w`. Each stored line is that
+/// line multiplied by a further `Fp2` factor, which keeps the
+/// coefficients free of inversions; `Fp2` factors die in the final
+/// exponentiation, so the pairing value is unchanged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct LineCoeff {
-    /// The slope `λ` of the tangent/chord.
-    lambda: Fp2,
-    /// `λ·x_T - y_T` for the working point `T` the line passes through.
+struct Line {
+    a: Fp2,
     b: Fp2,
+    c: Fp2,
 }
 
-/// One iteration of the Miller loop: the doubling line, plus the
-/// addition line on iterations where the BLS parameter has a set bit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Step {
-    double: LineCoeff,
-    add: Option<LineCoeff>,
+impl Line {
+    /// The tangent at the Jacobian `T = (X, Y, Z)`, scaled by `2YZ³`:
+    /// `a = ξ·2YZ³`, `b = 3X³ - 2Y²`, `c = -3X²Z²`.
+    fn tangent(t: &G2Projective) -> Self {
+        let xx = t.x.square();
+        let zz = t.z.square();
+        let xx3 = xx.double().add(&xx);
+        Self {
+            a: t.y.mul(&zz.mul(&t.z)).double().mul_by_nonresidue(),
+            b: xx3.mul(&t.x).sub(&t.y.square().double()),
+            c: xx3.mul(&zz).neg(),
+        }
+    }
+
+    /// The chord through the Jacobian `T` and the affine `Q`, scaled by
+    /// `Z·H`: `a = ξ·Z·H`, `b = θ·x_Q - Z·H·y_Q`, `c = -θ`, with
+    /// `H = x_Q·Z² - X` and `θ = y_Q·Z³ - Y`.
+    fn chord(t: &G2Projective, q: &G2Affine) -> Self {
+        let zz = t.z.square();
+        let h = q.x.mul(&zz).sub(&t.x);
+        let theta = q.y.mul(&zz.mul(&t.z)).sub(&t.y);
+        let zh = t.z.mul(&h);
+        Self {
+            a: zh.mul_by_nonresidue(),
+            b: theta.mul(&q.x).sub(&zh.mul(&q.y)),
+            c: theta.neg(),
+        }
+    }
+
+    /// Multiplies the line evaluated at `p` into `f`.
+    fn apply(&self, f: &Fp12, p: &G1Affine) -> Fp12 {
+        f.mul_by_line(&self.a.mul_by_fp(&p.y), &self.b, &self.c.mul_by_fp(&p.x))
+    }
 }
+
+/// Lines per prepared point: a tangent for each of the 63 bits of `|u|`
+/// below its top bit, plus a chord for each of those bits that is set
+/// (five of them).
+const LINES: usize = 63 + BLS_X.count_ones() as usize - 1;
 
 /// A G2 point with its Miller-loop line coefficients precomputed.
 ///
@@ -96,11 +133,12 @@ struct Step {
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct G2Prepared {
-    steps: Vec<Step>,
-    infinity: bool,
-    /// The point the steps were derived from, kept for serialization:
-    /// the wire form ships one compressed point and re-derives the
-    /// ~4.4 KiB of line coefficients on decode.
+    /// The lines in loop order (68 of them, 19,584 bytes), empty for the
+    /// identity.
+    lines: Vec<Line>,
+    /// The point the lines were derived from, kept for serialization:
+    /// the wire form ships one compressed point and re-derives the line
+    /// coefficients on decode.
     source: G2Affine,
 }
 
@@ -112,59 +150,26 @@ impl G2Prepared {
     /// the 96-byte compressed source point.
     pub const SERIALIZED_LEN: usize = 97;
 
-    /// Precomputes the line coefficients of `q`.
-    #[allow(clippy::expect_used)] // mid-loop inversions cannot fail on r-order points
+    /// Precomputes the line coefficients of `q`, walking the working
+    /// point in Jacobian coordinates (no inversions).
     pub fn from_affine(q: &G2Affine) -> Self {
         if q.is_identity() {
             return Self {
-                steps: Vec::new(),
-                infinity: true,
+                lines: Vec::new(),
                 source: G2Affine::identity(),
             };
         }
-        let mut steps = Vec::with_capacity(63);
-        let (mut tx, mut ty) = (q.x, q.y);
-        let three = Fp2::new(Fp::from_u64(3), Fp::zero());
+        let mut lines = Vec::with_capacity(LINES);
+        let mut t = q.to_projective();
         for i in (0..63).rev() {
-            // Doubling line through T with λ = 3x²/2y; T ← 2T.
-            let lambda = tx
-                .square()
-                .mul(&three)
-                // lint:allow(panic) y = 0 only on 2-torsion; inputs have odd order r
-                .mul(&ty.double().invert().expect("2y != 0 on odd-order points"));
-            let double = LineCoeff {
-                lambda,
-                b: lambda.mul(&tx).sub(&ty),
-            };
-            let x3 = lambda.square().sub(&tx.double());
-            let y3 = lambda.mul(&tx.sub(&x3)).sub(&ty);
-            (tx, ty) = (x3, y3);
-            let add = if (BLS_X >> i) & 1 == 1 {
-                // Addition line through T and Q with λ = (y_Q - y_T)/(x_Q - x_T);
-                // T ← T + Q.
-                let lambda = q
-                    .y
-                    .sub(&ty)
-                    // lint:allow(panic) T = ±Q mid-loop would need x = |u|
-                    .mul(&q.x.sub(&tx).invert().expect("T != ±Q mid-loop"));
-                let line = LineCoeff {
-                    lambda,
-                    b: lambda.mul(&tx).sub(&ty),
-                };
-                let x3 = lambda.square().sub(&tx).sub(&q.x);
-                let y3 = lambda.mul(&tx.sub(&x3)).sub(&ty);
-                (tx, ty) = (x3, y3);
-                Some(line)
-            } else {
-                None
-            };
-            steps.push(Step { double, add });
+            lines.push(Line::tangent(&t));
+            t = t.double();
+            if (BLS_X >> i) & 1 == 1 {
+                lines.push(Line::chord(&t, q));
+                t = t.add_affine(q);
+            }
         }
-        Self {
-            steps,
-            infinity: false,
-            source: *q,
-        }
+        Self { lines, source: *q }
     }
 
     /// Prepares a projective point (normalizes first).
@@ -174,14 +179,14 @@ impl G2Prepared {
 
     /// True when this prepares the identity (its pairings are trivial).
     pub fn is_identity(&self) -> bool {
-        self.infinity
+        self.source.is_identity()
     }
 
     /// Serializes as `version || compressed(source)`.
     ///
     /// The line coefficients are a pure function of the source point,
-    /// so the wire form ships 97 bytes instead of the ~4.4 KiB of
-    /// `Fp2` step data and [`G2Prepared::from_bytes`] re-derives them.
+    /// so the wire form ships 97 bytes instead of the 19,584 bytes of
+    /// `Fp2` line data and [`G2Prepared::from_bytes`] re-derives them.
     pub fn to_bytes(&self) -> [u8; Self::SERIALIZED_LEN] {
         let mut out = [0u8; Self::SERIALIZED_LEN];
         out[0] = G2_PREPARED_VERSION;
@@ -196,7 +201,7 @@ impl G2Prepared {
     /// Rejects wrong lengths, unknown version bytes, and everything
     /// [`G2Affine::from_compressed`] rejects: bad flag combinations,
     /// non-canonical field encodings, off-curve points, and points
-    /// outside the r-order subgroup. The steps are recomputed from the
+    /// outside the r-order subgroup. The lines are recomputed from the
     /// validated point — no line coefficient is ever trusted from the
     /// wire, so a decoded value is interchangeable with a locally
     /// prepared one.
@@ -256,22 +261,6 @@ impl MillerLoopResult {
     }
 }
 
-/// Per-pair state during a multi-Miller loop: the G1-dependent line
-/// inputs and a cursor over the prepared coefficients.
-struct PairEval<'a> {
-    /// `ξ·y_P` — the line's constant coefficient.
-    a: Fp2,
-    /// `-x_P`, multiplied by each line's slope.
-    neg_xp: Fp,
-    steps: core::slice::Iter<'a, Step>,
-}
-
-impl PairEval<'_> {
-    fn apply(&self, f: &Fp12, line: &LineCoeff) -> Fp12 {
-        f.mul_by_line(&self.a, &line.b, &line.lambda.mul_by_fp(&self.neg_xp))
-    }
-}
-
 /// Evaluates `∏ f_{u,Q_i}(P_i)` with one shared squaring schedule.
 ///
 /// Pairs where either side is the identity contribute the factor `1`
@@ -297,34 +286,27 @@ impl PairEval<'_> {
 /// assert!(check.final_exponentiation().is_identity());
 /// ```
 pub fn multi_miller_loop(pairs: &[(&G1Affine, &G2Prepared)]) -> MillerLoopResult {
-    let mut evals: Vec<PairEval<'_>> = pairs
+    let mut evals: Vec<(&G1Affine, core::slice::Iter<'_, Line>)> = pairs
         .iter()
-        .filter(|(p, q)| !p.is_identity() && !q.infinity)
-        .map(|(p, q)| PairEval {
-            a: Fp2::new(p.y, p.y),
-            neg_xp: p.x.neg(),
-            steps: q.steps.iter(),
-        })
+        .filter(|(p, q)| !p.is_identity() && !q.is_identity())
+        .map(|(p, q)| (*p, q.lines.iter()))
         .collect();
     if evals.is_empty() {
-        return MillerLoopResult(Fp12::one());
+        return MillerLoopResult::one();
     }
     let mut f = Fp12::one();
     for i in (0..63).rev() {
         f = f.square();
-        let add_bit = (BLS_X >> i) & 1 == 1;
-        for e in evals.iter_mut() {
-            if let Some(step) = e.steps.next() {
-                f = e.apply(&f, &step.double);
-                if add_bit {
-                    if let Some(line) = &step.add {
-                        f = e.apply(&f, line);
-                    }
-                }
+        // The tangent, then the chord on set bits of |u|.
+        let lines_this_bit = if (BLS_X >> i) & 1 == 1 { 2 } else { 1 };
+        for (p, lines) in evals.iter_mut() {
+            for line in lines.by_ref().take(lines_this_bit) {
+                f = line.apply(&f, p);
             }
         }
     }
-    // u < 0: conjugate once for the whole product (cf. `miller_loop`).
+    // u < 0: f_{u,Q} = conj(f_{|u|,Q}) after the easy part of the final
+    // exponentiation; conjugating once for the whole product is equivalent.
     MillerLoopResult(f.conjugate())
 }
 
@@ -559,6 +541,30 @@ mod tests {
             multi_miller_loop(&[(&p, &prep_q), (&p, &prep_id)]).final_exponentiation(),
             pairing(&p, &q)
         );
+    }
+
+    #[test]
+    fn off_curve_point_fails_closed() {
+        // (0, 0) is not on the twist. Its tangent is the zero line, so its
+        // Miller value is zero; decoders reject the point, and a caller
+        // that builds it by hand must not get a balanced check out of it.
+        let bad = G2Affine {
+            x: Fp2::zero(),
+            y: Fp2::zero(),
+            infinity: false,
+        };
+        let g = G1Affine::generator();
+        let prepared = G2Prepared::from_affine(&bad);
+        let e_gh = pairing(&g, &G2Affine::generator());
+        for value in [
+            multi_miller_loop(&[(&g, &prepared)]).final_exponentiation(),
+            multi_miller_loop(&[(&g, &prepared), (&g.neg(), g2_prepared_generator())])
+                .final_exponentiation(),
+            pairing(&g, &bad),
+        ] {
+            assert!(!value.is_identity());
+            assert_ne!(value, e_gh);
+        }
     }
 
     #[test]
