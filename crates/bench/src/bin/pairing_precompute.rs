@@ -2,15 +2,14 @@
 //! buys on the verify hot path and guards the paper's "one pairing"
 //! claim with op-counter assertions.
 //!
-//! Four benchmark families, each with a before/after pair:
+//! Four benchmark families; all but **tower** are before/after pairs:
 //!
 //! * **pairing** — a full `pairing()` call (Miller-loop lines recomputed
 //!   every time) vs. a prepared evaluation over cached [`G2Prepared`]
 //!   line coefficients, plus its two halves on their own: the final
 //!   exponentiation of a Miller-loop output and `G2Prepared::from_affine`.
-//! * **tower** — `Fp2`, `Fp6` and `Fp12` multiplication with a
-//!   Montgomery reduction after every product (`before_eager`) vs. the
-//!   lazy-reduction chains (`after_lazy`).
+//! * **tower** — one `Fp2`, `Fp6` and `Fp12` multiplication each (the
+//!   `*` operator).
 //! * **fixed-base** — generic double-and-add generator multiplication
 //!   vs. the precomputed signed radix-16 tables in G1 and G2.
 //! * **verify** — stateless `McCls::verify` (re-derives `e(Q_ID,
@@ -160,26 +159,15 @@ fn run_benches(smoke: bool, world: &mut World) -> Vec<Entry> {
         }),
     ];
 
-    // Tower-multiplication micro-rows: eager (per-product Montgomery
-    // reduction) vs. the lazy-reduction chains certified by the `range`
-    // lint. Both paths are kept in-tree, so the before/after pair stays
-    // an honest like-for-like comparison.
     let x2 = Fp2::random(&mut rng);
     let y2 = Fp2::random(&mut rng);
-    rows.push(row("fp2_mul/before_eager", samples, || x2.mul_eager(&y2)));
-    rows.push(row("fp2_mul/after_lazy", samples, || x2 * y2));
-
+    rows.push(row("tower/fp2_mul", samples, || x2 * y2));
     let x6 = Fp6::random(&mut rng);
     let y6 = Fp6::random(&mut rng);
-    rows.push(row("fp6_mul/before_eager", samples, || x6.mul_eager6(&y6)));
-    rows.push(row("fp6_mul/after_lazy", samples, || x6 * y6));
-
+    rows.push(row("tower/fp6_mul", samples, || x6 * y6));
     let x12 = Fp12::random(&mut rng);
     let y12 = Fp12::random(&mut rng);
-    rows.push(row("fp12_mul/before_eager", samples, || {
-        x12.mul_eager12(&y12)
-    }));
-    rows.push(row("fp12_mul/after_lazy", samples, || x12 * y12));
+    rows.push(row("tower/fp12_mul", samples, || x12 * y12));
 
     let k = Fr::random_nonzero(&mut rng);
     rows.push(row("fixed_base_g1/before_generic", samples, || {

@@ -237,7 +237,7 @@ fn run(smoke: bool) -> Result<Vec<Entry>, String> {
 /// beneath them. The unprepared pairing, both generator scalar
 /// multiplications and `Fp12` multiplication are `pairing_precompute`'s
 /// `pairing/before_unprepared`, `fixed_base_g*/before_generic` and
-/// `fp12_mul/after_lazy` rows.
+/// `tower/fp12_mul` rows.
 fn primitive_rows(samples: usize) -> Vec<Entry> {
     let mut rng = StdRng::seed_from_u64(1);
     let k = Fr::random(&mut rng);

@@ -62,8 +62,8 @@ pub const fn geq<const N: usize>(a: &[u64; N], b: &[u64; N]) -> bool {
 ///
 /// Drives the compile-time headroom computation: a modulus of bit
 /// length `B` stored in `N` limbs leaves `64·N - B` headroom bits, and
-/// both the conditional carry check in `montgomery_field!::add` and the
-/// magnitude caps of the range lint are derived from that number.
+/// the conditional carry check in `montgomery_field!::add` is derived
+/// from that number.
 pub const fn limb_bit_len<const N: usize>(a: &[u64; N]) -> usize {
     let mut i = N;
     while i > 0 {
@@ -76,22 +76,6 @@ pub const fn limb_bit_len<const N: usize>(a: &[u64; N]) -> usize {
         }
     }
     0
-}
-
-/// `a + b` with the final carry dropped; callers must guarantee the sum
-/// fits `N` limbs (used for compile-time constants like `2p`, where the
-/// modulus headroom makes that a static fact).
-pub const fn add_limbs<const N: usize>(a: &[u64; N], b: &[u64; N]) -> [u64; N] {
-    let mut out = [0u64; N];
-    let mut carry = 0u64;
-    let mut i = 0;
-    while i < N {
-        let (v, c) = adc(a[i], b[i], carry);
-        out[i] = v;
-        carry = c;
-        i += 1;
-    }
-    out
 }
 
 /// `a - b` assuming `a >= b` (wrapping otherwise).

@@ -133,15 +133,13 @@ macro_rules! montgomery_field {
             pub const LIMBS: usize = $n;
             /// Headroom bits: `64·n` minus the modulus bit length.
             ///
-            /// The range lint derives its magnitude caps from this
-            /// value (`N·p < 2^(64n)` iff `N < 2^HEADROOM_BITS`), and
             /// [`Self::add`] drops its defensive carry check whenever
             /// at least two bits are free.
             pub const HEADROOM_BITS: usize =
                 64 * $n - $crate::arith::limb_bit_len::<$n>(&Self::MODULUS);
             /// Whether two headroom bits exist, making carry-out of a
-            /// single limb addition impossible even for once-unreduced
-            /// (`< 2p`) operands.
+            /// single limb addition impossible even for operands below
+            /// `2p`.
             const CARRY_FREE_ADD: bool = Self::HEADROOM_BITS >= 2;
 
             /// The zero element.

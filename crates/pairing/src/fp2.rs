@@ -1,7 +1,7 @@
 //! The quadratic extension `Fp2 = Fp[u] / (u² + 1)`.
 
 use crate::field::{field_operators, Field};
-use crate::fp::{Fp, FpWide};
+use crate::fp::Fp;
 
 /// An element `c0 + c1·u` of `Fp2`, with `u² = -1`.
 ///
@@ -87,33 +87,8 @@ impl Fp2 {
         }
     }
 
-    /// Karatsuba multiplication over `u² = -1`, with the Montgomery
-    /// reductions deferred to one pass per coefficient
-    /// (DESIGN.md §11). Bit-for-bit agreement with the eager reference
-    /// [`Fp2::mul_eager`] is pinned by `lazy_equivalence.rs`.
-    // range: <p
+    /// Karatsuba multiplication over `u² = -1`.
     pub fn mul(&self, other: &Self) -> Self {
-        self.mul_unreduced2(other).montgomery_reduce2()
-    }
-
-    /// Complex squaring `(c0+c1)(c0-c1) + 2c0c1·u` with deferred
-    /// reductions; `c0 - c1` uses the `+2p` headroom offset.
-    // range: <p
-    pub fn square(&self) -> Self {
-        let a = self.c0.add_unreduced(&self.c1);
-        let b = self.c0.sub_unreduced(&self.c1);
-        let d = self.c0.add_unreduced(&self.c0);
-        let w0 = a.mul_unreduced(&b);
-        let w1 = d.mul_unreduced(&self.c1);
-        Self {
-            c0: w0.montgomery_reduce(),
-            c1: w1.montgomery_reduce(),
-        }
-    }
-
-    /// Reduction-eager Karatsuba multiplication: the reference
-    /// implementation [`Fp2::mul`] must agree with bit-for-bit.
-    pub fn mul_eager(&self, other: &Self) -> Self {
         let v0 = self.c0.mul(&other.c0);
         let v1 = self.c1.mul(&other.c1);
         let s = self.c0.add(&self.c1).mul(&other.c0.add(&other.c1));
@@ -123,55 +98,14 @@ impl Fp2 {
         }
     }
 
-    /// Reduction-eager complex squaring: the reference implementation
-    /// [`Fp2::square`] must agree with bit-for-bit.
-    pub fn square_eager(&self) -> Self {
+    /// Complex squaring `(c0+c1)(c0-c1) + 2c0c1·u`.
+    pub fn square(&self) -> Self {
         let a = self.c0.add(&self.c1);
         let b = self.c0.sub(&self.c1);
         let c = self.c0.double();
         Self {
             c0: a.mul(&b),
             c1: c.mul(&self.c1),
-        }
-    }
-
-    /// Componentwise unreduced addition (no conditional subtraction).
-    // range: <p -> <2p
-    pub fn add_unreduced2(&self, other: &Self) -> Self {
-        Self {
-            c0: self.c0.add_unreduced(&other.c0),
-            c1: self.c1.add_unreduced(&other.c1),
-        }
-    }
-
-    /// Componentwise unreduced subtraction via the `+2p` offset.
-    // range: <p -> <3p
-    pub fn sub_unreduced2(&self, other: &Self) -> Self {
-        Self {
-            c0: self.c0.sub_unreduced(&other.c0),
-            c1: self.c1.sub_unreduced(&other.c1),
-        }
-    }
-
-    /// Karatsuba product with every reduction deferred: three wide
-    /// `Fp` products assembled over `u² = -1`, where the real part
-    /// borrows a fixed `4p²` offset to absorb the `-v1` term (inputs
-    /// below `2p` keep `v1 < 4p²`).
-    ///
-    /// At call sites the range lint assigns the result the exact
-    /// symbolic class `max(Na·Nb + 4, 4·Na·Nb)` for input classes
-    /// `Na`, `Nb` — canonical inputs yield `<5p²`, the declared
-    /// worst case `<16p²`.
-    // range: <2p -> <16pp
-    pub fn mul_unreduced2(&self, other: &Self) -> Fp2Wide {
-        let v0 = self.c0.mul_unreduced(&other.c0);
-        let v1 = self.c1.mul_unreduced(&other.c1);
-        let sa = self.c0.add_unreduced(&self.c1);
-        let sb = other.c0.add_unreduced(&other.c1);
-        let s = sa.mul_unreduced(&sb);
-        Fp2Wide {
-            c0: v0.wide_sub_offset(&v1, 4),
-            c1: s.wide_sub(&v0).wide_sub(&v1),
         }
     }
 
@@ -250,65 +184,6 @@ impl Fp2 {
             self.c0.is_lexicographically_largest()
         } else {
             self.c1.is_lexicographically_largest()
-        }
-    }
-}
-
-/// A double-width unreduced element of `Fp2`: componentwise
-/// [`FpWide`] accumulators sharing one magnitude class.
-///
-/// Produced by [`Fp2::mul_unreduced2`]; the `fp6.rs` Karatsuba chains
-/// accumulate several of these (offset arithmetic keeps every
-/// component non-negative) before a single
-/// [`Fp2Wide::montgomery_reduce2`] folds each coefficient back to a
-/// canonical [`Fp`] — two Montgomery passes where the eager chain
-/// pays two per product.
-#[derive(Copy, Clone, Debug)]
-pub struct Fp2Wide {
-    /// Real-part accumulator.
-    pub c0: FpWide,
-    /// `u`-coefficient accumulator.
-    pub c1: FpWide,
-}
-
-impl Fp2Wide {
-    /// Componentwise wide addition; classes add.
-    #[inline]
-    pub fn wide_add2(&self, other: &Self) -> Self {
-        Self {
-            c0: self.c0.wide_add(&other.c0),
-            c1: self.c1.wide_add(&other.c1),
-        }
-    }
-
-    /// Componentwise `self + k·p² - other`; sound when `k` is at least
-    /// `other`'s class (lint-enforced), emitting class `N + k`.
-    #[inline]
-    pub fn wide_sub2(&self, other: &Self, k: u64) -> Self {
-        Self {
-            c0: self.c0.wide_sub_offset(&other.c0, k),
-            c1: self.c1.wide_sub_offset(&other.c1, k),
-        }
-    }
-
-    /// Multiplies by the sextic non-residue `ξ = 1 + u` without
-    /// reducing: `(c0 + k·p² - c1, c0 + c1)`. `k` must be at least
-    /// `self`'s class (lint-enforced); the result's class is `N + k`.
-    #[inline]
-    pub fn wide_nonresidue2(&self, k: u64) -> Self {
-        Self {
-            c0: self.c0.wide_sub_offset(&self.c1, k),
-            c1: self.c0.wide_add(&self.c1),
-        }
-    }
-
-    /// Folds both accumulators back to a canonical [`Fp2`] with one
-    /// Montgomery pass per coefficient.
-    #[inline]
-    pub fn montgomery_reduce2(&self) -> Fp2 {
-        Fp2 {
-            c0: self.c0.montgomery_reduce(),
-            c1: self.c1.montgomery_reduce(),
         }
     }
 }
@@ -437,34 +312,6 @@ mod tests {
     fn bytes_round_trip() {
         for_random_fp2(32, 0xC2, |a, _, _| {
             assert_eq!(Fp2::from_be_bytes(&a.to_be_bytes()), Some(a));
-        });
-    }
-
-    #[test]
-    fn lazy_matches_eager_bit_for_bit() {
-        for_random_fp2(64, 0xC3, |a, b, _| {
-            assert_eq!(a.mul(&b), a.mul_eager(&b));
-            assert_eq!(a.square(), a.square_eager());
-            assert_eq!(a.square(), a.mul(&a));
-        });
-    }
-
-    #[test]
-    fn unreduced_helpers_accumulate_correctly() {
-        for_random_fp2(32, 0xC4, |a, b, c| {
-            // a·b + a·c with one reduction pair == eager distribution.
-            let lazy = a
-                .mul_unreduced2(&b)
-                .wide_add2(&a.mul_unreduced2(&c))
-                .montgomery_reduce2();
-            assert_eq!(lazy, a.mul(&b).add(&a.mul(&c)));
-            // (a·b - a·c)·ξ, offsets sized for canonical inputs.
-            let lazy_xi = a
-                .mul_unreduced2(&b)
-                .wide_sub2(&a.mul_unreduced2(&c), 5)
-                .wide_nonresidue2(10)
-                .montgomery_reduce2();
-            assert_eq!(lazy_xi, a.mul(&b).sub(&a.mul(&c)).mul_by_nonresidue());
         });
     }
 }

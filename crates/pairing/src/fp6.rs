@@ -90,67 +90,18 @@ impl Fp6 {
         }
     }
 
-    /// Toom-style Karatsuba multiplication with `v³ = ξ` folds and
-    /// every Montgomery reduction deferred: six wide `Fp2` products
-    /// accumulate through offset arithmetic and each coefficient pays
-    /// exactly one reduction pair. The deepest chain (`c0`) peaks at
-    /// magnitude class `57·p²`, inside the `64·p²` cap the range lint
-    /// certifies from the modulus headroom.
-    // range: <p
+    /// Karatsuba multiplication with `v³ = ξ` folds: six `Fp2`
+    /// products.
     pub fn mul(&self, other: &Self) -> Self {
-        let v0 = self.c0.mul_unreduced2(&other.c0);
-        let v1 = self.c1.mul_unreduced2(&other.c1);
-        let v2 = self.c2.mul_unreduced2(&other.c2);
-        // c0 = v0 + ξ((a1+a2)(b1+b2) - v1 - v2)
-        let s12 = self.c1.add_unreduced2(&self.c2);
-        let t12 = other.c1.add_unreduced2(&other.c2);
-        let c0 = s12
-            .mul_unreduced2(&t12)
-            .wide_sub2(&v1, 5)
-            .wide_sub2(&v2, 5)
-            .wide_nonresidue2(26)
-            .wide_add2(&v0)
-            .montgomery_reduce2();
-        // c1 = (a0+a1)(b0+b1) - v0 - v1 + ξ v2
-        let s01 = self.c0.add_unreduced2(&self.c1);
-        let t01 = other.c0.add_unreduced2(&other.c1);
-        let c1 = s01
-            .mul_unreduced2(&t01)
-            .wide_sub2(&v0, 5)
-            .wide_sub2(&v1, 5)
-            .wide_add2(&v2.wide_nonresidue2(5))
-            .montgomery_reduce2();
-        // c2 = (a0+a2)(b0+b2) - v0 - v2 + v1
-        let s02 = self.c0.add_unreduced2(&self.c2);
-        let t02 = other.c0.add_unreduced2(&other.c2);
-        let c2 = s02
-            .mul_unreduced2(&t02)
-            .wide_sub2(&v0, 5)
-            .wide_sub2(&v2, 5)
-            .wide_add2(&v1)
-            .montgomery_reduce2();
-        Self { c0, c1, c2 }
-    }
-
-    /// Squaring, routed through the lazy multiplication core (a fully
-    /// lazy CH-SQR3 would push the `c2` chain past the `64·p²` wide
-    /// cap, so the symmetric product is both certified and faster).
-    pub fn square(&self) -> Self {
-        self.mul(self)
-    }
-
-    /// Reduction-eager schoolbook multiplication: the reference
-    /// implementation [`Fp6::mul`] must agree with bit-for-bit.
-    pub fn mul_eager6(&self, other: &Self) -> Self {
         let a = self;
         let b = other;
-        let v0 = a.c0.mul_eager(&b.c0);
-        let v1 = a.c1.mul_eager(&b.c1);
-        let v2 = a.c2.mul_eager(&b.c2);
+        let v0 = a.c0.mul(&b.c0);
+        let v1 = a.c1.mul(&b.c1);
+        let v2 = a.c2.mul(&b.c2);
         // c0 = v0 + ξ((a1+a2)(b1+b2) - v1 - v2)
         let c0 =
             a.c1.add(&a.c2)
-                .mul_eager(&b.c1.add(&b.c2))
+                .mul(&b.c1.add(&b.c2))
                 .sub(&v1)
                 .sub(&v2)
                 .mul_by_nonresidue()
@@ -158,65 +109,32 @@ impl Fp6 {
         // c1 = (a0+a1)(b0+b1) - v0 - v1 + ξ v2
         let c1 =
             a.c0.add(&a.c1)
-                .mul_eager(&b.c0.add(&b.c1))
+                .mul(&b.c0.add(&b.c1))
                 .sub(&v0)
                 .sub(&v1)
                 .add(&v2.mul_by_nonresidue());
         // c2 = (a0+a2)(b0+b2) - v0 - v2 + v1
         let c2 =
             a.c0.add(&a.c2)
-                .mul_eager(&b.c0.add(&b.c2))
+                .mul(&b.c0.add(&b.c2))
                 .sub(&v0)
                 .sub(&v2)
                 .add(&v1);
         Self { c0, c1, c2 }
     }
 
-    /// Reduction-eager CH-SQR3 squaring: the reference implementation
-    /// [`Fp6::square`] must agree with bit-for-bit.
-    pub fn square_eager6(&self) -> Self {
-        let s0 = self.c0.square_eager();
-        let ab = self.c0.mul_eager(&self.c1);
-        let s1 = ab.double();
-        let s2 = self.c0.sub(&self.c1).add(&self.c2).square_eager();
-        let bc = self.c1.mul_eager(&self.c2);
-        let s3 = bc.double();
-        let s4 = self.c2.square_eager();
-        Self {
-            c0: s3.mul_by_nonresidue().add(&s0),
-            c1: s4.mul_by_nonresidue().add(&s1),
-            c2: s1.add(&s2).add(&s3).sub(&s0).sub(&s4),
-        }
+    /// Squaring, as the symmetric product.
+    pub fn square(&self) -> Self {
+        self.mul(self)
     }
 
     /// Sparse multiplication by `b·v + c·v²` (constant coefficient
-    /// zero) — the Miller-loop line shape. Four wide products, one
-    /// reduction pair per output coefficient.
-    // range: <p
+    /// zero), the Miller-loop line shape.
     pub fn mul_by_0bc(&self, b: &Fp2, c: &Fp2) -> Self {
-        // c0 = ξ(a1·c + a2·b)
-        let r0 = self
-            .c1
-            .mul_unreduced2(c)
-            .wide_add2(&self.c2.mul_unreduced2(b))
-            .wide_nonresidue2(10)
-            .montgomery_reduce2();
-        // c1 = a0·b + ξ(a2·c)
-        let r1 = self
-            .c0
-            .mul_unreduced2(b)
-            .wide_add2(&self.c2.mul_unreduced2(c).wide_nonresidue2(5))
-            .montgomery_reduce2();
-        // c2 = a0·c + a1·b
-        let r2 = self
-            .c0
-            .mul_unreduced2(c)
-            .wide_add2(&self.c1.mul_unreduced2(b))
-            .montgomery_reduce2();
         Self {
-            c0: r0,
-            c1: r1,
-            c2: r2,
+            c0: self.c1.mul(c).add(&self.c2.mul(b)).mul_by_nonresidue(),
+            c1: self.c0.mul(b).add(&self.c2.mul(c).mul_by_nonresidue()),
+            c2: self.c0.mul(c).add(&self.c1.mul(b)),
         }
     }
 
@@ -381,14 +299,6 @@ mod tests {
                 return;
             }
             assert_eq!(a.mul(&a.invert().unwrap()), Fp6::one());
-        });
-    }
-
-    #[test]
-    fn lazy_matches_eager_bit_for_bit() {
-        for_random_fp6(24, 0xD2, |a, b, _| {
-            assert_eq!(a.mul(&b), a.mul_eager6(&b));
-            assert_eq!(a.square(), a.square_eager6());
         });
     }
 

@@ -55,9 +55,9 @@ mod prepared;
 
 pub use curve::{AffinePoint, Curve, ProjectivePoint};
 pub use field::Field;
-pub use fp::{Fp, FpWide};
+pub use fp::Fp;
 pub use fp12::Fp12;
-pub use fp2::{Fp2, Fp2Wide};
+pub use fp2::Fp2;
 pub use fp6::Fp6;
 pub use fr::Fr;
 pub use g1::{hash_to_g1, G1Affine, G1Params, G1Projective};

@@ -10,10 +10,10 @@
 //!   headers, `fn`/`impl` targets and the lattice's own value keys, as
 //!   `key = "value"` strings with `#` comments;
 //! * **one marker rule** ([`read_marker`]): a declaration marker
-//!   (`// opcount-budget: <key>`, `// complexity: <class>`,
-//!   `// range: <contract>`) opens a `//` line in the comment/attribute
-//!   run directly above the `fn`, or trails code on the `fn` line itself.
-//!   Doc prose that names a marker is not a marker;
+//!   (`// opcount-budget: <key>`, `// complexity: <class>`) opens a
+//!   `//` line in the comment/attribute run directly above the `fn`, or
+//!   trails code on the `fn` line itself. Doc prose that names a marker
+//!   is not a marker;
 //! * **one propagation** ([`propagate`]): bottom-up over the call
 //!   graph's strongly connected components, callees first. The lattice
 //!   supplies each function's local value, which edges close cycles and
@@ -296,8 +296,8 @@ pub fn check_committed<L: Lattice>(
 /// Reads the `marker` attached to the declaration on `decl_line`
 /// (1-based): text trailing code on that line, or a `//` line opening
 /// with the marker in the contiguous comment/attribute run directly
-/// above. Doc prose that names the marker (`/// … // range: …`) does not
-/// count.
+/// above. Doc prose that names the marker (`/// … // complexity: …`)
+/// does not count.
 pub fn read_marker(raw_lines: &[String], decl_line: usize, marker: &str) -> Option<Marker> {
     if let Some(text) = raw_lines.get(decl_line.wrapping_sub(1)) {
         if let Some(pos) = text.find(marker) {
@@ -476,16 +476,16 @@ mod tests {
 
     #[test]
     fn marker_opens_a_comment_line_above_or_trails_the_declaration() {
-        let src: Vec<String> =
-            "// range: <p\n#[inline]\npub fn a() {}\npub fn b() {} // range: <2p\n\
-             /// Prose naming `// range: <4p` is documentation.\npub fn c() {}\n\
+        let src: Vec<String> = "// complexity: neighbors\n#[inline]\npub fn a() {}\n\
+             pub fn b() {} // complexity: log\n\
+             /// Prose naming `// complexity: nodes` is documentation.\npub fn c() {}\n\
              let x = 1;\npub fn d() {}\n"
-                .lines()
-                .map(str::to_owned)
-                .collect();
-        let read = |line| read_marker(&src, line, "// range:").map(|m| (m.text, m.line));
-        assert_eq!(read(3), Some(("<p".to_owned(), 1)));
-        assert_eq!(read(4), Some(("<2p".to_owned(), 4)));
+            .lines()
+            .map(str::to_owned)
+            .collect();
+        let read = |line| read_marker(&src, line, "// complexity:").map(|m| (m.text, m.line));
+        assert_eq!(read(3), Some(("neighbors".to_owned(), 1)));
+        assert_eq!(read(4), Some(("log".to_owned(), 4)));
         assert_eq!(read(6), None, "doc prose is not a marker");
         assert_eq!(read(8), None, "the run stops at code");
     }

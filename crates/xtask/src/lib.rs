@@ -1,6 +1,6 @@
 //! `mccls-xtask` — the workspace's static-analysis gate.
 //!
-//! `cargo run -p mccls-xtask -- check` runs thirteen lints over the tree
+//! `cargo run -p mccls-xtask -- check` runs twelve lints over the tree
 //! and exits non-zero if any finding survives its suppression filter
 //! (and, when a committed `xtask-baseline.json` exists, the
 //! baseline diff — see [`baseline`]):
@@ -34,16 +34,6 @@
 //!   arithmetic; route carries through `wrapping_*`/`overflowing_*`/
 //!   `carrying_*` or the `adc`/`sbb`/`mac` helpers. Suppress with
 //!   `// overflow-ok: <reason>`.
-//! * **range** — the magnitude-range certification lint ([`range`]):
-//!   every function touching the lazy-reduction primitives
-//!   (`add_unreduced`, `mul_unreduced`, `wide_sub_offset`, …) must
-//!   declare a `// range: <class>` contract (read by the shared marker
-//!   rule of [`certify::read_marker`]), and the declared classes
-//!   are propagated through each body and checked against the limb
-//!   headroom the `montgomery_field!` moduli actually leave. Overflowing
-//!   chains, undersized `k·p²` offsets, unreduced values escaping into
-//!   eager code, and stale or missing contracts all fail the gate.
-//!   Suppress with `// range-ok: <reason>`.
 //! * **opcount** and **complexity** — two lattices over one
 //!   certification engine ([`certify`]): one budget grammar, one marker
 //!   rule, one bottom-up propagation over call-graph SCCs, and one
@@ -107,7 +97,6 @@ pub mod opcount;
 pub mod overflow;
 pub mod panic_lint;
 pub mod parser;
-pub mod range;
 pub mod reach;
 pub mod report;
 pub mod secret_lint;
@@ -301,7 +290,7 @@ fn in_scope(path: &str, scope: &[&str]) -> bool {
     })
 }
 
-/// Runs all thirteen lints over the workspace rooted at `root`. The
+/// Runs all twelve lints over the workspace rooted at `root`. The
 /// per-file lints read the [`GRAPH_SCOPE`] parse, which covers their
 /// scopes.
 pub fn check_workspace(root: &Path) -> Vec<Finding> {
@@ -320,7 +309,6 @@ pub fn check_workspace(root: &Path) -> Vec<Finding> {
         }
     }
     findings.extend(taint::analyze(&parsed));
-    findings.extend(range::analyze(&parsed));
     findings.extend(reach::analyze(&parsed));
     findings.extend(certify::check_committed::<opcount::Counts<'_>>(
         root,

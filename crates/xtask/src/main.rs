@@ -124,8 +124,8 @@ fn run_check(root: &std::path::Path, format: Format, update_baseline: bool) -> E
                 "Fix the code, or suppress a reviewed site with \
                  `// lint:allow(panic) <reason>` / `// ct-ok: <reason>` / \
                  `// validated: <reason>` / `// overflow-ok: <reason>` / \
-                 `// range-ok: <reason>` / `// secret-ok: <reason>` / \
-                 `// lock-ok: <reason>` / `// complexity-ok: <reason>`."
+                 `// secret-ok: <reason>` / `// lock-ok: <reason>` / \
+                 `// complexity-ok: <reason>`."
             );
         }
     }
@@ -147,7 +147,6 @@ fn print_usage() {
          reach     panic sites reachable from the public scheme API, with call chains\n    \
          validate  untrusted-byte decodes must pass curve/subgroup checks before sinks\n    \
          overflow  no bare +/-/*/<< on u64/u128 limb values in the pairing arithmetic\n    \
-         range     magnitude classes on lazy-reduction chains certified against limb headroom\n    \
          opcount   Table 1 operation budgets certified statically (opcount-budgets.toml)\n    \
          complexity  hot-path big-O classes certified statically (complexity-budgets.toml)\n    \
          concurrency  lock-order acyclicity, no pairing work under guards, Send/Sync audit\n    \

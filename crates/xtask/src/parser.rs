@@ -3,7 +3,7 @@
 //!
 //! Each file is scrubbed and parsed once. [`ParsedFile`] keeps the
 //! scrubbed text and the test spans for the line-oriented lints
-//! (`panic`, the Send/Sync audit, the field caps of `range`), every
+//! (`panic`, the Send/Sync audit), every
 //! `struct` item with its field text line by line (`concurrency`,
 //! `secret`), and every `fn` item: its signature (with the owning
 //! `impl` type), parameter names and types, return type, every call

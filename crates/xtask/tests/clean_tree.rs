@@ -32,7 +32,7 @@ fn fixture_findings_match_the_committed_lists() {
     // still matches. One sorted section per analyzer call, rendered
     // with `Finding`'s `Display`.
     use mccls_xtask::{
-        complexity, concurrency, ct_lint, opcount, overflow, panic_lint, parser, range, reach,
+        complexity, concurrency, ct_lint, opcount, overflow, panic_lint, parser, reach,
         secret_lint, taint, validate, Finding,
     };
     let parsed = |name: &str| parser::parse_files(&[(name.to_owned(), fixture(name))]);
@@ -73,10 +73,6 @@ fn fixture_findings_match_the_committed_lists() {
         (
             "overflow overflow_cases.rs",
             scan("overflow_cases.rs", overflow::scan),
-        ),
-        (
-            "range range_cases.rs",
-            range::analyze(&parsed("range_cases.rs")),
         ),
         (
             "opcount opcount_cases.rs",
@@ -288,58 +284,6 @@ fn overflow_fixture_fires_and_twins_stay_silent() {
             f.line
         );
     }
-}
-
-#[test]
-fn range_fixture_fires_and_twins_stay_silent() {
-    // The overflowing chain, the missing and stale contracts, the
-    // undersized `k·p²` offset, and the bare marker must fire; the
-    // clean annotated twin and the justified suppression must stay
-    // silent. The caps come from the fixture's own `montgomery_field!`
-    // invocation, so the test also covers the headroom derivation.
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-    let src = std::fs::read_to_string(dir.join("range_cases.rs")).expect("range fixture exists");
-    let files = mccls_xtask::parser::parse_files(&[("range_cases.rs".to_owned(), src)]);
-    let findings = mccls_xtask::range::analyze(&files);
-    for frag in [
-        "exceeding `Fx`'s narrow cap of 8p",
-        "declares no `// range:` contract",
-        "stale contract on `drifted`",
-        "the offset must cover the subtrahend's class",
-        "gives no reason",
-    ] {
-        assert!(
-            findings.iter().any(|f| f.message.contains(frag)),
-            "expected a finding containing {frag:?}, got: {findings:?}"
-        );
-    }
-    // The missing contract is reported on `uncertified` itself: the doc
-    // line above it names the marker in prose, which is not a contract.
-    assert!(
-        findings.iter().any(|f| f.line == 38
-            && f.message.contains("`uncertified`")
-            && f.message.contains("declares no `// range:` contract")),
-        "expected `uncertified`'s missing contract at line 38, got: {findings:?}"
-    );
-    assert!(
-        findings.iter().all(|f| !f.message.contains("unparseable")),
-        "doc prose naming the marker must not parse as a contract: {findings:?}"
-    );
-    // The clean twin `lazy_mul` (lines 56-61) and the justified
-    // `audited` (lines 63-67) must stay silent.
-    for f in &findings {
-        assert!(
-            !(56..=67).contains(&f.line),
-            "a clean twin was flagged at line {}: {f:?}",
-            f.line
-        );
-    }
-    assert!(
-        findings
-            .iter()
-            .all(|f| !f.message.contains("lazy_mul") && !f.message.contains("audited")),
-        "clean twins must not be flagged: {findings:?}"
-    );
 }
 
 #[test]
