@@ -1,28 +1,22 @@
 //! Concurrency-discipline fixtures: lock-order cycles, pairing work
-//! under guards, Send/Sync boundary hazards, and guard-extension
-//! hazards, each with a clean (or justified) twin. Never compiled —
-//! parsed by `tests/clean_tree.rs` and fed to
-//! `mccls_xtask::concurrency::analyze_with_roots` with
-//! `FixtureRegistry` as the Send/Sync reachability root.
+//! under guards, and guard-extension hazards, each with a clean (or
+//! justified) twin. Never compiled — parsed by `tests/clean_tree.rs`
+//! and fed to `mccls_xtask::concurrency::analyze`.
 //!
 //! Every case uses its own lock field names so the inferred lock
 //! classes stay disjoint: a cycle seeded by one dirty case must not
 //! bleed into another case's acquisition order.
 
-/// The shared-state root for the Send/Sync audit. Its fields name the
-/// structs the reachability closure must visit.
+/// The shared registry whose locks the cases below take.
 pub struct FixtureRegistry {
     shards: Vec<RwLock<Bank>>,
     journal: Mutex<Journal>,
     banks: Mutex<Bank>,
     pairs: RwLock<PairTable>,
-    freelist: Mutex<FreeList>,
     epoch_a: Mutex<Epoch>,
     epoch_b: Mutex<Epoch>,
     gate_a: Mutex<Epoch>,
     gate_b: Mutex<Epoch>,
-    stats: Stats,
-    totals: CleanStats,
 }
 
 pub struct Bank {
@@ -37,38 +31,9 @@ pub struct PairTable {
     cached: Vec<Gt>,
 }
 
-pub struct FreeList {
-    slots: Vec<usize>,
-}
-
 pub struct Epoch {
     counter: u64,
 }
-
-/// DIRTY: an interior-mutability cell on state reachable from the
-/// registry root (via the `stats` field) — unsynchronized under `&self`
-/// sharing.
-pub struct Stats {
-    hits: Cell<u64>,
-}
-
-/// CLEAN twin: atomics are the sanctioned way to count under a shared
-/// reference; the audit must stay silent.
-pub struct CleanStats {
-    hits: AtomicU64,
-}
-
-/// CLEAN twin: a `RefCell` that is *not* reachable from the registry
-/// root — thread-local scratch state is fine.
-pub struct ScratchPad {
-    buf: RefCell<Vec<u8>>,
-}
-
-/// DIRTY: hand-written thread-safety assertion on the root.
-unsafe impl Sync for FixtureRegistry {}
-
-/// DIRTY: unsynchronized global state.
-static mut GLOBAL_EPOCH: u64 = 0;
 
 impl FixtureRegistry {
     /// DIRTY: holds one shard's write guard while acquiring a second
@@ -121,21 +86,6 @@ impl FixtureRegistry {
         let mut table = self.pairs.write();
         table.put(gt);
     }
-
-    /// DIRTY: `let _ =` drops the guard on the same line — the
-    /// critical section it pretends to protect runs unlocked.
-    pub fn reset_freelist(&self) {
-        let _ = self.freelist.lock();
-        self.clear_slots();
-    }
-
-    /// CLEAN twin: a named guard lives to the end of the block.
-    pub fn drain_freelist(&self) {
-        let _guard = self.freelist.lock();
-        self.clear_slots();
-    }
-
-    fn clear_slots(&self) {}
 
     /// DIRTY: returns the guard, extending the critical section into
     /// every caller the analysis cannot see.

@@ -4,7 +4,7 @@
 //! mutable state on the verification hot path, and a cache that can
 //! deadlock or serve a torn `e(Q_ID, P_pub)` entry under concurrency is
 //! a verification-bypass bug, not just a performance bug. This pass
-//! proves four properties over the scrubbed source and the workspace
+//! proves three properties over the scrubbed source and the workspace
 //! call graph ([`crate::callgraph`]), the same way [`crate::opcount`]
 //! proves the Table 1 operation budgets:
 //!
@@ -25,18 +25,16 @@
 //!    multiplication is reported. Guards must bracket map access only;
 //!    the expensive group arithmetic runs before the lock is taken or
 //!    after it drops.
-//! 3. **Send/Sync boundary audit** — hand-written `unsafe impl Send`/
-//!    `unsafe impl Sync`, `static mut` items, and interior-mutability
-//!    cells (`Cell`/`RefCell`/`UnsafeCell`) in any struct reachable
-//!    from the registry's state (root structs are those defined in a
-//!    `registry.rs` file, transitively closed over field type
-//!    mentions) are reported. Atomics and `OnceLock` pass: they
-//!    synchronize; cells do not.
-//! 4. **Guard-extension hazards** — a guard bound to `_` drops on the
-//!    same statement, silently unguarding its critical section; a guard
-//!    in a function return type or stored in a struct field extends a
-//!    critical section beyond any lexical scope this analysis (or a
-//!    reviewer) can bound. All three shapes are reported.
+//! 3. **Guard-extension hazards** — a guard in a function return type
+//!    or stored in a struct field extends a critical section beyond any
+//!    lexical scope this analysis (or a reviewer) can bound. Both
+//!    shapes are reported.
+//!
+//! The Send/Sync boundary is rustc's to check: every crate root forbids
+//! `unsafe` (so no `unsafe impl Send`/`Sync`, and no access to a
+//! `static mut`), a `Cell` field in the registry fails its `Sync` bound
+//! in `registry_is_send_and_sync`, and the deny-by-default
+//! `let_underscore_lock` rejects a guard bound to `_`.
 //!
 //! Guard liveness is lexical and deliberately over-approximate: a
 //! `let`-bound guard is live from its binding to the end of the
@@ -52,7 +50,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::CallGraph;
-use crate::lexer::{self, contains_word, match_forward, match_paren, skip_ws, starts_word_at};
+use crate::lexer::{contains_word, match_forward, match_paren};
 use crate::opcount::{self, Cost};
 use crate::parser::{non_test_structs, FnItem, ParsedFile};
 use crate::{suppression_near, Finding, Suppression};
@@ -67,36 +65,22 @@ const GUARD_METHODS: &[&str] = &["lock", "read", "write"];
 /// fields.
 const GUARD_TYPES: &[&str] = &["MutexGuard", "RwLockReadGuard", "RwLockWriteGuard"];
 
-/// Interior-mutability cells that are data races when reachable from
-/// `Sync` shared state. Atomics and `OnceLock` are deliberately absent.
-const INTERIOR_MUTABILITY: &[&str] = &["Cell", "RefCell", "UnsafeCell"];
-
 /// Counter slots (see [`opcount::COUNTERS`]) that make a call too
 /// expensive to run under a lock: pairings, Miller loops, final
 /// exponentiations, and G1/G2 scalar multiplications.
 const EXPENSIVE_COUNTERS: usize = 5;
 
-/// Runs the full concurrency pass. Send/Sync reachability roots are
-/// the structs defined in `registry.rs` files.
-pub fn analyze(files: &[ParsedFile]) -> Vec<Finding> {
-    analyze_with_roots(files, &[])
-}
-
-/// Like [`analyze`], with extra named Send/Sync reachability roots —
-/// the fixture entry point, where the dirty structs do not live in a
-/// file named `registry.rs`.
-pub fn analyze_with_roots(files: &[ParsedFile], extra_roots: &[&str]) -> Vec<Finding> {
-    let graph = CallGraph::build(files);
-    let costs = opcount::compute_costs(files, &graph);
+/// Runs the full concurrency pass over `graph` and the costs
+/// [`opcount::compute_costs`] gave over it.
+pub fn analyze(files: &[ParsedFile], graph: &CallGraph, costs: &[Cost]) -> Vec<Finding> {
     let guards: Vec<Vec<GuardSite>> = (0..graph.nodes.len())
         .map(|ni| guard_sites(graph.item(files, ni)))
         .collect();
 
     let mut findings = Vec::new();
-    lock_order(files, &graph, &guards, &mut findings);
-    hold_across(files, &graph, &costs, &guards, &mut findings);
-    send_sync_audit(files, extra_roots, &mut findings);
-    guard_extension(files, &graph, &guards, &mut findings);
+    lock_order(files, graph, &guards, &mut findings);
+    hold_across(files, graph, costs, &guards, &mut findings);
+    guard_extension(files, graph, &mut findings);
 
     findings.sort();
     findings.dedup();
@@ -214,8 +198,7 @@ fn guard_sites(f: &FnItem) -> Vec<GuardSite> {
             .iter()
             .rfind(|s| s.line <= call.line && call.line <= s.rhs_end_line);
         let (end, name) = match binding {
-            // A `_` binding drops the guard on the spot (reported
-            // separately as a guard-extension hazard).
+            // A `_` binding drops the guard on the spot.
             Some(s) if s.name == "_" => (call.line, Some(s.name.clone())),
             Some(s) => {
                 // An explicit `drop(name)` releases early.
@@ -445,113 +428,11 @@ fn expensive(c: &Cost) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// (3) Send/Sync boundary audit.
+// (3) Guard-extension hazards.
 // ---------------------------------------------------------------------
 
-fn send_sync_audit(files: &[ParsedFile], extra_roots: &[&str], findings: &mut Vec<Finding>) {
-    for file in files {
-        for (li, text) in file.scrubbed.lines().enumerate() {
-            let lno = li + 1;
-            if lexer::in_spans(lno, &file.test_spans) {
-                continue;
-            }
-            if contains_word(text, "unsafe")
-                && contains_word(text, "impl")
-                && (contains_word(text, "Send") || contains_word(text, "Sync"))
-                && !lock_ok(file, lno, findings)
-            {
-                let which = if contains_word(text, "Send") {
-                    "Send"
-                } else {
-                    "Sync"
-                };
-                findings.push(finding(
-                    &file.path,
-                    lno,
-                    format!(
-                        "hand-written `unsafe impl {which}` asserts thread safety the compiler \
-                         no longer checks; derive it structurally or justify with \
-                         `// lock-ok: <reason>`"
-                    ),
-                ));
-            }
-            if has_word_pair(text, "static", "mut") && !lock_ok(file, lno, findings) {
-                findings.push(finding(
-                    &file.path,
-                    lno,
-                    "`static mut` is unsynchronized global state — every access is a potential \
-                     data race; use an atomic, a lock, or `OnceLock`"
-                        .to_owned(),
-                ));
-            }
-        }
-    }
-
-    // Roots: structs defined in a `registry.rs` file, plus explicit
-    // extras (the fixture path).
-    let structs = non_test_structs(files);
-    let mut reachable: BTreeSet<String> = structs
-        .iter()
-        .filter(|(file, _)| file.path.ends_with("registry.rs"))
-        .map(|(_, s)| s.name.clone())
-        .collect();
-    reachable.extend(extra_roots.iter().map(|r| (*r).to_owned()));
-
-    // Transitive closure over field type mentions.
-    loop {
-        let mut grew = false;
-        for (_, s) in &structs {
-            if reachable.contains(&s.name) {
-                continue;
-            }
-            let mentioned = structs
-                .iter()
-                .filter(|(_, r)| reachable.contains(&r.name))
-                .any(|(_, r)| r.mentions(&s.name));
-            if mentioned {
-                reachable.insert(s.name.clone());
-                grew = true;
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
-
-    for (file, s) in &structs {
-        if !reachable.contains(&s.name) {
-            continue;
-        }
-        for (lno, text) in &s.field_lines {
-            for cell in INTERIOR_MUTABILITY {
-                if contains_word(text, cell) && !lock_ok(file, *lno, findings) {
-                    findings.push(finding(
-                        &file.path,
-                        *lno,
-                        format!(
-                            "interior-mutability cell `{cell}` in `{}`, which is reachable from \
-                             the shared registry state; a cell under `Sync` sharing is a data \
-                             race — use an atomic or move the field behind the shard lock",
-                            s.name
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// (4) Guard-extension hazards.
-// ---------------------------------------------------------------------
-
-fn guard_extension(
-    files: &[ParsedFile],
-    graph: &CallGraph,
-    guards: &[Vec<GuardSite>],
-    findings: &mut Vec<Finding>,
-) {
-    for (ni, sites) in guards.iter().enumerate() {
+fn guard_extension(files: &[ParsedFile], graph: &CallGraph, findings: &mut Vec<Finding>) {
+    for ni in 0..graph.nodes.len() {
         let f = graph.item(files, ni);
         let fi = graph.nodes[ni].0;
         for ty in GUARD_TYPES {
@@ -564,20 +445,6 @@ fn guard_extension(
                          critical section beyond any scope this analysis can bound; lock and \
                          release inside one function",
                         f.name
-                    ),
-                ));
-            }
-        }
-        for g in sites {
-            if g.binding.as_deref() == Some("_") && !lock_ok(&files[fi], g.line, findings) {
-                findings.push(finding(
-                    &files[fi].path,
-                    g.line,
-                    format!(
-                        "lock guard on `{}` is bound to `_` and drops immediately — the \
-                         critical section it was meant to protect is unguarded; bind it to a \
-                         named guard",
-                        g.class
                     ),
                 ));
             }
@@ -604,28 +471,6 @@ fn guard_extension(
     }
 }
 
-// ---------------------------------------------------------------------
-// Small text helpers.
-// ---------------------------------------------------------------------
-
-/// Whether `first` is directly followed (modulo whitespace) by
-/// `second`, both on word boundaries — catches `static mut` without
-/// tripping on `&'static mut` references (the `'` is checked).
-fn has_word_pair(text: &str, first: &str, second: &str) -> bool {
-    let chars: Vec<char> = text.chars().collect();
-    let mut i = 0;
-    while i < chars.len() {
-        if starts_word_at(&chars, i, first) && chars.get(i.wrapping_sub(1)) != Some(&'\'') {
-            let j = skip_ws(&chars, i + first.len());
-            if starts_word_at(&chars, j, second) {
-                return true;
-            }
-        }
-        i += 1;
-    }
-    false
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
@@ -634,7 +479,8 @@ mod tests {
 
     fn run(path: &str, src: &str) -> Vec<Finding> {
         let files = parse_files(&[(path.to_owned(), src.to_owned())]);
-        analyze(&files)
+        let graph = CallGraph::build(&files);
+        analyze(&files, &graph, &opcount::compute_costs(&files, &graph))
     }
 
     #[test]
@@ -829,15 +675,11 @@ mod tests {
     }
 
     #[test]
-    fn underscore_guard_and_guard_escapes_are_reported() {
+    fn guard_escapes_are_reported() {
         let src = "pub struct Lease<'a> {\n\
                    pub guard: MutexGuard<'a, u64>,\n\
                    }\n\
                    impl R {\n\
-                   pub fn bump(&self) {\n\
-                   let _ = self.journal.lock();\n\
-                   self.counter.tick();\n\
-                   }\n\
                    pub fn lease(&self) -> MutexGuard<'_, u64> {\n\
                    self.journal.lock()\n\
                    }\n\
@@ -846,12 +688,6 @@ mod tests {
                    self.counter.tick();\n\
                    }\n}\n";
         let findings = run("x.rs", src);
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.line == 6 && f.message.contains("bound to `_`")),
-            "instantly-dropped guard must fire: {findings:?}"
-        );
         assert!(
             findings
                 .iter()
@@ -865,75 +701,8 @@ mod tests {
             "struct-stored guard must fire: {findings:?}"
         );
         assert!(
-            findings.iter().all(|f| f.line != 13),
+            findings.iter().all(|f| f.line != 9),
             "a named, held guard is clean: {findings:?}"
-        );
-    }
-
-    #[test]
-    fn send_sync_audit_fires_on_registry_rooted_state() {
-        let src = "pub struct Registry {\n\
-                   stats: Stats,\n\
-                   }\n\
-                   unsafe impl Sync for Registry {}\n\
-                   static mut EPOCH: u64 = 0;\n";
-        // `Stats` is reachable through the registry's field; the
-        // `Unrelated` cell in another file never is.
-        let other = "pub struct Stats {\n\
-                     hits: std::cell::Cell<u64>,\n\
-                     }\n\
-                     pub struct Unrelated {\n\
-                     scratch: std::cell::RefCell<u64>,\n\
-                     }\n";
-        let files = parse_files(&[
-            ("crates/core/src/registry.rs".to_owned(), src.to_owned()),
-            ("crates/core/src/stats.rs".to_owned(), other.to_owned()),
-        ]);
-        let findings = analyze(&files);
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.message.contains("`Cell` in `Stats`")),
-            "cell reachable from the registry must fire: {findings:?}"
-        );
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.message.contains("unsafe impl Sync")),
-            "unsafe impl Sync must fire: {findings:?}"
-        );
-        assert!(
-            findings.iter().any(|f| f.message.contains("`static mut`")),
-            "static mut must fire: {findings:?}"
-        );
-        assert!(
-            findings.iter().all(|f| !f.message.contains("Unrelated")),
-            "a cell not reachable from the registry is out of scope here: {findings:?}"
-        );
-    }
-
-    #[test]
-    fn atomics_and_oncelock_pass_the_cell_audit() {
-        let src = "pub struct Registry {\n\
-                   epoch: std::sync::atomic::AtomicU64,\n\
-                   prepared: std::sync::OnceLock<u64>,\n\
-                   }\n";
-        let files = parse_files(&[("crates/core/src/registry.rs".to_owned(), src.to_owned())]);
-        let findings = analyze(&files);
-        assert!(findings.is_empty(), "atomics synchronize: {findings:?}");
-    }
-
-    #[test]
-    fn extra_roots_widen_the_audit() {
-        let src = "pub struct FixtureRegistry {\n\
-                   hits: std::cell::Cell<u64>,\n\
-                   }\n";
-        let files = parse_files(&[("cases.rs".to_owned(), src.to_owned())]);
-        assert!(analyze(&files).is_empty(), "not rooted by default");
-        let findings = analyze_with_roots(&files, &["FixtureRegistry"]);
-        assert!(
-            findings.iter().any(|f| f.message.contains("`Cell`")),
-            "explicit root must bring the struct into scope: {findings:?}"
         );
     }
 

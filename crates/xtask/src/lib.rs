@@ -1,9 +1,7 @@
 //! `mccls-xtask` — the workspace's static-analysis gate.
 //!
-//! `cargo run -p mccls-xtask -- check` runs twelve lints over the tree
-//! and exits non-zero if any finding survives its suppression filter
-//! (and, when a committed `xtask-baseline.json` exists, the
-//! baseline diff — see [`baseline`]):
+//! `cargo run -p mccls-xtask -- check` runs eleven lints over the tree
+//! and exits non-zero if any finding survives its suppression filter:
 //!
 //! * **panic** — no `unwrap`/`expect`/`panic!`-family macros or risky
 //!   slice indexing in non-test code of the cryptographic crates
@@ -19,10 +17,6 @@
 //!   below `sign()` is still caught. Same suppression marker; a
 //!   published protocol value is declassified at its binding with
 //!   `// taint-public: <reason>`.
-//! * **reach** — panic-reachability from the public scheme API
-//!   ([`reach`]): any `panic!`-family site reachable from
-//!   `sign`/`verify`/key-extraction entry points is reported with its
-//!   call chain.
 //! * **validate** — the untrusted-input validation-state pass
 //!   ([`validate`]): a value decoded from raw bytes (an unchecked
 //!   `from_compressed_unchecked`-style decoder, an AODV message parser)
@@ -55,11 +49,14 @@
 //!   acyclic (static deadlock detection across registry shards), no
 //!   guard may be live across a call whose certified cost includes a
 //!   pairing, Miller loop, final exponentiation, or scalar
-//!   multiplication (guards bracket map access only), hand-written
-//!   `unsafe impl Send/Sync`, `static mut`, and interior-mutability
-//!   cells reachable from the registry state are rejected, and guards
-//!   bound to `_`, returned, or stored in structs are guard-extension
-//!   hazards. Suppress a reviewed site with `// lock-ok: <reason>`.
+//!   multiplication (guards bracket map access only), and guards
+//!   returned from a function or stored in a struct are reported.
+//!   Suppress a reviewed site with `// lock-ok: <reason>`. The
+//!   Send/Sync boundary is left to rustc: the crate roots forbid
+//!   `unsafe` (no `unsafe impl Sync`, no `static mut` access),
+//!   `registry_is_send_and_sync` stops compiling on a non-`Sync` field,
+//!   and the deny-by-default `let_underscore_lock` rejects `let _ =
+//!   m.lock()`.
 //! * **secret** — the secret-lifecycle lint ([`secret_lint`]): no
 //!   derived `Debug`/`Clone`/`Copy`/serialization on `MasterSecret`,
 //!   `PartialPrivateKey`, or any struct holding them, and the seed
@@ -74,7 +71,9 @@
 //! is scrubbed and parsed once into its test spans, `struct` items and
 //! `fn` items (with their calls, loop regions and `let` statements), and
 //! [`check_workspace`] parses the crypto crates once for the per-file
-//! lints (`panic`, `ct`, `overflow`) and the call-graph lints alike.
+//! lints (`panic`, `ct`, `overflow`) and the call-graph lints alike. It
+//! also builds their call graph and certified operation costs once and
+//! hands both to `taint`, `opcount` and `concurrency`.
 //!
 //! Suppression reasons are mandatory everywhere: a marker whose reason
 //! has no alphanumeric content is itself a finding.
@@ -84,7 +83,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod certify;
 pub mod complexity;
@@ -97,7 +95,6 @@ pub mod opcount;
 pub mod overflow;
 pub mod panic_lint;
 pub mod parser;
-pub mod reach;
 pub mod report;
 pub mod secret_lint;
 pub mod taint;
@@ -106,6 +103,7 @@ pub mod validate;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+use callgraph::CallGraph;
 use parser::ParsedFile;
 
 /// One lint result, pointing at a file and 1-based line.
@@ -245,8 +243,8 @@ pub const PANIC_SCOPE: &[&str] = &["crates/hash", "crates/pairing", "crates/core
 /// Crates subject to the constant-time discipline lint.
 pub const CT_SCOPE: &[&str] = &["crates/core", "crates/pairing"];
 
-/// Crates covered by the interprocedural call graph (taint and
-/// reachability passes).
+/// Crates of the one crypto call graph that `taint`, `opcount` and
+/// `concurrency` share.
 pub const GRAPH_SCOPE: &[&str] = &["crates/hash", "crates/pairing", "crates/core"];
 
 /// Crates subject to the limb-overflow lint: the multi-precision
@@ -290,11 +288,13 @@ fn in_scope(path: &str, scope: &[&str]) -> bool {
     })
 }
 
-/// Runs all twelve lints over the workspace rooted at `root`. The
+/// Runs all eleven lints over the workspace rooted at `root`. The
 /// per-file lints read the [`GRAPH_SCOPE`] parse, which covers their
-/// scopes.
+/// scopes; the graph lints share one call graph and one cost vector.
 pub fn check_workspace(root: &Path) -> Vec<Finding> {
     let parsed = parse_scope(root, GRAPH_SCOPE);
+    let graph = CallGraph::build(&parsed);
+    let costs = opcount::compute_costs(&parsed, &graph);
     let mut findings = Vec::new();
     for (scope, scan) in [
         (
@@ -308,13 +308,12 @@ pub fn check_workspace(root: &Path) -> Vec<Finding> {
             findings.extend(scan(file));
         }
     }
-    findings.extend(taint::analyze(&parsed));
-    findings.extend(reach::analyze(&parsed));
+    findings.extend(taint::analyze(&parsed, &graph));
     findings.extend(certify::check_committed::<opcount::Counts<'_>>(
         root,
-        |budgets| opcount::analyze(&parsed, budgets),
+        |budgets| opcount::analyze(&parsed, &graph, &costs, budgets),
     ));
-    findings.extend(concurrency::analyze(&parsed));
+    findings.extend(concurrency::analyze(&parsed, &graph, &costs));
     findings.extend(secret_lint::analyze(&parsed));
     let sim_parsed = parse_scope(root, COMPLEXITY_SCOPE);
     findings.extend(certify::check_committed::<complexity::Classes<'_>>(

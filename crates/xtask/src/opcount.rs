@@ -561,11 +561,15 @@ pub fn parse_budgets(text: &str) -> Result<Budgets, String> {
     certify::parse_budgets::<Counts<'_>>(text)
 }
 
-/// Runs the certification over parsed files against the budgets.
-pub fn analyze(files: &[ParsedFile], budgets: &Budgets) -> Vec<Finding> {
-    let graph = CallGraph::build(files);
-    let costs = compute_costs(files, &graph);
-    certify::certify::<Counts<'_>>(files, &graph, &costs, budgets)
+/// Certifies the budgets against the costs [`compute_costs`] gave
+/// over `graph`.
+pub fn analyze(
+    files: &[ParsedFile],
+    graph: &CallGraph,
+    costs: &[Cost],
+    budgets: &Budgets,
+) -> Vec<Finding> {
+    certify::certify::<Counts<'_>>(files, graph, costs, budgets)
 }
 
 #[cfg(test)]
@@ -582,6 +586,11 @@ mod tests {
         let graph = CallGraph::build(files);
         let costs = compute_costs(files, &graph);
         costs[graph.named(name)[0]]
+    }
+
+    fn run(files: &[ParsedFile], budgets: &Budgets) -> Vec<Finding> {
+        let graph = CallGraph::build(files);
+        analyze(files, &graph, &compute_costs(files, &graph), budgets)
     }
 
     #[test]
@@ -800,7 +809,7 @@ fn helper(s: &Sig) { ops::mul_g1(&s.p, &s.k); }\n";
         )
         .unwrap();
         let files = parse(src);
-        let findings = analyze(&files, &budgets);
+        let findings = run(&files, &budgets);
         let has = |frag: &str| findings.iter().any(|f| f.message.contains(frag));
         assert!(has("exceeding budget `t.hot`"), "{findings:?}");
         assert!(has("below budget `t.loose`"), "{findings:?}");
@@ -824,7 +833,7 @@ fn helper(s: &Sig) { ops::mul_g1(&s.p, &s.k); }\n";
     fn ambiguous_entries_are_reported() {
         let files = parse("impl A { fn run(&self) {} }\nimpl A { fn run(&self, x: u8) {} }\n");
         let budgets = parse_budgets("[t.run]\nfn = \"run\"\nimpl = \"A\"\n").unwrap();
-        let findings = analyze(&files, &budgets);
+        let findings = run(&files, &budgets);
         assert!(
             findings
                 .iter()

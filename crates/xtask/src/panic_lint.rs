@@ -28,22 +28,15 @@ pub const ALLOW_MARKER: &str = "lint:allow(panic)";
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
 
-/// Every potential panic site in already-scrubbed text, as
-/// `(1-based line, message)` pairs with no suppression filtering: the
-/// intraprocedural backend shared by [`scan`] and [`crate::reach`].
-pub fn panic_sites(scrubbed: &str) -> Vec<(usize, String)> {
-    let chars: Vec<char> = scrubbed.chars().collect();
-    let mut raw = Vec::new();
-    collect_calls(&chars, scrubbed, &mut raw);
-    collect_indexing(&chars, scrubbed, &mut raw);
-    raw
-}
-
 /// Scans one parsed file outside its test spans.
 pub fn scan(file: &ParsedFile) -> Vec<Finding> {
+    let chars: Vec<char> = file.scrubbed.chars().collect();
+    let mut sites = Vec::new();
+    collect_calls(&chars, &file.scrubbed, &mut sites);
+    collect_indexing(&chars, &file.scrubbed, &mut sites);
     let raw_lines = file.lines();
     let mut findings = Vec::new();
-    for (line, message) in panic_sites(&file.scrubbed) {
+    for (line, message) in sites {
         if lexer::in_spans(line, &file.test_spans) {
             continue;
         }

@@ -2,8 +2,7 @@
 //! source model every lint reads.
 //!
 //! Each file is scrubbed and parsed once. [`ParsedFile`] keeps the
-//! scrubbed text and the test spans for the line-oriented lints
-//! (`panic`, the Send/Sync audit), every
+//! scrubbed text (`panic`) and the test spans (`panic`, `ct`), every
 //! `struct` item with its field text line by line (`concurrency`,
 //! `secret`), and every `fn` item: its signature (with the owning
 //! `impl` type), parameter names and types, return type, every call

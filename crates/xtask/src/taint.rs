@@ -2,7 +2,7 @@
 //!
 //! The function-scoped lint ([`crate::ct_lint::scan`]) cannot see a
 //! master secret handed two calls down into a helper that branches on
-//! it. This pass can: it builds the workspace call graph, seeds taint
+//! it. This pass can: over the workspace call graph, it seeds taint
 //! at the declared secret sources, propagates it across call edges and
 //! return values to a fixed point, and reports every secret-reaching
 //! function that still contains data-dependent control flow.
@@ -64,16 +64,16 @@ pub const VARTIME_SINKS: &[&str] = &[
     "final_exponentiation",
 ];
 
-/// Runs the interprocedural taint pass over already-parsed files.
-pub fn analyze(files: &[ParsedFile]) -> Vec<Finding> {
-    let graph = CallGraph::build(files);
-    let secret_fns = secret_return_fns(files, &graph);
+/// Runs the interprocedural taint pass over already-parsed files and
+/// their call graph.
+pub fn analyze(files: &[ParsedFile], graph: &CallGraph) -> Vec<Finding> {
+    let secret_fns = secret_return_fns(files, graph);
     let seeds = (0..graph.nodes.len())
-        .map(|ni| declared_seeds(files, &graph, ni))
+        .map(|ni| declared_seeds(files, graph, ni))
         .collect();
     let facts = param_fixpoint(
         files,
-        &graph,
+        graph,
         seeds,
         VARTIME_SINKS,
         |ni, params| {
@@ -84,7 +84,7 @@ pub fn analyze(files: &[ParsedFile]) -> Vec<Finding> {
         },
         |tainted, expr| expr_is_tainted(expr, tainted, &secret_fns),
     );
-    report(files, &graph, &facts, &secret_fns)
+    report(files, graph, &facts, &secret_fns)
 }
 
 /// Declared-secret parameter names of a node (the type-based seeds).
@@ -207,7 +207,8 @@ mod tests {
             .iter()
             .map(|(p, s)| ((*p).to_owned(), (*s).to_owned()))
             .collect();
-        analyze(&parse_files(&owned))
+        let files = parse_files(&owned);
+        analyze(&files, &CallGraph::build(&files))
     }
 
     #[test]

