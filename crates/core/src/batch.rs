@@ -37,9 +37,7 @@
 
 use std::time::{Duration, Instant};
 
-use mccls_pairing::{
-    g2_generator_table, Fr, G1Projective, G2Prepared, G2Projective, Gt, MillerLoopResult,
-};
+use mccls_pairing::{Fr, G1Projective, G2Prepared, G2Projective, Gt, MillerLoopResult};
 use mccls_rng::RngCore;
 
 use crate::mccls::McCls;
@@ -220,28 +218,18 @@ fn item_factor(
     item: &BatchItem<'_>,
     rng: &mut dyn RngCore,
 ) -> Result<RandomizedFactor, VerifyError> {
-    let Signature::McCls { v, s, r } = item.sig else {
-        return Err(VerifyError::WrongScheme);
-    };
-    if item.public.has_identity_component() {
-        return Err(VerifyError::IdentityPublicKey);
-    }
-    let h = McCls::challenge_for_batch(item.msg, r, item.public);
-    let Some(h_inv) = h.invert() else {
-        return Err(VerifyError::NonInvertibleChallenge);
-    };
+    let (s, h_inv, lhs_g2) = McCls::equation_terms(item.public, item.msg, item.sig)?;
     // 64-bit small exponent; zero is excluded.
     let z = Fr::from_u64(rng.next_u64() | 1);
     // ct-ok: z blinds a public linear combination; it guards batch
     // soundness, not key secrecy
-    let s_over_h = ops::mul_g1(s, &h_inv.mul(&z));
-    let lhs_g2 = ops::mul_g2_fixed(g2_generator_table(), v).sub(&ops::mul_g2(r, &h));
+    let s_blinded = ops::mul_g1(&s, &h_inv.mul(&z));
     // ct-ok: verifier-side check over public signature components;
     // the blinder z only randomises a public linear combination.
-    if s_over_h.is_identity() || lhs_g2.is_identity() {
+    if s_blinded.is_identity() {
         return Err(VerifyError::IdentityPoint);
     }
-    let blinded = s_over_h.to_affine();
+    let blinded = s_blinded.to_affine();
     let lines = G2Prepared::from_projective(&lhs_g2);
     // ct-ok: the Miller loop runs over z-blinded *public* signature
     // components on the verifier side; no key material is involved.
@@ -520,18 +508,21 @@ fn finish_outcome(
 /// except with probability `~2^-64` — and, unlike the pre-redesign
 /// all-or-nothing check, isolates *which* entries are bad.
 ///
-/// Returns a [`BatchOutcome`] with one [`Verdict`] per input index:
-/// structurally invalid entries (wrong scheme, identity points,
-/// non-invertible challenge, identity public key) are reported
-/// individually and excluded from the RLC product; if the remaining
-/// product check fails, bisection re-checks cached per-entry Miller
-/// factors to pin the bad indices in `O(b·log n)` extra Miller loops.
-/// `outcome.all_valid()` is the drop-in replacement for the old
-/// `Ok(())`, and `outcome.as_result()` recovers the old error shape.
+/// Returns a [`BatchOutcome`] with one [`Verdict`] per input index.
+/// Every entry first passes the structural checks of single
+/// verification, run by the same code (wrong scheme, identity public
+/// key, identity points, non-invertible challenge); an entry that fails
+/// them gets that error individually and is excluded from the RLC
+/// product. If the remaining product check fails, bisection re-checks
+/// cached per-entry Miller factors to pin the bad indices in
+/// `O(b·log n)` extra Miller loops. `outcome.all_valid()` is the
+/// drop-in replacement for the old `Ok(())`, and `outcome.as_result()`
+/// recovers the old error shape.
 ///
 /// An all-[`Verdict::Ok`] outcome implies every entry would
-/// individually verify (up to the randomization bound) — asserted
-/// against one-by-one verification in tests.
+/// individually verify (up to the randomization bound), and every
+/// verdict is the one single verification gives — asserted for every
+/// batch entry point in `tests/verdict_agreement.rs`.
 pub fn batch_verify(
     params: &SystemParams,
     items: &[BatchItem<'_>],
@@ -809,7 +800,7 @@ impl OfflineSigner {
     /// pairings, no scalar multiplications (asserted by tests).
     pub fn sign_online(&mut self, msg: &[u8]) -> Option<Signature> {
         let (r, big_r) = self.tokens.pop()?;
-        let h = McCls::challenge_for_batch(msg, &big_r, &self.public);
+        let h = McCls::challenge(msg, &big_r, &self.public);
         Some(Signature::McCls {
             v: h.mul(&r),
             s: self.s,

@@ -24,7 +24,7 @@
 //! [`crate::ShardedVerifier`]) and pays exactly **one** pairing per
 //! verification — the efficiency claim the paper's Table 1 rests on.
 
-use mccls_pairing::{g2_generator_table, Fr, G2Projective, Gt};
+use mccls_pairing::{g2_generator_table, Fr, G1Projective, G2Projective, Gt};
 use mccls_rng::RngCore;
 
 use crate::ops;
@@ -59,12 +59,7 @@ impl McCls {
     }
 
     /// Computes `h = H2(M, R, P_ID)`.
-    pub(crate) fn challenge_for_batch(msg: &[u8], r: &G2Projective, public: &UserPublicKey) -> Fr {
-        Self::challenge(msg, r, public)
-    }
-
-    /// Computes `h = H2(M, R, P_ID)`.
-    fn challenge(msg: &[u8], r: &G2Projective, public: &UserPublicKey) -> Fr {
+    pub(crate) fn challenge(msg: &[u8], r: &G2Projective, public: &UserPublicKey) -> Fr {
         h2_scalar(&[
             b"mccls",
             msg,
@@ -73,18 +68,21 @@ impl McCls {
         ])
     }
 
-    /// The verifier's left-hand pairing `e(S/h, V·P - h·R)`.
-    ///
-    /// Shared by [`CertificatelessScheme::verify`] and both registries,
-    /// [`crate::Verifier`] and [`crate::ShardedVerifier`]. `V·P` goes
-    /// through the fixed-base generator table, so the only full
-    /// double-and-add left on the hot path is `h·R` (the nonce point
-    /// changes per signature).
-    pub(crate) fn verification_pairing(
+    /// The front end of every McCLS verify path: the stateless
+    /// [`CertificatelessScheme::verify`], both registries and every
+    /// batch entry point. It rejects, in this order, another scheme's
+    /// signature, a public key with an identity component, an identity
+    /// `S` or `R`, a challenge `h` without an inverse and an identity
+    /// `V·P - h·R`, and returns `(S, h⁻¹, V·P - h·R)`. Each caller
+    /// multiplies `S` by `h⁻¹` (times its own factor) and rejects an
+    /// identity product itself.
+    // validated: the bytes are the message, which only feeds the
+    // challenge hash; S and R come from a Signature the caller holds
+    pub(crate) fn equation_terms(
         public: &UserPublicKey,
         msg: &[u8],
         sig: &Signature,
-    ) -> Result<Gt, VerifyError> {
+    ) -> Result<(G1Projective, Fr, G2Projective), VerifyError> {
         let Signature::McCls { v, s, r } = sig else {
             return Err(VerifyError::WrongScheme);
         };
@@ -96,15 +94,35 @@ impl McCls {
         }
         let h = Self::challenge(msg, r, public);
         let h_inv = h.invert().ok_or(VerifyError::NonInvertibleChallenge)?;
-        // V·P - h·R ∈ G2 (two scalar mults), S/h ∈ G1 (one scalar mult).
-        let vp = ops::mul_g2_fixed(g2_generator_table(), v);
-        let hr = ops::mul_g2(r, &h);
-        let lhs_g2 = vp.sub(&hr);
-        let s_over_h = ops::mul_g1(s, &h_inv);
-        if s_over_h.is_identity() || lhs_g2.is_identity() {
+        // `V·P` uses the fixed-base generator table, so `h·R` (the nonce
+        // point changes per signature) is the one full double-and-add.
+        let lhs_g2 = ops::mul_g2_fixed(g2_generator_table(), v).sub(&ops::mul_g2(r, &h));
+        if lhs_g2.is_identity() {
+            return Err(VerifyError::IdentityPoint);
+        }
+        Ok((*s, h_inv, lhs_g2))
+    }
+
+    /// The verifier's left-hand pairing `e(S/h, V·P - h·R)`, shared by
+    /// [`CertificatelessScheme::verify`] and both registries.
+    pub(crate) fn verification_pairing(
+        public: &UserPublicKey,
+        msg: &[u8],
+        sig: &Signature,
+    ) -> Result<Gt, VerifyError> {
+        let (s, h_inv, lhs_g2) = Self::equation_terms(public, msg, sig)?;
+        let s_over_h = ops::mul_g1(&s, &h_inv);
+        if s_over_h.is_identity() {
             return Err(VerifyError::IdentityPoint);
         }
         Ok(ops::pair(&s_over_h.to_affine(), &lhs_g2.to_affine()))
+    }
+
+    /// The right-hand side `e(Q_ID, P_pub)`, which the registries cache
+    /// per peer.
+    pub(crate) fn verification_target(params: &SystemParams, id: &[u8]) -> Gt {
+        let q_id = params.hash_identity(id);
+        ops::pair_prepared(&q_id.to_affine(), params.prepared_p_pub())
     }
 }
 
@@ -166,9 +184,7 @@ impl CertificatelessScheme for McCls {
         sig: &Signature,
     ) -> Result<(), VerifyError> {
         let lhs = Self::verification_pairing(public, msg, sig)?;
-        let q_id = params.hash_identity(id);
-        let rhs = ops::pair_prepared(&q_id.to_affine(), params.prepared_p_pub());
-        if lhs == rhs {
+        if lhs == Self::verification_target(params, id) {
             Ok(())
         } else {
             Err(VerifyError::PairingMismatch)

@@ -37,7 +37,6 @@ use mccls_rng::RngCore;
 use crate::backend::VerifierBackend;
 use crate::batch::{BatchItem, BatchOutcome};
 use crate::mccls::McCls;
-use crate::ops;
 use crate::params::{SystemParams, UserPublicKey};
 use crate::scheme::Signature;
 use crate::verify::VerifyError;
@@ -91,8 +90,7 @@ pub(crate) fn prepare_peer_entry(
     if public.has_identity_component() {
         return Err(VerifyError::IdentityPublicKey);
     }
-    let q_id = params.hash_identity(id);
-    let rhs = ops::pair_prepared(&q_id.to_affine(), params.prepared_p_pub());
+    let rhs = McCls::verification_target(params, id);
     Ok(CachedPeer::new(public, rhs))
 }
 
@@ -681,6 +679,7 @@ impl VerifierBackend for ShardedVerifier {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
+    use crate::ops;
     use crate::scheme::CertificatelessScheme;
     use mccls_rng::SeedableRng;
 

@@ -5,7 +5,10 @@
 //! binding anything — handing an identity "key" to a verifier is the
 //! cheapest key-replacement attempt there is. Every verify entry point
 //! must reject these inputs with a structured error before touching a
-//! pairing.
+//! pairing. For McCLS every entry point (the stateless verify, both
+//! registries, `batch_verify`, the warm batch and both
+//! `BatchAccumulator` absorbs) runs one shared front end, so the
+//! verdicts below hold on each; `verdict_agreement.rs` checks that.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 

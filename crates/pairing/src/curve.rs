@@ -111,7 +111,7 @@ impl<C: Curve> AffinePoint<C> {
 
     /// True when multiplying by the subgroup order gives the identity.
     pub fn is_torsion_free(&self) -> bool {
-        self.to_projective().mul_bits(&Fr::MODULUS).is_identity()
+        self.to_projective().is_torsion_free()
     }
 }
 

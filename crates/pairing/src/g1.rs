@@ -74,31 +74,7 @@ impl G1Affine {
     /// encodings, off-curve points, and points outside the prime-order
     /// subgroup.
     pub fn from_compressed(bytes: &[u8; 48]) -> Option<Self> {
-        let compressed = bytes[0] >> 7 & 1 == 1;
-        let infinity = bytes[0] >> 6 & 1 == 1;
-        let sign = bytes[0] >> 5 & 1 == 1;
-        if !compressed {
-            return None;
-        }
-        let mut xbytes = *bytes;
-        xbytes[0] &= 0b0001_1111;
-        if infinity {
-            if xbytes.iter().all(|&b| b == 0) && !sign {
-                return Some(Self::identity());
-            }
-            return None;
-        }
-        let x = Fp::from_be_bytes(&xbytes)?;
-        let y2 = x.square().mul(&x).add(&G1Params::b());
-        let mut y = y2.sqrt()?;
-        if y.is_lexicographically_largest() != sign {
-            y = y.neg();
-        }
-        let point = Self {
-            x,
-            y,
-            infinity: false,
-        };
+        let point = Self::from_compressed_unchecked(bytes)?;
         point.is_torsion_free().then_some(point)
     }
 
@@ -126,10 +102,15 @@ impl G1Affine {
             }
             return None;
         }
-        let x = Fp::from_be_bytes(&xbytes)?;
-        let y2 = x.square().mul(&x).add(&G1Params::b());
-        let mut y = y2.sqrt()?;
-        if y.is_lexicographically_largest() != sign {
+        Self::with_x(Fp::from_be_bytes(&xbytes)?, sign)
+    }
+
+    /// The curve point with abscissa `x` whose `y` is the
+    /// lexicographically largest root exactly when `largest_y` is set,
+    /// or `None` when `x³ + 4` is not a square.
+    fn with_x(x: Fp, largest_y: bool) -> Option<Self> {
+        let mut y = x.square().mul(&x).add(&G1Params::b()).sqrt()?;
+        if y.is_lexicographically_largest() != largest_y {
             y = y.neg();
         }
         Some(Self {
@@ -164,21 +145,9 @@ pub fn hash_to_g1(msg: &[u8], dst: &[u8]) -> G1Projective {
     let wide = mccls_hash::expand_message(msg, dst, 64);
     let mut x = Fp::from_be_bytes_mod(&wide);
     loop {
-        let y2 = x.square().mul(&x).add(&G1Params::b());
-        if let Some(y) = y2.sqrt() {
-            // Normalize the root so the map is deterministic.
-            let y = if y.is_lexicographically_largest() {
-                y.neg()
-            } else {
-                y
-            };
-            let p = G1Affine {
-                x,
-                y,
-                infinity: false,
-            }
-            .to_projective();
-            let cleared = p.mul_bits(&G1_H_EFF);
+        // The smaller root keeps the map deterministic.
+        if let Some(p) = G1Affine::with_x(x, false) {
+            let cleared = p.to_projective().mul_bits(&G1_H_EFF);
             if !cleared.is_identity() {
                 return cleared;
             }

@@ -82,39 +82,16 @@ impl G2Affine {
     /// Parses the 96-byte compressed form with full validation
     /// (canonical coordinates, curve membership, subgroup membership).
     pub fn from_compressed(bytes: &[u8; 96]) -> Option<Self> {
-        let compressed = bytes[0] >> 7 & 1 == 1;
-        let infinity = bytes[0] >> 6 & 1 == 1;
-        let sign = bytes[0] >> 5 & 1 == 1;
-        if !compressed {
-            return None;
-        }
-        let mut xbytes = *bytes;
-        xbytes[0] &= 0b0001_1111;
-        if infinity {
-            if xbytes.iter().all(|&b| b == 0) && !sign {
-                return Some(Self::identity());
-            }
-            return None;
-        }
-        let x = Fp2::from_be_bytes(&xbytes)?;
-        let y2 = x.square().mul(&x).add(&G2Params::b());
-        let mut y = sqrt_fp2(&y2)?;
-        if y.is_lexicographically_largest() != sign {
-            y = y.neg();
-        }
-        let point = Self {
-            x,
-            y,
-            infinity: false,
-        };
+        let point = Self::from_compressed_unchecked(bytes)?;
         (point.is_on_curve() && point.is_torsion_free()).then_some(point)
     }
 
-    /// Parses the 96-byte compressed form **without** the curve and
-    /// subgroup checks: flag handling and coordinate canonicality are
-    /// enforced, but the point may lie outside the prime-order subgroup
-    /// (G2's cofactor is enormous, so random curve points almost never
-    /// land in it).
+    /// Parses the 96-byte compressed form **without** the subgroup
+    /// check: flag handling and coordinate canonicality are enforced,
+    /// curve membership holds by construction of `y` (a checked square
+    /// root of `x³ + b`), but the point may lie outside the prime-order
+    /// subgroup (G2's cofactor is enormous, so random curve points
+    /// almost never land in it).
     ///
     /// This is the raw decoder the validation-state lint exists to
     /// police; it is exposed so adversarial tests can build

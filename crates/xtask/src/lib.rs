@@ -69,11 +69,12 @@
 //!
 //! Every source lint reads one model, [`parser::ParsedFile`]: each file
 //! is scrubbed and parsed once into its test spans, `struct` items and
-//! `fn` items (with their calls, loop regions and `let` statements), and
-//! [`check_workspace`] parses the crypto crates once for the per-file
-//! lints (`panic`, `ct`, `overflow`) and the call-graph lints alike. It
-//! also builds their call graph and certified operation costs once and
-//! hands both to `taint`, `opcount` and `concurrency`.
+//! `fn` items (with their calls, loop regions and `let` statements).
+//! [`check_workspace`] parses every crate a lint reads once
+//! ([`SOURCE_SCOPE`]), builds the crypto crates' call graph and
+//! certified operation costs once for `taint`, `opcount` and
+//! `concurrency`, and runs each row of the one lint table,
+//! [`report::LINTS`], which also drives the SARIF rules.
 //!
 //! Suppression reasons are mandatory everywhere: a marker whose reason
 //! has no alphanumeric content is itself a finding.
@@ -263,8 +264,20 @@ pub const VALIDATE_SCOPE: &[&str] = &[
 ];
 
 /// Crates covered by the asymptotic-complexity certification: the
-/// discrete-event simulation and the AODV protocol logic it drives.
-pub const COMPLEXITY_SCOPE: &[&str] = &["crates/sim", "crates/aodv"];
+/// AODV protocol logic and the discrete-event simulation that drives it.
+pub const COMPLEXITY_SCOPE: &[&str] = &["crates/aodv", "crates/sim"];
+
+/// Every crate a source lint reads, ordered so that each lint's scope is
+/// one contiguous run of the parse: the crypto crates ([`GRAPH_SCOPE`]),
+/// then `aodv`, which [`VALIDATE_SCOPE`] adds, then `sim`, which with
+/// `aodv` makes [`COMPLEXITY_SCOPE`].
+pub const SOURCE_SCOPE: &[&str] = &[
+    "crates/hash",
+    "crates/pairing",
+    "crates/core",
+    "crates/aodv",
+    "crates/sim",
+];
 
 /// Reads and parses every `.rs` file under the `src` of each scope
 /// crate, labelled with workspace-relative paths.
@@ -288,42 +301,63 @@ fn in_scope(path: &str, scope: &[&str]) -> bool {
     })
 }
 
-/// Runs all eleven lints over the workspace rooted at `root`. The
-/// per-file lints read the [`GRAPH_SCOPE`] parse, which covers their
-/// scopes; the graph lints share one call graph and one cost vector.
-pub fn check_workspace(root: &Path) -> Vec<Finding> {
-    let parsed = parse_scope(root, GRAPH_SCOPE);
-    let graph = CallGraph::build(&parsed);
-    let costs = opcount::compute_costs(&parsed, &graph);
-    let mut findings = Vec::new();
-    for (scope, scan) in [
-        (
-            PANIC_SCOPE,
-            panic_lint::scan as fn(&ParsedFile) -> Vec<Finding>,
-        ),
-        (CT_SCOPE, ct_lint::scan),
-        (OVERFLOW_SCOPE, overflow::scan),
-    ] {
-        for file in parsed.iter().filter(|f| in_scope(&f.path, scope)) {
-            findings.extend(scan(file));
-        }
-    }
-    findings.extend(taint::analyze(&parsed, &graph));
-    findings.extend(certify::check_committed::<opcount::Counts<'_>>(
-        root,
-        |budgets| opcount::analyze(&parsed, &graph, &costs, budgets),
-    ));
-    findings.extend(concurrency::analyze(&parsed, &graph, &costs));
-    findings.extend(secret_lint::analyze(&parsed));
-    let sim_parsed = parse_scope(root, COMPLEXITY_SCOPE);
-    findings.extend(certify::check_committed::<complexity::Classes<'_>>(
-        root,
-        |budgets| complexity::analyze(&sim_parsed, budgets),
-    ));
-    findings.extend(validate::analyze(&parse_scope(root, VALIDATE_SCOPE)));
-    findings.extend(hygiene_lint::scan(root));
-    findings.extend(deps_lint::scan(root));
+/// The files of `parsed` that lie in `scope`, which must be one
+/// contiguous run of the parse (every scope is one of
+/// [`SOURCE_SCOPE`]).
+fn scope_run<'a>(parsed: &'a [ParsedFile], scope: &[&str]) -> &'a [ParsedFile] {
+    let start = parsed
+        .iter()
+        .position(|f| in_scope(&f.path, scope))
+        .unwrap_or(parsed.len());
+    let len = parsed
+        .iter()
+        .skip(start)
+        .take_while(|f| in_scope(&f.path, scope))
+        .count();
+    parsed.get(start..start + len).unwrap_or(&[])
+}
 
+/// What the runners of [`report::LINTS`] read: the workspace root, one
+/// parse of [`SOURCE_SCOPE`], and the crypto crates' call graph and
+/// certified operation costs.
+pub struct Workspace<'a> {
+    root: &'a Path,
+    parsed: &'a [ParsedFile],
+    crypto: &'a [ParsedFile],
+    graph: &'a CallGraph,
+    costs: &'a [opcount::Cost],
+}
+
+impl Workspace<'_> {
+    /// The parsed files of `scope`.
+    fn files(&self, scope: &[&str]) -> &[ParsedFile] {
+        scope_run(self.parsed, scope)
+    }
+
+    /// Runs a per-file lint over every file of `scope`.
+    fn scan(&self, scope: &[&str], lint: fn(&ParsedFile) -> Vec<Finding>) -> Vec<Finding> {
+        self.files(scope).iter().flat_map(lint).collect()
+    }
+}
+
+/// Runs every lint of [`report::LINTS`] over the workspace rooted at
+/// `root`.
+pub fn check_workspace(root: &Path) -> Vec<Finding> {
+    let parsed = parse_scope(root, SOURCE_SCOPE);
+    let crypto = scope_run(&parsed, GRAPH_SCOPE);
+    let graph = CallGraph::build(crypto);
+    let costs = opcount::compute_costs(crypto, &graph);
+    let workspace = Workspace {
+        root,
+        parsed: &parsed,
+        crypto,
+        graph: &graph,
+        costs: &costs,
+    };
+    let mut findings: Vec<Finding> = report::LINTS
+        .iter()
+        .flat_map(|lint| (lint.run)(&workspace))
+        .collect();
     findings.sort();
     findings
 }
@@ -368,11 +402,22 @@ mod tests {
     }
 
     #[test]
-    fn per_file_lint_scopes_lie_inside_the_graph_scope() {
-        // `check_workspace` runs `panic`, `ct` and `overflow` over the
-        // `GRAPH_SCOPE` parse; a crate outside it would go unscanned.
-        for scope in [PANIC_SCOPE, CT_SCOPE, OVERFLOW_SCOPE] {
-            assert!(scope.iter().all(|c| GRAPH_SCOPE.contains(c)), "{scope:?}");
+    fn every_scope_is_a_contiguous_run_of_the_source_scope() {
+        // Each lint reads its scope as one slice of the `SOURCE_SCOPE`
+        // parse; a crate outside that run would go unscanned.
+        let parsed: Vec<ParsedFile> = SOURCE_SCOPE
+            .iter()
+            .map(|c| parser::parse_file(&format!("{c}/src/lib.rs"), ""))
+            .collect();
+        for scope in [
+            PANIC_SCOPE,
+            CT_SCOPE,
+            GRAPH_SCOPE,
+            OVERFLOW_SCOPE,
+            VALIDATE_SCOPE,
+            COMPLEXITY_SCOPE,
+        ] {
+            assert_eq!(scope_run(&parsed, scope).len(), scope.len(), "{scope:?}");
         }
         assert!(in_scope("crates/core/src/mccls.rs", CT_SCOPE));
         assert!(!in_scope("crates/hash/src/lib.rs", CT_SCOPE));

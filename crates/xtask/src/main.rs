@@ -98,18 +98,13 @@ fn print_usage() {
         "mccls-xtask — static-analysis gate for this workspace\n\n\
          USAGE:\n    cargo run -p mccls-xtask -- check [--root <dir>] \
          [--format human|json|sarif]\n\n\
-         LINTS:\n    panic     no unwrap/expect/panic!-family/risky indexing in crypto crates\n    \
-         ct        no branching on secret-carrying identifiers (core, pairing)\n    \
-         taint     interprocedural secret flow across the workspace call graph\n    \
-         validate  untrusted-byte decodes must pass curve/subgroup checks before sinks\n    \
-         overflow  no bare +/-/*/<< on u64/u128 limb values in the pairing arithmetic\n    \
-         opcount   Table 1 operation budgets certified statically (opcount-budgets.toml)\n    \
-         complexity  hot-path big-O classes certified statically (complexity-budgets.toml)\n    \
-         concurrency  lock-order acyclicity, no pairing work under guards, no escaping guards\n    \
-         secret    no Debug/Clone/serialization derives on key material; zeroize on Drop\n    \
-         hygiene   #![forbid(unsafe_code)] + [lints] workspace = true everywhere\n    \
-         deps      every dependency is an in-repo path (offline-safe builds)\n\n\
-         WAIVERS:\n    any finding fails the gate (exit 1); the only waiver is an inline\n    \
+         LINTS:"
+    );
+    for lint in &report::LINTS {
+        println!("    {:<12} {}", lint.id, lint.description);
+    }
+    println!(
+        "\nWAIVERS:\n    any finding fails the gate (exit 1); the only waiver is an inline\n    \
          marker with a written reason, e.g. `// lint:allow(panic) <reason>`."
     );
 }

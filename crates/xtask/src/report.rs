@@ -1,4 +1,5 @@
-//! Finding reporters: human, JSON, and SARIF 2.1.0.
+//! The lint table and the finding reporters: human, JSON, and SARIF
+//! 2.1.0.
 //!
 //! The SARIF output is the minimal subset GitHub code scanning accepts
 //! (one run, one rule per lint, one location per result), hand-rolled
@@ -7,45 +8,95 @@
 
 use std::fmt::Write as _;
 
-use crate::Finding;
+use crate::{
+    certify, complexity, concurrency, ct_lint, deps_lint, hygiene_lint, opcount, overflow,
+    panic_lint, secret_lint, taint, validate, Finding, Workspace, COMPLEXITY_SCOPE, CT_SCOPE,
+    OVERFLOW_SCOPE, PANIC_SCOPE, VALIDATE_SCOPE,
+};
 
-/// Every lint the gate runs, with the one-line description SARIF
-/// consumers show next to annotations. The SARIF driver always
-/// advertises the full rule set — not just the lints that happened to
-/// fire — so code-scanning UIs can render "passing" rules.
-pub const LINTS: [(&str, &str); 11] = [
-    (
-        "panic",
-        "No unwrap/expect/panic-family or risky indexing in crypto crates",
-    ),
-    ("ct", "No branching on secret-carrying identifiers"),
-    (
-        "taint",
-        "Interprocedural secret flow across the workspace call graph",
-    ),
-    (
-        "validate",
-        "Untrusted decodes pass curve/subgroup checks before sinks",
-    ),
-    ("overflow", "No bare arithmetic on u64/u128 limb values"),
-    ("opcount", "Table 1 operation budgets certified statically"),
-    (
-        "complexity",
-        "Hot-path asymptotic classes certified against committed budgets",
-    ),
-    (
-        "concurrency",
-        "Lock-order acyclicity, no pairing work under guards, no escaping guards",
-    ),
-    (
-        "secret",
-        "No Debug/Clone/serialization derives on key material; zeroize on Drop",
-    ),
-    (
-        "hygiene",
-        "forbid(unsafe_code) and workspace lints at every crate root",
-    ),
-    ("deps", "Every dependency is an in-repo path"),
+/// One row of the lint table: the id every finding of the lint
+/// carries, the one-line description SARIF consumers show next to
+/// annotations, and the runner [`check_workspace`](crate::check_workspace)
+/// calls. A lint runs only through its row, so it cannot run without a
+/// SARIF rule, and a rule cannot outlive its lint.
+pub struct Lint {
+    /// Short lint name.
+    pub id: &'static str,
+    /// One-line description.
+    pub description: &'static str,
+    /// Runs the lint over the parsed workspace.
+    pub run: fn(&Workspace<'_>) -> Vec<Finding>,
+}
+
+/// Every lint the gate runs. The SARIF driver always advertises the
+/// full rule set — not just the lints that happened to fire — so
+/// code-scanning UIs can render "passing" rules.
+pub const LINTS: [Lint; 11] = [
+    Lint {
+        id: "panic",
+        description: "No unwrap/expect/panic-family or risky indexing in crypto crates",
+        run: |ws| ws.scan(PANIC_SCOPE, panic_lint::scan),
+    },
+    Lint {
+        id: "ct",
+        description: "No branching on secret-carrying identifiers",
+        run: |ws| ws.scan(CT_SCOPE, ct_lint::scan),
+    },
+    Lint {
+        id: "taint",
+        description: "Interprocedural secret flow across the workspace call graph",
+        run: |ws| taint::analyze(ws.crypto, ws.graph),
+    },
+    Lint {
+        id: "validate",
+        description: "Untrusted decodes pass curve/subgroup checks before sinks",
+        // Its own graph: one shared with the crypto lints would alias
+        // `aodv` names onto the budgeted crypto functions.
+        run: |ws| validate::analyze(ws.files(VALIDATE_SCOPE)),
+    },
+    Lint {
+        id: "overflow",
+        description: "No bare arithmetic on u64/u128 limb values",
+        run: |ws| ws.scan(OVERFLOW_SCOPE, overflow::scan),
+    },
+    Lint {
+        id: "opcount",
+        description: "Table 1 operation budgets certified statically",
+        run: |ws| {
+            certify::check_committed::<opcount::Counts<'_>>(ws.root, |budgets| {
+                opcount::analyze(ws.crypto, ws.graph, ws.costs, budgets)
+            })
+        },
+    },
+    Lint {
+        id: "complexity",
+        description: "Hot-path asymptotic classes certified against committed budgets",
+        run: |ws| {
+            certify::check_committed::<complexity::Classes<'_>>(ws.root, |budgets| {
+                complexity::analyze(ws.files(COMPLEXITY_SCOPE), budgets)
+            })
+        },
+    },
+    Lint {
+        id: "concurrency",
+        description: "Lock-order acyclicity, no pairing work under guards, no escaping guards",
+        run: |ws| concurrency::analyze(ws.crypto, ws.graph, ws.costs),
+    },
+    Lint {
+        id: "secret",
+        description: "No Debug/Clone/serialization derives on key material; zeroize on Drop",
+        run: |ws| secret_lint::analyze(ws.crypto),
+    },
+    Lint {
+        id: "hygiene",
+        description: "forbid(unsafe_code) and workspace lints at every crate root",
+        run: |ws| hygiene_lint::scan(ws.root),
+    },
+    Lint {
+        id: "deps",
+        description: "Every dependency is an in-repo path",
+        run: |ws| deps_lint::scan(ws.root),
+    },
 ];
 
 /// Output format for [`render`].
@@ -123,7 +174,7 @@ fn sarif(findings: &[Finding]) -> String {
     out.push_str("  \"version\": \"2.1.0\",\n");
     out.push_str("  \"runs\": [{\n");
     out.push_str("    \"tool\": {\"driver\": {\"name\": \"mccls-xtask\", \"rules\": [");
-    for (i, (id, desc)) in LINTS.iter().enumerate() {
+    for (i, lint) in LINTS.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -131,9 +182,9 @@ fn sarif(findings: &[Finding]) -> String {
             out,
             "\n      {{\"id\": {}, \"name\": {}, \"shortDescription\": {{\"text\": {}}}, \
              \"defaultConfiguration\": {{\"level\": \"error\"}}}}",
-            quote(id),
-            quote(id),
-            quote(desc)
+            quote(lint.id),
+            quote(lint.id),
+            quote(lint.description)
         );
     }
     out.push_str("\n    ]}},\n");
@@ -238,19 +289,22 @@ mod tests {
         assert_eq!(LINTS.len(), 11, "the gate runs eleven lints");
         // Rules carry metadata and appear even when nothing fired.
         let empty = render(&[], Format::Sarif);
-        for (id, desc) in LINTS {
+        for Lint {
+            id, description, ..
+        } in LINTS
+        {
             assert!(
                 empty.contains(&format!("\"id\": {}", quote(id))),
                 "rule `{id}` missing from the SARIF driver"
             );
             assert!(
-                empty.contains(&quote(desc)),
+                empty.contains(&quote(description)),
                 "rule `{id}` lost its shortDescription"
             );
         }
         assert!(empty.contains("\"defaultConfiguration\""));
         // No duplicate ids.
-        let mut ids: Vec<&str> = LINTS.iter().map(|(id, _)| *id).collect();
+        let mut ids: Vec<&str> = LINTS.iter().map(|lint| lint.id).collect();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), LINTS.len());

@@ -44,13 +44,8 @@ fn concurrency_findings(files: &[ParsedFile]) -> Vec<Finding> {
     concurrency::analyze(files, &graph, &compute_costs(files, &graph))
 }
 
-#[test]
-fn fixture_findings_match_the_committed_lists() {
-    // The fixture tests below match message fragments; this one pins
-    // every finding of every fixture run, so an extra finding, a moved
-    // line or a reworded message fails here even when each fragment
-    // still matches. One sorted section per analyzer call, rendered
-    // with `Finding`'s `Display`.
+/// Every fixture run, one per analyzer call, titled `<lint> <fixture>`.
+fn fixture_runs() -> Vec<(&'static str, Vec<Finding>)> {
     use mccls_xtask::{complexity, ct_lint, overflow, panic_lint, parser, secret_lint, validate};
     let parsed = |name: &str| parser::parse_files(&[(name.to_owned(), fixture(name))]);
     let scan = |name: &str, lint: fn(&parser::ParsedFile) -> Vec<Finding>| {
@@ -60,7 +55,7 @@ fn fixture_findings_match_the_committed_lists() {
         .expect("opcount fixture budgets parse");
     let complexity_budgets = complexity::parse_budgets(&fixture("complexity_budgets.toml"))
         .expect("complexity fixture budgets parse");
-    let runs: Vec<(&str, Vec<Finding>)> = vec![
+    vec![
         (
             "panic panic_cases.rs",
             scan("panic_cases.rs", panic_lint::scan),
@@ -111,9 +106,18 @@ fn fixture_findings_match_the_committed_lists() {
             "concurrency concurrency_cases.rs",
             concurrency_findings(&parsed("concurrency_cases.rs")),
         ),
-    ];
+    ]
+}
+
+#[test]
+fn fixture_findings_match_the_committed_lists() {
+    // The fixture tests below match message fragments; this one pins
+    // every finding of every fixture run, so an extra finding, a moved
+    // line or a reworded message fails here even when each fragment
+    // still matches. One sorted section per analyzer call, rendered
+    // with `Finding`'s `Display`.
     let mut actual = String::new();
-    for (title, mut findings) in runs {
+    for (title, mut findings) in fixture_runs() {
         findings.sort();
         actual.push_str(&format!("== {title}\n"));
         for f in findings {
@@ -125,6 +129,22 @@ fn fixture_findings_match_the_committed_lists() {
         actual == expected,
         "fixture findings drifted from fixtures/expected_findings.txt; the full list is:\n{actual}"
     );
+}
+
+#[test]
+fn every_fixture_finding_names_a_row_of_the_lint_table() {
+    // `check_workspace` runs a lint only through its `report::LINTS`
+    // row; a finding whose id has no row would reach SARIF under a rule
+    // the driver never advertised.
+    let ids: Vec<&str> = mccls_xtask::report::LINTS.iter().map(|l| l.id).collect();
+    for (title, findings) in fixture_runs() {
+        for f in findings {
+            assert!(
+                ids.contains(&f.lint),
+                "`{title}` emitted `{f}` with no lint row"
+            );
+        }
+    }
 }
 
 #[test]
