@@ -6,7 +6,7 @@
 //! # The batch engine
 //!
 //! The random-linear-combination (RLC) check
-//! `∏ e(z_i·S_i/h_i, V_i·P - h_i·R_i) · e(-Σ z_i·Q_IDi, P_pub) = 1`
+//! `∏ e(z_i·S_i, (V_i·h_i⁻¹)·P - R_i) · e(-Σ z_i·Q_IDi, P_pub) = 1`
 //! verifies `n` signatures with `n + 1` Miller loops and one final
 //! exponentiation — but a single adversarial signature used to poison
 //! the whole batch and reveal nothing, which is exactly the degradation
@@ -82,7 +82,7 @@ pub struct BatchStats {
     /// Number of entries in the batch.
     pub items: usize,
     /// Total Miller loops spent: `participants + 1` for the base RLC
-    /// check plus one per bisection sub-check.
+    /// check (0 without participants) plus one per bisection sub-check.
     pub miller_loops: u64,
     /// Total final exponentiations spent (one per Miller-loop check).
     pub final_exps: u64,
@@ -119,13 +119,6 @@ pub struct BatchOutcome {
 }
 
 impl BatchOutcome {
-    fn empty() -> Self {
-        Self {
-            verdicts: Vec::new(),
-            stats: BatchStats::default(),
-        }
-    }
-
     /// True when every entry verified (vacuously true for an empty
     /// batch) — the thin adapter for callers that only want the old
     /// all-or-nothing answer.
@@ -199,7 +192,7 @@ enum Expectation {
 }
 
 /// One RLC participant: its cached randomized Miller factor
-/// `ML(z·S/h, V·P - h·R)` and the expectation it must balance.
+/// `ML(z·S, (V·h⁻¹)·P - R)` and the expectation it must balance.
 #[derive(Debug, Clone)]
 struct Slot {
     factor: MillerLoopResult,
@@ -218,18 +211,12 @@ fn item_factor(
     item: &BatchItem<'_>,
     rng: &mut dyn RngCore,
 ) -> Result<RandomizedFactor, VerifyError> {
-    let (s, h_inv, lhs_g2) = McCls::equation_terms(item.public, item.msg, item.sig)?;
+    let (s, lhs_g2) = McCls::equation_terms(item.public, item.msg, item.sig)?;
     // 64-bit small exponent; zero is excluded.
     let z = Fr::from_u64(rng.next_u64() | 1);
     // ct-ok: z blinds a public linear combination; it guards batch
     // soundness, not key secrecy
-    let s_blinded = ops::mul_g1(&s, &h_inv.mul(&z));
-    // ct-ok: verifier-side check over public signature components;
-    // the blinder z only randomises a public linear combination.
-    if s_blinded.is_identity() {
-        return Err(VerifyError::IdentityPoint);
-    }
-    let blinded = s_blinded.to_affine();
+    let blinded = ops::mul_g1(&s, &z).to_affine();
     let lines = G2Prepared::from_projective(&lhs_g2);
     // ct-ok: the Miller loop runs over z-blinded *public* signature
     // components on the verifier side; no key material is involved.
@@ -268,13 +255,14 @@ fn warm_slot(item: &BatchItem<'_>, rhs: &Gt, rng: &mut dyn RngCore) -> Result<Sl
 }
 
 /// Multiplicative aggregates of a slot set, ready for one closing
-/// Miller loop: the factor product, the `Σ z·Q_ID` fold sum, and the
-/// product of warm targets.
+/// Miller loop: the factor product, the `Σ z·Q_ID` fold sum, the
+/// product of warm targets, and how many slots were folded.
 #[derive(Debug, Clone)]
 struct Folded {
     product: MillerLoopResult,
     q_sum: G1Projective,
     target: Gt,
+    slots: usize,
 }
 
 impl Folded {
@@ -283,12 +271,14 @@ impl Folded {
             product: MillerLoopResult::one(),
             q_sum: G1Projective::identity(),
             target: Gt::identity(),
+            slots: 0,
         }
     }
 
     /// Folds one more slot into the running aggregates — plain `Fp12`
     /// and point additions, no pairing work.
     fn fold(&mut self, slot: &Slot) {
+        self.slots += 1;
         self.product = self.product.mul(&slot.factor);
         match &slot.expect {
             Expectation::FoldQ(q) => self.q_sum = self.q_sum.add(q),
@@ -310,9 +300,12 @@ fn fold_slots(slots: &[Slot]) -> Folded {
 /// value the RLC equation leaves over, identity iff every participant
 /// verifies. This is the streaming flush shape — one closing Miller
 /// loop against the prepared `P_pub` and one final exponentiation,
-/// regardless of how many entries were folded in.
+/// regardless of how many entries were folded in (none: the identity).
 // opcount-budget: batch.accumulator_flush
 fn accumulator_flush(params: &SystemParams, folded: &Folded) -> Gt {
+    if folded.slots == 0 {
+        return Gt::identity();
+    }
     let q_neg = folded.q_sum.neg().to_affine();
     // ct-ok: closes a z-blinded public linear combination on the
     // verifier side; no key material is involved.
@@ -470,10 +463,12 @@ fn finish_outcome(
     defect: Gt,
     isolation_limit: Option<u32>,
 ) -> BatchOutcome {
+    // The closing check runs only when some entry joined the product.
+    let closing = u64::from(!slots.is_empty());
     let mut stats = BatchStats {
         items: verdicts.len(),
-        miller_loops: slots.len() as u64 + 1,
-        final_exps: 1,
+        miller_loops: slots.len() as u64 + closing,
+        final_exps: closing,
         isolation_checks: 0,
         bisection_depth: 0,
     };
@@ -528,9 +523,6 @@ pub fn batch_verify(
     items: &[BatchItem<'_>],
     rng: &mut dyn RngCore,
 ) -> BatchOutcome {
-    if items.is_empty() {
-        return BatchOutcome::empty();
-    }
     let (verdicts, slots, members, defect) = verify_outcome(params, items, rng);
     finish_outcome(params, verdicts, slots, members, defect, None)
 }
@@ -548,9 +540,6 @@ pub(crate) fn warm_batch_verify(
     warm: &WarmLookup<'_>,
     isolation_limit: Option<u32>,
 ) -> BatchOutcome {
-    if items.is_empty() {
-        return BatchOutcome::empty();
-    }
     let mut verdicts = vec![Verdict::Ok; items.len()];
     let mut slots = Vec::with_capacity(items.len());
     let mut members = Vec::with_capacity(items.len());
@@ -723,18 +712,16 @@ impl BatchAccumulator {
         }
     }
 
-    /// Settles the pending window: one closing Miller loop, one final
-    /// exponentiation, then bisection (under the policy's isolation
-    /// budget) if the window is dirty. Resets the accumulator.
+    /// Settles the pending window: one closing Miller loop and one final
+    /// exponentiation if any entry joined the product, then bisection
+    /// (under the policy's isolation budget) if the window is dirty.
+    /// Resets the accumulator.
     pub fn flush(&mut self) -> BatchOutcome {
         let slots = std::mem::take(&mut self.slots);
         let members = std::mem::take(&mut self.members);
         let verdicts = std::mem::take(&mut self.verdicts);
         let folded = std::mem::replace(&mut self.folded, Folded::empty());
         self.opened_at = None;
-        if verdicts.is_empty() {
-            return BatchOutcome::empty();
-        }
         let defect = accumulator_flush(&self.params, &folded);
         finish_outcome(
             &self.params,
@@ -940,7 +927,7 @@ mod tests {
         assert_eq!(counts.miller_loops as usize, batch.len() + 1);
         assert_eq!(counts.final_exps, 1, "single shared final exponentiation");
         assert_eq!(counts.g1_muls as usize, 2 * batch.len());
-        assert_eq!(counts.g2_muls as usize, 2 * batch.len());
+        assert_eq!(counts.g2_muls as usize, batch.len());
         // The outcome's own accounting agrees with the ops counters.
         assert_eq!(outcome.stats().miller_loops, counts.miller_loops);
         assert_eq!(outcome.stats().final_exps, counts.final_exps);
@@ -964,6 +951,39 @@ mod tests {
         // The structurally bad entry does not poison its neighbour.
         assert_eq!(outcome.verdicts().get(1), Some(&Verdict::Ok));
         assert_eq!(outcome.as_result(), Err(VerifyError::WrongScheme));
+    }
+
+    #[test]
+    fn a_batch_without_participants_does_no_pairing_work() {
+        let w = world(2, 9);
+        let alien = Signature::Yhg {
+            u: G1Projective::generator(),
+            v: G1Projective::generator(),
+        };
+        let mut batch = items(&w);
+        for item in &mut batch {
+            item.sig = &alien;
+        }
+        let mut rng = mccls_rng::rngs::StdRng::seed_from_u64(10);
+        let (outcome, counts) = ops::measure(|| batch_verify(&w.params, &batch, &mut rng));
+        assert_eq!(
+            outcome.verdicts(),
+            &[Verdict::Invalid(VerifyError::WrongScheme); 2]
+        );
+        assert_eq!((counts.miller_loops, counts.final_exps), (0, 0));
+        let stats = outcome.stats();
+        assert_eq!((stats.miller_loops, stats.final_exps), (0, 0));
+
+        let mut acc = BatchAccumulator::new(w.params.clone(), FlushPolicy::default());
+        assert!(acc.absorb(&batch[0], &mut rng).is_none());
+        let (outcome, counts) = ops::measure(|| acc.flush());
+        assert_eq!(
+            outcome.verdicts(),
+            &[Verdict::Invalid(VerifyError::WrongScheme)]
+        );
+        assert_eq!((counts.miller_loops, counts.final_exps), (0, 0));
+        let stats = outcome.stats();
+        assert_eq!((stats.miller_loops, stats.final_exps), (0, 0));
     }
 
     #[test]

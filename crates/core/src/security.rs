@@ -223,8 +223,8 @@ pub fn run_type2_game(scheme: &dyn CertificatelessScheme, rng: &mut dyn RngCore)
 /// * `R = ρ·P` for arbitrary `ρ`,
 /// * `h = H2(M, R, P_ID)`, `V = h·(1 + ρ)`.
 ///
-/// Verification computes `V·P - h·R = h·(1+ρ)·P - h·ρ·P = h·P` and then
-/// `e(S/h, h·P) = e(D_ID, P) = e(Q_ID, P_pub)` — exactly the acceptance
+/// Verification computes `(V·h⁻¹)·P - R = (1+ρ)·P - ρ·P = P` and then
+/// `e(S, P) = e(D_ID, P) = e(Q_ID, P_pub)` — exactly the acceptance
 /// condition, with the victim's secret value never involved.
 pub fn mccls_type2_forgery(
     params: &SystemParams,
