@@ -3,8 +3,9 @@
 //!
 //! Two interchangeable providers implement [`AuthProvider`]:
 //!
-//! * [`RealAuthProvider`] — actually runs a certificateless scheme from
-//!   `mccls-core` (McCLS by default). Legitimate nodes get KGC-issued
+//! * [`RealAuthProvider`] — actually runs McCLS from `mccls-core`,
+//!   verifying through its single-threaded [`Verifier`] (one simulator
+//!   run is one thread). Legitimate nodes get KGC-issued
 //!   partial private keys; attacker nodes are *outsiders* that fabricate
 //!   their partial keys, so every signature they produce fails
 //!   verification. This is the ground-truth implementation.
@@ -20,23 +21,12 @@
 //! [`CryptoCost::FREE`]; the figure binaries in `mccls-bench` charge the
 //! McCLS sign and warm-verify medians that `table1` commits to
 //! `BENCH_table1.json`.
-//!
-//! [`RealAuthProvider`] is generic over any
-//! [`mccls_core::VerifierBackend`]. The simulator is single-threaded
-//! per run, so the default backend is the single-threaded [`Verifier`];
-//! a multi-threaded service (many packet streams verified concurrently
-//! against one shared peer directory) builds the same provider over a
-//! `mccls_core::ShardedVerifier` via
-//! [`RealAuthProvider::with_backend`]: the same warm one-pairing
-//! budget, behind sharded `RwLock`s whose lock discipline — acyclic
-//! acquisition order, no pairing work under a guard — is statically
-//! certified by the xtask `concurrency` lint (DESIGN.md §9).
 
 use std::collections::BTreeSet;
 
 use mccls_core::{
     CertificatelessScheme, McCls, PartialPrivateKey, Signature, SystemParams, UserKeyPair,
-    UserPublicKey, Verifier, VerifierBackend,
+    UserPublicKey, Verifier,
 };
 use mccls_pairing::{Fr, G1Projective};
 use mccls_rng::rngs::StdRng;
@@ -176,41 +166,25 @@ struct NodeKeys {
 }
 
 /// The ground-truth provider: real McCLS signatures over real BLS12-381,
-/// generic over the verify-side handle (single-threaded [`Verifier`] by
-/// default, `mccls_core::ShardedVerifier` for concurrent services).
-pub struct RealAuthProvider<B: VerifierBackend = Verifier> {
+/// verified through a [`Verifier`].
+pub struct RealAuthProvider {
     scheme: McCls,
     node_keys: Vec<NodeKeys>,
     /// Public key directory (what nodes would learn from piggybacked
     /// keys).
     directory: Vec<UserPublicKey>,
-    /// The stateful verify-side backend: prepared `P_pub` lines plus the
+    /// The stateful verify side: prepared `P_pub` lines plus the
     /// per-peer `e(Q_ID, P_pub)` cache, registered lazily on first
-    /// contact via [`VerifierBackend::authenticate_with_key`].
-    verifier: B,
+    /// contact via [`Verifier::verify_with_key`].
+    verifier: Verifier,
     rng: StdRng,
 }
 
-impl RealAuthProvider<Verifier> {
+impl RealAuthProvider {
     /// Sets up a KGC, enrolls `num_nodes` nodes, and fabricates
     /// credentials for the nodes in `attackers` (outsiders who never
-    /// contact the KGC), verifying through the single-threaded
-    /// [`Verifier`].
+    /// contact the KGC).
     pub fn new(num_nodes: usize, attackers: &BTreeSet<NodeId>, seed: u64) -> Self {
-        Self::with_backend(num_nodes, attackers, seed, Verifier::new)
-    }
-}
-
-impl<B: VerifierBackend> RealAuthProvider<B> {
-    /// Like [`RealAuthProvider::new`], but verifying through the backend
-    /// `make_backend` builds from the freshly set-up system parameters
-    /// (e.g. `mccls_core::ShardedVerifier::new`).
-    pub fn with_backend(
-        num_nodes: usize,
-        attackers: &BTreeSet<NodeId>,
-        seed: u64,
-        make_backend: impl FnOnce(SystemParams) -> B,
-    ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let scheme = McCls::new();
         let (params, kgc) = scheme.setup(&mut rng);
@@ -234,23 +208,23 @@ impl<B: VerifierBackend> RealAuthProvider<B> {
             scheme,
             node_keys,
             directory,
-            verifier: make_backend(params),
+            verifier: Verifier::new(params),
             rng,
         }
     }
 
     /// The public parameters (exposed for tests).
     pub fn params(&self) -> &SystemParams {
-        self.verifier.backend_params()
+        self.verifier.params()
     }
 }
 
-impl<B: VerifierBackend + Send> AuthProvider for RealAuthProvider<B> {
+impl AuthProvider for RealAuthProvider {
     fn sign(&mut self, node: NodeId, payload: &[u8]) -> Auth {
         let nk = &self.node_keys[node.index()];
         // complexity-ok: McCLS scheme signing (crates/core), constant per packet and outside the lint scope
         let sig = self.scheme.sign(
-            self.verifier.backend_params(),
+            self.verifier.params(),
             &node.identity_bytes(),
             &nk.partial,
             &nk.keys,
@@ -275,7 +249,7 @@ impl<B: VerifierBackend + Send> AuthProvider for RealAuthProvider<B> {
         // intrusion-detection hook that wants to tell tampering apart
         // from unknown peers.
         self.verifier
-            .authenticate_with_key(&auth.signer.identity_bytes(), public, payload, sig)
+            .verify_with_key(&auth.signer.identity_bytes(), public, payload, sig)
             .is_ok()
     }
 }
@@ -335,24 +309,6 @@ mod tests {
         let mut auth = p.sign(NodeId(3), b"payload");
         auth.signer = NodeId(1);
         assert!(!p.verify(b"payload", &auth));
-    }
-
-    #[test]
-    fn real_provider_is_backend_generic() {
-        // The same provider, over the sharded thread-safe backend: the
-        // accept/reject behaviour must be identical to the
-        // single-threaded default.
-        let mut p = RealAuthProvider::with_backend(
-            4,
-            &attackers(&[3]),
-            12,
-            mccls_core::ShardedVerifier::new,
-        );
-        let honest = p.sign(NodeId(1), b"RREQ|fields");
-        assert!(p.verify(b"RREQ|fields", &honest));
-        assert!(!p.verify(b"RREQ|tampered", &honest));
-        let forged = p.sign(NodeId(3), b"RREP|forged");
-        assert!(!p.verify(b"RREP|forged", &forged));
     }
 
     #[test]

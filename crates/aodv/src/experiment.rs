@@ -5,6 +5,7 @@ use crate::auth::CryptoCost;
 use crate::config::{Behavior, Protocol, ScenarioConfig};
 use crate::metrics::Metrics;
 use crate::network::Network;
+use mccls_rng::SplitMix64;
 use mccls_sim::SimDuration;
 
 /// The node speeds the paper sweeps (m/s).
@@ -104,15 +105,6 @@ pub fn scenario(
     cfg
 }
 
-/// One round of SplitMix64's output mixing (Steele et al., the
-/// generator `java.util.SplittableRandom` popularized).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// The RNG seed of one sweep run, derived by chained SplitMix64 mixing
 /// from `(base_seed, speed, trial)`.
 ///
@@ -123,7 +115,8 @@ fn splitmix64(mut x: u64) -> u64 {
 /// decorrelates the lanes properly; the additive scheme it replaces
 /// collided whenever `base_seed + trial + speed·1000` tied.
 pub fn run_seed(base_seed: u64, speed: f64, trial: u64) -> u64 {
-    splitmix64(splitmix64(splitmix64(base_seed) ^ speed.to_bits()) ^ trial)
+    let mix = |x| SplitMix64::new(x).next_u64();
+    mix(mix(mix(base_seed) ^ speed.to_bits()) ^ trial)
 }
 
 /// Runs one configuration for every speed in `speeds`, pooling `trials`

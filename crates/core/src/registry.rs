@@ -13,7 +13,7 @@
 //!   scalar multiplication. All expensive group arithmetic happens
 //!   *before* a write lock is taken or *after* a read lock is dropped;
 //!   guards bracket `HashMap` access only.
-//! * **Bounded residency** — each shard's cache is a [`ClockMap`]: a
+//! * **Bounded residency** — each shard's cache is a `ClockMap`: a
 //!   capacity-bounded map with clock (second-chance) eviction, so a
 //!   churning mobile network cannot grow per-peer `Gt` state without
 //!   limit. The same structure bounds the single-threaded
@@ -315,7 +315,7 @@ fn shard_hash(id: &[u8]) -> u64 {
 
 /// A sharded, thread-safe McCLS verification registry.
 ///
-/// `N` shards each guard a bounded [`ClockMap`] with their own
+/// `N` shards each guard a bounded `ClockMap` with their own
 /// [`RwLock`]; a peer lives in exactly one shard (by FNV-1a of its
 /// identity), so no operation ever holds two shard locks and the
 /// statically certified lock order is trivially acyclic. Verification
@@ -450,10 +450,10 @@ impl ShardedVerifier {
     /// Verifies a McCLS signature from a registered peer.
     ///
     /// The warm path is the paper's Table 1 hot path — one pairing (one
-    /// Miller loop, one final exponentiation), one G1 and two G2 scalar
-    /// multiplications — and none of it runs under the shard lock: the
-    /// read guard lives only long enough to copy the 16-limb cached
-    /// `Gt` and the public key out of the map.
+    /// Miller loop, one final exponentiation) and one fixed-base G2
+    /// scalar multiplication — and none of it runs under the shard
+    /// lock: the read guard lives only long enough to copy the 16-limb
+    /// cached `Gt` and the public key out of the map.
     // opcount-budget: registry.verify
     pub fn verify(&self, id: &[u8], msg: &[u8], sig: &Signature) -> Result<(), VerifyError> {
         let cached = {

@@ -149,9 +149,9 @@ pub struct Verifier {
 impl Verifier {
     /// Creates a verifier for the given system parameters, preparing
     /// `P_pub`'s Miller-loop lines up front. The peer cache is bounded
-    /// to [`DEFAULT_PEER_CAPACITY`] entries with clock eviction (the
-    /// same policy as [`ShardedVerifier`](crate::ShardedVerifier)), so
-    /// a churning network cannot grow it without limit.
+    /// to `DEFAULT_PEER_CAPACITY` (65,536) entries with clock eviction
+    /// (the same policy as [`ShardedVerifier`](crate::ShardedVerifier)),
+    /// so a churning network cannot grow it without limit.
     pub fn new(params: SystemParams) -> Self {
         Self::with_peer_capacity(params, DEFAULT_PEER_CAPACITY)
     }
@@ -207,8 +207,8 @@ impl Verifier {
     /// Verifies a McCLS signature from a registered peer.
     ///
     /// With the peer registered this is the paper's Table 1 hot path:
-    /// one pairing (one Miller loop, one final exponentiation), one G1
-    /// scalar multiplication and two G2 scalar multiplications.
+    /// one pairing (one Miller loop, one final exponentiation) and one
+    /// fixed-base G2 scalar multiplication.
     // opcount-budget: verifier.verify
     pub fn verify(&self, id: &[u8], msg: &[u8], sig: &Signature) -> Result<(), VerifyError> {
         let entry = self.peers.peek(id).ok_or(VerifyError::UnknownPeer)?;

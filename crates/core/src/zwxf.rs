@@ -50,6 +50,8 @@ impl Zwxf {
     }
 
     /// The two message-dependent G1 points `W` and `W'`.
+    // validated: the bytes are hashed, not decoded; both points are
+    // hash_to_g1 outputs, cofactor-cleared into the subgroup
     fn message_points(
         msg: &[u8],
         id: &[u8],

@@ -114,8 +114,23 @@ fn unknown_tags_are_rejected() {
 fn wrong_subgroup_components_are_rejected() {
     let bad_g1 = wrong_subgroup_g1_bytes();
     let bad_g2 = wrong_subgroup_g2_bytes();
+    // `U0`, the order-3 point of the all-zero `x` encoding. An honest
+    // McCLS `S + U0` still verifies (the pairing of an order-3 point is
+    // trivial), so only the decoder's subgroup check keeps it out.
+    let mut zero_x = [0u8; 48];
+    zero_x[0] = 0b1000_0000;
+    let u0 = G1Affine::from_compressed_unchecked(&zero_x)
+        .unwrap()
+        .to_projective();
     for (name, sig) in signatures() {
         let bytes = sig.to_bytes();
+        if let Signature::McCls { s, .. } = &sig {
+            let malleated = s.add(&u0).to_affine().to_compressed();
+            assert!(G1Affine::from_compressed_unchecked(&malleated).is_some());
+            let mut corrupt = bytes.clone();
+            corrupt[33..81].copy_from_slice(&malleated);
+            assert_eq!(Signature::from_bytes(&corrupt), None, "{name} S + U0");
+        }
         let (g1_ranges, g2_ranges) = point_ranges(&sig);
         for r in g1_ranges {
             let mut corrupt = bytes.clone();

@@ -376,6 +376,9 @@ impl BigUint {
 
     /// Schoolbook multiplication.
     pub fn mul(&self, other: &Self) -> Self {
+        // taint-public: BigUint scratch holds constants and encodings,
+        // never live key material; the name-based call graph cannot see
+        // the type split (DESIGN.md §8)
         let mut out = vec![0u64; self.limbs.len() + other.limbs.len()];
         for (i, &a) in self.limbs.iter().enumerate() {
             let mut carry = 0u64;

@@ -261,8 +261,10 @@ macro_rules! montgomery_field {
                 // (Fp: 3 bits). A single headroom bit only covers
                 // canonical operands, so a thin modulus (Fr: 1 bit)
                 // keeps the defensive carry test.
+                // ct-ok: backs the documented conditional-subtraction
+                // normalization, like `arith::geq` (DESIGN.md §8)
                 if (!Self::CARRY_FREE_ADD && carry != 0)
-                    || $crate::arith::geq(&out, &Self::MODULUS)
+                    || $crate::arith::geq(&out, &Self::MODULUS) // ct-ok: same normalization
                 {
                     out = $crate::arith::sub_limbs(&out, &Self::MODULUS);
                 }
@@ -279,6 +281,8 @@ macro_rules! montgomery_field {
                     out[i] = v;
                     borrow = b;
                 }
+                // ct-ok: backs the documented conditional-subtraction
+                // normalization, like `arith::geq` (DESIGN.md §8)
                 if borrow != 0 {
                     let mut carry = 0u64;
                     for i in 0..$n {
@@ -433,6 +437,8 @@ macro_rules! montgomery_field {
                 let mut out = [0u64; $n];
                 // lint:allow(panic) scratch is strictly longer than $n
                 out.copy_from_slice(&t[..$n]);
+                // ct-ok: backs the documented conditional-subtraction
+                // normalization, like `arith::geq` (DESIGN.md §8)
                 if t[$n] != 0 || $crate::arith::geq(&out, &Self::MODULUS) {
                     out = $crate::arith::sub_limbs(&out, &Self::MODULUS);
                 }

@@ -60,3 +60,37 @@ mod tests {
         }
     }
 }
+
+/// Tuple-bound secret: every name of the pattern carries the draw.
+fn tuple_bound_secret(rng: &mut Rng) -> Fr {
+    let (x, tries) = (Fr::random(rng), 1u8);
+    if x.is_zero() {
+        // finding on the `if` line: the tuple pattern binds `x`
+        return Fr::from(tries);
+    }
+    x
+}
+
+/// Clean twin: the tuple binds public data only.
+fn tuple_bound_public(msg: &[u8]) -> bool {
+    let (digest, floor) = (hash(msg), 16);
+    digest.len() > floor && msg.len() > 4 // CLEAN: public lengths
+}
+
+/// The first `let` inside an `if let` block binds like any other.
+fn first_let_in_if_let(keys: &KeyPair, hint: Option<u8>) -> bool {
+    if let Some(h) = hint {
+        let s = keys.secret;
+        return s.is_zero() || h > 7; // finding: `||` on secret-carrying `s`
+    }
+    false
+}
+
+/// Clean twin: the same shape over public data.
+fn first_let_in_if_let_public(msg: &[u8], hint: Option<u8>) -> bool {
+    if let Some(h) = hint {
+        let n = msg.len();
+        return n > 4 || h > 7; // CLEAN: message lengths are public
+    }
+    false
+}

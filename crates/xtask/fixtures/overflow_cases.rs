@@ -46,3 +46,19 @@ fn sloppy_fold(hi: u64) -> u64 {
     // overflow-ok:
     hi << 63
 }
+
+/// An initializer that starts on the next line: `hi` still inherits
+/// `t`'s limb-ness.
+fn carry_chain_wrapped(t: &[u64; 4]) -> u64 {
+    let hi =
+        t[3];
+    hi << 1
+}
+
+/// Clean twin: the same binding, shifted by the wrapping helper. Must
+/// not be flagged.
+fn carry_chain_wrapped_ct(t: &[u64; 4]) -> u64 {
+    let hi =
+        t[3];
+    hi.wrapping_shl(1)
+}

@@ -52,3 +52,40 @@ fn admit_sloppy(bytes: &[u8; 96]) -> Gt {
     let key = decode_peer_key(bytes);
     pair(&generator(), key)
 }
+
+/// Tuple-bound decode: the pattern binds the unchecked key, which
+/// reaches the pairing.
+fn admit_tuple(bytes: &[u8; 96]) -> Gt {
+    let (key, _tag) = (decode_peer_key(bytes), 7u8);
+    pair(&generator(), key)
+}
+
+/// Sanitized twin of the tuple shape. Must not be flagged.
+fn admit_tuple_checked(bytes: &[u8; 96]) -> Option<Gt> {
+    let (key, _tag) = (decode_peer_key(bytes), 7u8);
+    if !key.is_torsion_free() {
+        return None;
+    }
+    Some(pair(&generator(), key))
+}
+
+/// The first `let` inside an `if let` block: the decode reaches the
+/// pairing.
+fn admit_hinted(bytes: &[u8; 96], hint: Option<u8>) -> Option<Gt> {
+    if let Some(_h) = hint {
+        let key = decode_peer_key(bytes);
+        return Some(pair(&generator(), key));
+    }
+    None
+}
+
+/// Sanitized twin of the `if let` shape. Must not be flagged.
+fn admit_hinted_checked(bytes: &[u8; 96], hint: Option<u8>) -> Option<Gt> {
+    if let Some(_h) = hint {
+        let key = decode_peer_key(bytes);
+        if key.is_torsion_free() {
+            return Some(pair(&generator(), key));
+        }
+    }
+    None
+}

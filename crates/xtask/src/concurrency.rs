@@ -1,6 +1,6 @@
 //! The concurrency-safety lint: lock discipline, certified from source.
 //!
-//! The sharded registry ([`mccls-core`]'s `ShardedVerifier`) is shared
+//! The sharded registry (`mccls-core`'s `ShardedVerifier`) is shared
 //! mutable state on the verification hot path, and a cache that can
 //! deadlock or serve a torn `e(Q_ID, P_pub)` entry under concurrency is
 //! a verification-bypass bug, not just a performance bug. This pass
@@ -132,7 +132,7 @@ struct GuardSite {
     line: usize,
     /// Last line (inclusive) the guard is considered live.
     end: usize,
-    /// Binding name for `let`-bound guards (`_` included), `None` for
+    /// The names a guard's `let` binds (`_` included), `None` for
     /// temporaries.
     binding: Option<String>,
 }
@@ -199,7 +199,7 @@ fn guard_sites(f: &FnItem) -> Vec<GuardSite> {
             .rfind(|s| s.line <= call.line && call.line <= s.rhs_end_line);
         let (end, name) = match binding {
             // A `_` binding drops the guard on the spot.
-            Some(s) if s.name == "_" => (call.line, Some(s.name.clone())),
+            Some(s) if s.names == ["_"] => (call.line, Some("_".to_owned())),
             Some(s) => {
                 // An explicit `drop(name)` releases early.
                 let dropped = f
@@ -209,13 +209,16 @@ fn guard_sites(f: &FnItem) -> Vec<GuardSite> {
                         c.callee == "drop"
                             && !c.is_method
                             && c.args.len() == 1
-                            && c.args[0] == s.name
+                            && s.names.contains(&c.args[0])
                             && c.line >= call.line
                             && c.line <= s.scope_end_line
                     })
                     .map(|c| c.line)
                     .min();
-                (dropped.unwrap_or(s.scope_end_line), Some(s.name.clone()))
+                (
+                    dropped.unwrap_or(s.scope_end_line),
+                    Some(s.names.join(", ")),
+                )
             }
             None => (call.line, None),
         };

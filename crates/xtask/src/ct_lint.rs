@@ -18,11 +18,12 @@
 //! 1. **Seed**: an initializer that touches key material or an RNG draw
 //!    ([`TAINT_SOURCES`]) marks its binding as secret-carrying, as does
 //!    any name in the caller-provided seed set.
-//! 2. **Propagate**: `let` bindings *and* plain/compound assignments
-//!    whose right-hand side mentions a tainted name (or calls a
-//!    secret-returning function) become tainted, to a fixed point.
-//!    Tuple/struct patterns are skipped — a deliberate
-//!    under-approximation documented in DESIGN.md §8.
+//! 2. **Propagate**: every name a `let` pattern binds and every
+//!    plain/compound assignment, as the parser records them
+//!    ([`FnItem::bindings`]), becomes tainted when its right-hand side
+//!    mentions a tainted name (or calls a secret-returning function),
+//!    to a fixed point. `for` patterns are not read: the loops this
+//!    lint covers run over public indices.
 //! 3. **Declassify**: a binding annotated `// taint-public: <reason>`
 //!    never becomes tainted — the reviewed escape hatch for values that
 //!    are secret-derived but published by the protocol (signature
@@ -38,8 +39,8 @@
 
 use std::collections::HashSet;
 
-use crate::lexer::{self, contains_word, is_ident_char, match_back, skip_ws, starts_word_at};
-use crate::parser::ParsedFile;
+use crate::lexer::{self, contains_word, is_ident_char};
+use crate::parser::{FnItem, ParsedFile};
 use crate::{suppression_near, unless_suppressed, Finding, Suppression};
 
 /// The suppression marker for this lint.
@@ -116,22 +117,20 @@ pub struct BodyAnalysis {
     pub returns_secret: bool,
 }
 
-/// Analyses one scrubbed function body.
+/// Analyses one function body.
 ///
-/// * `body` — scrubbed text from `{` through the matching `}`;
-/// * `body_line` — 1-based file line of the opening brace;
+/// * `item` — the parsed function: its body text and its bindings;
 /// * `raw_lines` — the file's raw lines (for `taint-public:` markers);
 /// * `seeds` — names tainted on entry (interprocedural parameter taint);
 /// * `secret_calls` — callee names whose return value is secret.
 pub fn analyze_body(
-    body: &str,
-    body_line: usize,
+    item: &FnItem,
     raw_lines: &[&str],
     seeds: &[String],
     secret_calls: &HashSet<String>,
 ) -> BodyAnalysis {
-    let bindings = bindings_of(body);
-    let declassified = declassified_by(&bindings, body_line, raw_lines, DECLASS_MARKER);
+    let bindings = item.bindings();
+    let declassified = declassified_by(&bindings, raw_lines, DECLASS_MARKER);
     // Taint enters through textual sources, the seeds and
     // secret-returning calls, and flows through bindings that mention it.
     let tainted = binding_fixpoint(
@@ -147,15 +146,15 @@ pub fn analyze_body(
 
     let mut violations = Vec::new();
     if !tainted.is_empty() {
-        for (off, line) in body.lines().enumerate() {
-            let lineno = body_line + off;
+        for (off, line) in item.body.lines().enumerate() {
+            let lineno = item.body_line + off;
             for message in line_violations(line, &tainted) {
                 violations.push((lineno, message));
             }
         }
     }
     BodyAnalysis {
-        returns_secret: returns_secret(body, &tainted),
+        returns_secret: returns_secret(&item.body, &tainted),
         tainted,
         violations,
         bare_declass: declassified.bare_lines,
@@ -174,7 +173,7 @@ pub fn scan(file: &ParsedFile) -> Vec<Finding> {
 
     let mut findings = Vec::new();
     for f in file.fns.iter().filter(|f| !f.is_test) {
-        let analysis = analyze_body(&f.body, f.body_line, &raw_lines, &[], &no_secret_calls);
+        let analysis = analyze_body(f, &raw_lines, &[], &no_secret_calls);
         findings.extend(filter_violations(
             &file.path,
             &raw_lines,
@@ -351,145 +350,6 @@ fn has_div_operator(line: &str) -> bool {
     false
 }
 
-/// A binding: `(name, right-hand side, 0-based line offset in body)`.
-pub(crate) type Binding = (String, String, usize);
-
-/// `let` bindings and plain/compound assignments, textually extracted.
-/// Pattern bindings (`let Some(x)`, `let (a, b)`) are skipped: the lint
-/// only tracks plain named bindings, which is what the scheme code uses
-/// for secrets. Shared with the validation-state pass in
-/// [`crate::validate`], which tracks decoded group values through the
-/// same binding shapes.
-pub(crate) fn bindings_of(scrubbed: &str) -> Vec<Binding> {
-    let chars: Vec<char> = scrubbed.chars().collect();
-    let mut out = Vec::new();
-    let mut line = 0usize;
-    let mut i = 0;
-    while i < chars.len() {
-        if chars[i] == '\n' {
-            line += 1;
-            i += 1;
-            continue;
-        }
-        if starts_word_at(&chars, i, "let") {
-            i += 3;
-            i = skip_ws(&chars, i);
-            if starts_word_at(&chars, i, "mut") {
-                i += 3;
-                i = skip_ws(&chars, i);
-            }
-            let start = i;
-            while i < chars.len() && is_ident_char(chars[i]) {
-                i += 1;
-            }
-            let name: String = chars[start..i].iter().collect();
-            let lowercase_start = name
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_lowercase() || c == '_');
-            let decl_line = line;
-            // Initializer: everything up to the statement's semicolon.
-            let init_start = i;
-            while i < chars.len() && chars[i] != ';' {
-                if chars[i] == '\n' {
-                    line += 1;
-                }
-                i += 1;
-            }
-            if !name.is_empty() && name != "_" && lowercase_start {
-                let init: String = chars[init_start..i].iter().collect();
-                if init.trim_start().starts_with([':', '=']) {
-                    out.push((name, init, decl_line));
-                }
-            }
-            continue;
-        }
-        if chars[i] == '=' && is_plain_or_compound_assign(&chars, i) {
-            if let Some(name) = assigned_base_name(&chars, i) {
-                let decl_line = line;
-                let rhs_start = i + 1;
-                let mut j = rhs_start;
-                let mut rhs_line = line;
-                while j < chars.len() && chars[j] != ';' {
-                    if chars[j] == '\n' {
-                        rhs_line += 1;
-                    }
-                    j += 1;
-                }
-                let rhs: String = chars[rhs_start..j].iter().collect();
-                out.push((name, rhs, decl_line));
-                line = rhs_line;
-                i = j;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// True when the `=` at `i` is a plain assignment or the tail of a
-/// compound one (`+=`, `^=`, …) — not `==`, `<=`, `=>`, `..=`, etc.
-fn is_plain_or_compound_assign(chars: &[char], i: usize) -> bool {
-    if chars.get(i + 1) == Some(&'=') || chars.get(i + 1) == Some(&'>') {
-        return false;
-    }
-    !matches!(
-        i.checked_sub(1).and_then(|p| chars.get(p)),
-        Some(&p) if "=!<>.".contains(p)
-    )
-}
-
-/// The base identifier of the place being assigned at the `=` at `i`:
-/// `t` for `t[j] = v`, `out` for `out.x += v`, `self` for
-/// `self.0 = v`. `None` when the place is not a simple chain.
-fn assigned_base_name(chars: &[char], i: usize) -> Option<String> {
-    let mut j = i; // exclusive end of the place
-                   // Skip one compound-operator char (`+=`, `|=`, …).
-    if let Some(p) = j.checked_sub(1) {
-        if "+-*/%&|^".contains(chars[p]) {
-            j = p;
-        }
-    }
-    // Skip trailing whitespace.
-    while j > 0 && chars[j - 1].is_whitespace() {
-        j -= 1;
-    }
-    let end = j;
-    // Walk back over the place chain: idents, `.`, balanced `[..]`.
-    while let Some(p) = j.checked_sub(1) {
-        let c = chars[p];
-        if is_ident_char(c) || c == '.' {
-            j = p;
-            continue;
-        }
-        if c == ']' {
-            j = match_back(chars, p)?;
-            continue;
-        }
-        break;
-    }
-    if j >= end {
-        return None;
-    }
-    // The place must start at a statement-ish boundary, not mid-expression.
-    let before = chars[..j]
-        .iter()
-        .rev()
-        .copied()
-        .find(|c| !c.is_whitespace());
-    if before.is_some_and(|b| !"{};".contains(b)) {
-        return None;
-    }
-    let place: String = chars[j..end].iter().collect();
-    let base: String = place.chars().take_while(|c| is_ident_char(*c)).collect();
-    let ok_start = base
-        .chars()
-        .next()
-        .is_some_and(|c| c.is_lowercase() || c == '_');
-    (ok_start && !base.is_empty() && base != "_").then_some(base)
-}
-
 /// Bindings a justified declaration marker (`taint-public:`,
 /// `validated:`) exempts, plus the lines of bare markers (which are
 /// themselves findings).
@@ -500,22 +360,20 @@ pub(crate) struct Declassified {
     pub(crate) bare_lines: Vec<usize>,
 }
 
-/// Reads `marker` at each binding of a body starting on `body_line`.
+/// Reads `marker` at each binding of a body ([`FnItem::bindings`]).
 pub(crate) fn declassified_by(
-    bindings: &[Binding],
-    body_line: usize,
+    bindings: &[(&str, &str, usize)],
     raw_lines: &[&str],
     marker: &str,
 ) -> Declassified {
     let mut names = HashSet::new();
     let mut bare_lines = Vec::new();
-    for (name, _, off) in bindings {
-        let file_line = body_line + off;
-        match suppression_near(raw_lines, file_line, marker) {
+    for &(name, _, line) in bindings {
+        match suppression_near(raw_lines, line, marker) {
             Suppression::Justified => {
-                names.insert(name.clone());
+                names.insert(name.to_owned());
             }
-            Suppression::MissingReason => bare_lines.push(file_line),
+            Suppression::MissingReason => bare_lines.push(line),
             Suppression::None => {}
         }
     }
@@ -528,7 +386,7 @@ pub(crate) fn declassified_by(
 /// a binding joins when its right-hand side `carries` the fact, given
 /// the names so far, and `blocked` does not exempt it.
 pub(crate) fn binding_fixpoint<'a>(
-    bindings: &[Binding],
+    bindings: &[(&str, &str, usize)],
     seeds: impl IntoIterator<Item = &'a String>,
     blocked: impl Fn(&str) -> bool,
     carries: impl Fn(&[String], &str) -> bool,
@@ -536,9 +394,9 @@ pub(crate) fn binding_fixpoint<'a>(
     let mut names: Vec<String> = seeds.into_iter().filter(|s| !blocked(s)).cloned().collect();
     loop {
         let mut changed = false;
-        for (name, rhs, _) in bindings {
-            if !names.contains(name) && !blocked(name) && carries(&names, rhs) {
-                names.push(name.clone());
+        for &(name, rhs, _) in bindings {
+            if !names.iter().any(|n| n == name) && !blocked(name) && carries(&names, rhs) {
+                names.push(name.to_owned());
                 changed = true;
             }
         }
@@ -678,13 +536,16 @@ mod tests {
         assert!(scan(&parse_file("x.rs", src)).is_empty());
     }
 
+    /// `analyze_body` over `fn f() <body>`, with no raw lines.
+    fn analyze(body: &str, seeds: &[String], secret_calls: &HashSet<String>) -> BodyAnalysis {
+        let file = parse_file("x.rs", &format!("fn f() {body}"));
+        analyze_body(&file.fns[0], &[], seeds, secret_calls)
+    }
+
     #[test]
     fn seeded_params_taint_the_body() {
-        let raw: Vec<&str> = vec![];
-        let a = analyze_body(
+        let a = analyze(
             "{\n    if k.is_zero() { bail(); }\n}",
-            1,
-            &raw,
             &["k".to_owned()],
             &HashSet::new(),
         );
@@ -694,13 +555,10 @@ mod tests {
 
     #[test]
     fn secret_returning_calls_taint_bindings() {
-        let raw: Vec<&str> = vec![];
         let mut secret_calls = HashSet::new();
         secret_calls.insert("derive_key".to_owned());
-        let a = analyze_body(
+        let a = analyze(
             "{\n    let k = derive_key(seed);\n    if k.is_zero() { bail(); }\n}",
-            1,
-            &raw,
             &[],
             &secret_calls,
         );
@@ -710,20 +568,11 @@ mod tests {
 
     #[test]
     fn returns_secret_via_tail_and_return() {
-        let raw: Vec<&str> = vec![];
         let seeds = ["k".to_owned()];
-        let tail = analyze_body("{\n    k.double()\n}", 1, &raw, &seeds, &HashSet::new());
-        assert!(tail.returns_secret);
-        let explicit = analyze_body(
-            "{\n    return k.double();\n}",
-            1,
-            &raw,
-            &seeds,
-            &HashSet::new(),
-        );
-        assert!(explicit.returns_secret);
-        let neither = analyze_body("{\n    g(&k);\n}", 1, &raw, &seeds, &HashSet::new());
-        assert!(!neither.returns_secret);
+        let none = HashSet::new();
+        assert!(analyze("{\n    k.double()\n}", &seeds, &none).returns_secret);
+        assert!(analyze("{\n    return k.double();\n}", &seeds, &none).returns_secret);
+        assert!(!analyze("{\n    g(&k);\n}", &seeds, &none).returns_secret);
     }
 
     #[test]

@@ -342,13 +342,17 @@ fn factor_count(call: &Call, lens: &BTreeMap<String, Val>) -> Val {
     Val::unbounded()
 }
 
-/// Tracks `Vec` lengths through one `let`: a fresh `Vec` starts at
-/// zero, and a `collect()` over a tracked `Vec` copies its length.
+/// Tracks `Vec` lengths through one `let` that binds one name: a fresh
+/// `Vec` starts at zero, and a `collect()` over a tracked `Vec` copies
+/// its length.
 fn apply_let(lens: &mut BTreeMap<String, Val>, binding: &Let) {
+    let [name] = &binding.names[..] else {
+        return;
+    };
     let fresh_vec = contains_word(&binding.rhs, "Vec")
         && (contains_word(&binding.rhs, "new") || contains_word(&binding.rhs, "with_capacity"));
     if fresh_vec {
-        lens.insert(binding.name.clone(), Val::default());
+        lens.insert(name.clone(), Val::default());
         return;
     }
     if binding.rhs.contains("collect") {
@@ -357,7 +361,7 @@ fn apply_let(lens: &mut BTreeMap<String, Val>, binding: &Let) {
             .find(|(k, _)| contains_word(&binding.rhs, k))
             .map(|(_, v)| *v);
         if let Some(v) = copied {
-            lens.insert(binding.name.clone(), v);
+            lens.insert(name.clone(), v);
         }
     }
 }

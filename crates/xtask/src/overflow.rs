@@ -14,11 +14,17 @@
 //!
 //! * a parameter whose type mentions `u64`/`u128` (including limb
 //!   arrays like `&[u64; N]`);
-//! * a binding whose initializer carries a `u64`/`u128` literal suffix
-//!   or cast, or the destructured carry words of an intrinsic call;
-//! * a binding or loop variable whose initializer mentions a known limb
-//!   name, to a fixed point (so `let hi = t[j + 1];` inherits `t`'s
-//!   limb-ness).
+//! * every name a `let` binds (tuple patterns included, so the
+//!   destructured carry words of an intrinsic call count) when its type
+//!   annotation or right-hand side carries a `u64`/`u128` literal
+//!   suffix or cast, or mentions a known limb name, to a fixed point
+//!   (so `let hi = t[j + 1];` inherits `t`'s limb-ness, wherever the
+//!   initializer's lines break);
+//! * every name a `for` pattern binds when the header's iterable is
+//!   limb-valued by the same rule.
+//!
+//! Both come from the parser's records ([`crate::parser::Let`] and the
+//! `for` headers of its loop regions), not from a rescan of the body.
 //!
 //! Deliberate limits: `usize` index arithmetic (`i + 1`, `n - 1`) never
 //! fires because neither operand resolves to a limb; a binding whose
@@ -34,7 +40,7 @@
 use std::collections::HashSet;
 
 use crate::lexer::{contains_word, is_ident_char, match_back, match_forward};
-use crate::parser::{FnItem, ParsedFile};
+use crate::parser::{pattern_names, FnItem, ParsedFile, RegionKind};
 use crate::{unless_suppressed, Finding};
 
 /// The suppression marker for this lint.
@@ -102,8 +108,9 @@ fn is_limb_expr(text: &str, limbs: &HashSet<String>) -> bool {
 }
 
 /// Collects the limb-valued names of one function body: typed
-/// parameters, then a fixed point over `let` bindings and `for`-loop
-/// patterns whose right-hand side is limb-valued.
+/// parameters, then a fixed point over the names of `let`s whose type
+/// annotation or right-hand side is limb-valued and of `for` patterns
+/// whose iterable is.
 fn limb_bindings(item: &FnItem) -> HashSet<String> {
     let mut limbs: HashSet<String> = item
         .params
@@ -113,27 +120,24 @@ fn limb_bindings(item: &FnItem) -> HashSet<String> {
         })
         .map(|p| p.name.clone())
         .collect();
+    let lets = item
+        .lets
+        .iter()
+        .map(|l| (l.names.clone(), vec![l.ty.as_str(), l.rhs.as_str()]));
+    let for_headers = item
+        .regions
+        .iter()
+        .filter(|r| r.kind == RegionKind::For)
+        .filter_map(|r| r.source.split_once(" in "))
+        .map(|(pattern, iter)| (pattern_names(pattern), vec![iter]));
+    let sources: Vec<(Vec<String>, Vec<&str>)> = lets.chain(for_headers).collect();
 
     loop {
         let mut changed = false;
-        for line in item.body.lines() {
-            let t = line.trim_start();
-            if let Some(rest) = t.strip_prefix("let ") {
-                let rest = rest.strip_prefix("mut ").unwrap_or(rest).trim_start();
-                let (names, after) = binding_names(rest);
-                if !after.is_empty() && is_limb_expr(after, &limbs) {
-                    for n in names {
-                        changed |= limbs.insert(n);
-                    }
-                }
-            } else if let Some(rest) = t.strip_prefix("for ") {
-                if let Some(pos) = rest.find(" in ") {
-                    let (pat, iter) = rest.split_at(pos);
-                    if is_limb_expr(&iter[4..], &limbs) {
-                        for n in pattern_idents(pat) {
-                            changed |= limbs.insert(n);
-                        }
-                    }
+        for (names, texts) in &sources {
+            if texts.iter().any(|t| is_limb_expr(t, &limbs)) {
+                for n in names.iter().filter(|n| *n != "_") {
+                    changed |= limbs.insert(n.clone());
                 }
             }
         }
@@ -141,34 +145,6 @@ fn limb_bindings(item: &FnItem) -> HashSet<String> {
             return limbs;
         }
     }
-}
-
-/// Splits a `let` statement tail into its bound names and the remaining
-/// text (type annotation and initializer). Handles plain names and
-/// one-level tuple patterns (`(v, carry)`); anything else binds nothing.
-fn binding_names(rest: &str) -> (Vec<String>, &str) {
-    if let Some(inner) = rest.strip_prefix('(') {
-        let Some(close) = inner.find(')') else {
-            return (Vec::new(), "");
-        };
-        (pattern_idents(&inner[..close]), &inner[close + 1..])
-    } else {
-        let name: String = rest.chars().take_while(|c| is_ident_char(*c)).collect();
-        if name.is_empty() || name == "_" {
-            return (Vec::new(), "");
-        }
-        let after = &rest[name.len()..];
-        (vec![name], after)
-    }
-}
-
-/// Plain identifier names inside a pattern fragment (`&`, `mut`, `_`,
-/// and punctuation skipped).
-fn pattern_idents(pat: &str) -> Vec<String> {
-    pat.split(|c: char| !is_ident_char(c))
-        .filter(|w| !w.is_empty() && *w != "_" && *w != "mut" && *w != "ref")
-        .map(str::to_owned)
-        .collect()
 }
 
 /// Bare-arithmetic findings on a single scrubbed line.

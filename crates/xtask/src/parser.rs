@@ -7,9 +7,18 @@
 //! `secret`), and every `fn` item: its signature (with the owning
 //! `impl` type), parameter names and types, return type, every call
 //! expression with its receiver and argument texts, its loop and
-//! adaptor regions, and its `let` statements with the lines their
-//! right-hand sides and scopes end on — all from scrubbed source,
-//! without a full Rust grammar.
+//! adaptor regions, its `let` statements and its assignments — all
+//! from scrubbed source, without a full Rust grammar.
+//!
+//! The `let` and assignment records are the one binder of the gate:
+//! each [`Let`] holds every name its pattern binds (plain, tuple,
+//! nested, `Some(..)`, struct and let-else patterns), its type
+//! annotation, its right-hand side and the lines that and its scope end
+//! on; each [`Assign`] holds the base name of a plain or compound
+//! assignment's place and its right-hand side. `ct`, `taint` and
+//! `validate` read both ([`FnItem::bindings`]), `overflow` reads the
+//! lets and the `for` headers of [`RegionKind::For`] regions, and
+//! `opcount` and `concurrency` read the lets.
 //!
 //! Deliberate approximations, documented in DESIGN.md §8:
 //!
@@ -20,7 +29,9 @@
 //! * pattern parameters (`(a, b): (Fr, Fr)`) are kept with an empty
 //!   name and never carry taint;
 //! * nested `fn` items are folded into their enclosing body, like
-//!   closures.
+//!   closures;
+//! * `if let`/`while let` heads bind nothing: their names live only in
+//!   the block they guard.
 
 use crate::lexer::{
     self, contains_word, is_ident_char, match_back, match_brace, match_forward, match_paren,
@@ -61,9 +72,13 @@ pub struct StructItem {
 /// A `let` statement in a function body.
 #[derive(Debug)]
 pub struct Let {
-    /// The first identifier of the pattern: the binding name for
-    /// `let [mut] name`, `_` for `let _`.
-    pub name: String,
+    /// Every name the pattern binds, in source order (`pattern_names`):
+    /// `a`, `b` for `let (a, mut b)`, `v`, `s`, `r` for
+    /// `let Signature::McCls { v, s, r } = sig else { .. }`. The pattern
+    /// `_` alone is kept as `_`: it drops the value on the spot.
+    pub names: Vec<String>,
+    /// The type annotation, empty when there is none.
+    pub ty: String,
     /// 1-based line of the `let` keyword.
     pub line: usize,
     /// Right-hand-side text, from after `=` to the terminating `;`.
@@ -72,6 +87,20 @@ pub struct Let {
     pub rhs_end_line: usize,
     /// 1-based line of the `}` closing the block the binding lives in.
     pub scope_end_line: usize,
+}
+
+/// A plain (`x = e`) or compound (`t[j] += e`) assignment in a function
+/// body.
+#[derive(Debug)]
+pub struct Assign {
+    /// The base name of the assigned place: `t` for `t[j] = v`, `out`
+    /// for `out.x += v`, `self` for `self.0 = v`.
+    pub name: String,
+    /// 1-based line of the `=`.
+    pub line: usize,
+    /// Right-hand-side text, from after `=` to the `;` ending the
+    /// statement (or the `}` closing its block).
+    pub rhs: String,
 }
 
 /// A parsed `fn` item.
@@ -103,6 +132,8 @@ pub struct FnItem {
     pub regions: Vec<Region>,
     /// `let` statements in the body, in source order.
     pub lets: Vec<Let>,
+    /// Assignments in the body, in source order.
+    pub assigns: Vec<Assign>,
 }
 
 /// One function parameter.
@@ -205,6 +236,25 @@ impl FnItem {
             .filter(|p| !p.name.is_empty())
             .map(|p| p.name.as_str())
             .collect()
+    }
+
+    /// Every name the body's `let`s bind (`_` aside) and its assignments
+    /// assign, as `(name, right-hand side, 1-based line)` in line order:
+    /// the flow the dataflow lints (`ct`, `taint`, `validate`) follow.
+    pub fn bindings(&self) -> Vec<(&str, &str, usize)> {
+        let lets = self.lets.iter().flat_map(|l| {
+            l.names
+                .iter()
+                .filter(|n| *n != "_")
+                .map(move |n| (n.as_str(), l.rhs.as_str(), l.line))
+        });
+        let assigns = self
+            .assigns
+            .iter()
+            .map(|a| (a.name.as_str(), a.rhs.as_str(), a.line));
+        let mut out: Vec<_> = lets.chain(assigns).collect();
+        out.sort_by_key(|b| b.2);
+        out
     }
 }
 
@@ -552,7 +602,7 @@ fn parse_fn(
     let body_close = match_brace(chars, body_open)?;
     let body: String = chars[body_open..=body_close].iter().collect();
     let body_line = lexer::line_of(scrubbed, body_open);
-    let (calls, regions, lets) = scan_body(&body, body_line);
+    let (calls, regions, lets, assigns) = scan_body(&body, body_line);
 
     Some((
         FnItem {
@@ -568,6 +618,7 @@ fn parse_fn(
             calls,
             regions,
             lets,
+            assigns,
         },
         body_close,
     ))
@@ -687,10 +738,10 @@ pub const PER_ITEM_ADAPTORS: &[&str] = &[
     "inspect",
 ];
 
-/// Extracts the calls, repeated regions and `let` statements of a
-/// scrubbed body. `body_line` is the 1-based file line of the body's
-/// first character.
-fn scan_body(body: &str, body_line: usize) -> (Vec<Call>, Vec<Region>, Vec<Let>) {
+/// Extracts the calls, repeated regions, `let` statements and
+/// assignments of a scrubbed body. `body_line` is the 1-based file line
+/// of the body's first character.
+fn scan_body(body: &str, body_line: usize) -> (Vec<Call>, Vec<Region>, Vec<Let>, Vec<Assign>) {
     let chars: Vec<char> = body.chars().collect();
     let mut newlines = vec![0usize; chars.len() + 1];
     for (i, &c) in chars.iter().enumerate() {
@@ -700,12 +751,13 @@ fn scan_body(body: &str, body_line: usize) -> (Vec<Call>, Vec<Region>, Vec<Let>)
     let regions = regions(&chars, &line_at);
     let calls = collect_calls(&chars, &regions, &line_at);
     let lets = lets(&chars, &line_at);
-    (calls, regions, lets)
+    let assigns = assigns(&chars, &line_at);
+    (calls, regions, lets, assigns)
 }
 
-/// The `let` statements of a body. `if let`/`while let` heads are
-/// skipped: they have no terminating `;`, and their scrutinee binds a
-/// pattern, not a name. Scanning resumes just past each `=`, so a
+/// The `let` statements of a body that bind a name. `if let`/`while let`
+/// heads are skipped: they have no terminating `;`, and what they bind
+/// lives only in their block. Scanning resumes just past each `=`, so a
 /// `let` nested in a block initializer is seen too.
 fn lets(chars: &[char], line_at: &dyn Fn(usize) -> usize) -> Vec<Let> {
     let mut out = Vec::new();
@@ -718,36 +770,21 @@ fn lets(chars: &[char], line_at: &dyn Fn(usize) -> usize) -> Vec<Let> {
             i += 1;
             continue;
         }
-        let mut j = skip_ws(chars, i + 3);
-        if starts_word_at(chars, j, "mut") {
-            j = skip_ws(chars, j + 3);
-        }
-        let name_start = j;
-        while j < chars.len() && is_ident_char(chars[j]) {
-            j += 1;
-        }
-        let name: String = chars[name_start..j].iter().collect();
-        if name.is_empty() {
-            i += 3;
-            continue;
-        }
-        // `=` at depth 0 (skipping a type annotation's generics and
-        // `==`/`=>`/compound-assignment shapes).
+        // The `=` at depth 0, past a type annotation's generics; the
+        // pattern ends at it or at the annotation's `:`.
         let mut depth = 0i32;
+        let mut colon = None;
         let mut eq = None;
-        let mut k = j;
+        let mut k = i + 3;
         while k < chars.len() {
             match chars[k] {
                 '(' | '[' | '{' | '<' => depth += 1,
                 ')' | ']' | '}' => depth -= 1,
-                '>' if k > 0 && chars[k - 1] != '-' && chars[k - 1] != '=' => depth -= 1,
+                '>' if chars[k - 1] != '-' && chars[k - 1] != '=' => depth -= 1,
                 ';' if depth <= 0 => break,
-                '=' if depth == 0
-                    && chars.get(k + 1) != Some(&'=')
-                    && chars.get(k + 1) != Some(&'>')
-                    && k > 0
-                    && !matches!(chars[k - 1], '=' | '!' | '<' | '>') =>
-                {
+                ':' if chars.get(k + 1) == Some(&':') => k += 1,
+                ':' if depth == 0 && colon.is_none() => colon = Some(k),
+                '=' if depth == 0 && is_plain_or_compound_assign(chars, k) => {
                     eq = Some(k);
                     break;
                 }
@@ -759,54 +796,116 @@ fn lets(chars: &[char], line_at: &dyn Fn(usize) -> usize) -> Vec<Let> {
             i = k.max(i + 3);
             continue;
         };
-        // The right-hand side runs to the `;` at depth 0.
-        let mut depth = 0i32;
-        let mut semi = None;
-        for (m, &c) in chars.iter().enumerate().skip(eq + 1) {
-            match c {
-                '(' | '[' | '{' => depth += 1,
-                ')' | ']' | '}' => {
-                    if depth == 0 {
-                        break;
-                    }
-                    depth -= 1;
+        let text = |from: usize, to: usize| chars[from..to].iter().collect::<String>();
+        let names = pattern_names(&text(i + 3, colon.unwrap_or(eq)));
+        match statement_end(chars, eq + 1) {
+            Some(semi) if chars[semi] == ';' && !names.is_empty() => {
+                // The binding's scope closes at its block's `}`.
+                let mut scope_end = semi;
+                while chars[scope_end] == ';' {
+                    scope_end = statement_end(chars, scope_end + 1).unwrap_or(chars.len() - 1);
                 }
-                ';' if depth == 0 => {
-                    semi = Some(m);
-                    break;
-                }
-                _ => {}
+                out.push(Let {
+                    names,
+                    ty: colon.map_or(String::new(), |c| text(c + 1, eq).trim().to_owned()),
+                    line: line_at(i),
+                    rhs: text(eq + 1, semi),
+                    rhs_end_line: line_at(semi),
+                    scope_end_line: line_at(scope_end),
+                });
             }
+            _ => {}
         }
-        let Some(semi) = semi else {
-            i = eq + 1;
-            continue;
-        };
-        // The binding's scope closes at the first unmatched `}` after
-        // the statement.
-        let mut depth = 0i32;
-        let mut scope_end = chars.len().saturating_sub(1);
-        for (e, &c) in chars.iter().enumerate().skip(semi + 1) {
-            match c {
-                '{' => depth += 1,
-                '}' if depth == 0 => {
-                    scope_end = e;
-                    break;
-                }
-                '}' => depth -= 1,
-                _ => {}
-            }
-        }
-        out.push(Let {
-            name,
-            line: line_at(i),
-            rhs: chars[eq + 1..semi].iter().collect(),
-            rhs_end_line: line_at(semi),
-            scope_end_line: line_at(scope_end),
-        });
         i = eq + 1;
     }
     out
+}
+
+/// The end of the statement whose right-hand side starts at `from`: the
+/// index of its `;` at depth 0, or of the unmatched closer of the block
+/// it ends.
+fn statement_end(chars: &[char], from: usize) -> Option<usize> {
+    let mut depth = 0i32;
+    for (m, &c) in chars.iter().enumerate().skip(from) {
+        match c {
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' | '}' if depth == 0 => return Some(m),
+            ')' | ']' | '}' => depth -= 1,
+            ';' if depth == 0 => return Some(m),
+            _ => {}
+        }
+    }
+    None
+}
+
+/// The names a `let` or `for` pattern binds: its identifiers that are
+/// not keywords (`mut`, `ref`, `box`), constructors, paths or macros
+/// (`Some`, `Signature::McCls`, `vec!`), or the field labels of a struct
+/// pattern (`x` in `Point { x: px, .. }`). The pattern `_` alone is
+/// kept as `_`.
+pub(crate) fn pattern_names(pattern: &str) -> Vec<String> {
+    if pattern.trim() == "_" {
+        return vec!["_".to_owned()];
+    }
+    let chars: Vec<char> = pattern.chars().collect();
+    let mut out = Vec::new();
+    let mut start = 0;
+    for end in 0..=chars.len() {
+        if chars.get(end).is_some_and(|&c| is_ident_char(c)) {
+            continue;
+        }
+        let word: String = chars[start..end].iter().collect();
+        if word.starts_with(|c: char| c.is_lowercase() || c == '_')
+            && !matches!(word.as_str(), "_" | "mut" | "ref" | "box")
+            && !matches!(chars.get(skip_ws(&chars, end)), Some('(' | '{' | '!' | ':'))
+            && (start == 0 || !matches!(chars[start - 1], ':' | '$'))
+        {
+            out.push(word);
+        }
+        start = end + 1;
+    }
+    out
+}
+
+/// The plain and compound assignments of a body: an `=` whose place —
+/// an identifier chain with field accesses and index groups — starts a
+/// statement. A `let`'s own `=` is not one: its pattern follows `let`.
+fn assigns(chars: &[char], line_at: &dyn Fn(usize) -> usize) -> Vec<Assign> {
+    let mut out = Vec::new();
+    for i in 0..chars.len() {
+        if chars[i] != '=' || !is_plain_or_compound_assign(chars, i) {
+            continue;
+        }
+        // Skip one compound-operator char (`+=`, `|=`, …).
+        let op = usize::from(i > 0 && "+-*/%&|^".contains(chars[i - 1]));
+        let Some(end) = prev_non_ws(chars, i - op).map(|e| e + 1) else {
+            continue;
+        };
+        let Some(place) = receiver_text(chars, end) else {
+            continue;
+        };
+        let start = end - place.chars().count();
+        let name: String = place.chars().take_while(|c| is_ident_char(*c)).collect();
+        if prev_non_ws(chars, start).is_some_and(|b| !"{};".contains(chars[b]))
+            || !name.starts_with(|c: char| c.is_lowercase() || c == '_')
+            || name == "_"
+        {
+            continue;
+        }
+        let end = statement_end(chars, i + 1).unwrap_or(chars.len());
+        out.push(Assign {
+            name,
+            line: line_at(i),
+            rhs: chars[i + 1..end].iter().collect(),
+        });
+    }
+    out
+}
+
+/// True when the `=` at `i` is a plain assignment or the tail of a
+/// compound one (`+=`, `^=`, …) — not `==`, `<=`, `=>`, `..=`, etc.
+fn is_plain_or_compound_assign(chars: &[char], i: usize) -> bool {
+    !matches!(chars.get(i + 1), Some('=' | '>')) && (i == 0 || !"=!<>.".contains(chars[i - 1]))
 }
 
 /// Whether the last word before index `i` (skipping whitespace) is
@@ -1013,8 +1112,9 @@ fn collect_calls(
     out
 }
 
-/// Reconstructs the receiver chain ending at the `.` at index `dot`:
-/// identifiers, field accesses, `?`, and balanced `(..)`/`[..]` groups.
+/// Reconstructs the expression chain ending just before index `dot` (a
+/// method call's `.`, an assignment's place): identifiers, field
+/// accesses, `?`, and balanced `(..)`/`[..]` groups.
 fn receiver_text(chars: &[char], dot: usize) -> Option<String> {
     let mut j = dot; // exclusive end
     while let Some(prev) = j.checked_sub(1) {
@@ -1149,18 +1249,72 @@ mod tests {
         assert_eq!(f.structs[1].name, "Probe");
         assert!(f.structs[1].is_test);
 
-        // `(name, line, rhs_end_line, scope_end_line)`: no entry for the
+        // `(names, line, rhs_end_line, scope_end_line)`: no entry for the
         // `if let` head, and the block initializer's own `let` is seen.
-        let lets: Vec<(&str, usize, usize, usize)> = f.fns[0]
+        let lets: Vec<(String, usize, usize, usize)> = f.fns[0]
             .lets
             .iter()
-            .map(|l| (l.name.as_str(), l.line, l.rhs_end_line, l.scope_end_line))
+            .map(|l| (l.names.join(","), l.line, l.rhs_end_line, l.scope_end_line))
+            .collect();
+        let expected = [("n", 11, 14, 17), ("g", 12, 12, 14), ("total", 15, 16, 17)];
+        assert_eq!(lets, expected.map(|(n, a, b, c)| (n.to_owned(), a, b, c)));
+        assert_eq!(f.fns[0].lets[2].rhs, " n\n+ 1");
+    }
+
+    #[test]
+    fn let_patterns_bind_every_name() {
+        let src = "fn f(sig: Signature, opt: Option<u64>) {\n\
+                   let (a, mut b) = pair();\n\
+                   let Signature::McCls { v, s: big_s, .. } = sig else { return; };\n\
+                   let [x, ref y, _] = arr;\n\
+                   let (&version, point): (&u8, &[u8]) = bytes.split_first()?;\n\
+                   let _ = m.lock();\n\
+                   let (_, _) = ignored();\n\
+                   if let Some(h) = opt {\n\
+                   let first =\n\
+                   h;\n\
+                   }\n\
+                   }\n";
+        let f = parse_file("x.rs", src);
+        let lets = &f.fns[0].lets;
+        let names: Vec<String> = lets.iter().map(|l| l.names.join(",")).collect();
+        let expected = ["a,b", "v,big_s", "x,y", "version,point", "_", "first"];
+        assert_eq!(names, expected);
+        assert_eq!(lets[3].ty, "(&u8, &[u8])");
+        assert_eq!(lets[3].rhs, " bytes.split_first()?");
+        assert_eq!((lets[5].line, lets[5].rhs.as_str()), (9, "\nh"));
+    }
+
+    #[test]
+    fn assignments_are_recorded_by_base_name() {
+        let src = "fn f(t: &mut [u64; 4], out: &mut P) {\n\
+                   let mut acc = 0;\n\
+                   acc += t[0];\n\
+                   t[acc] = acc;\n\
+                   if acc == 1 { out.z ^= acc }\n\
+                   let ok = acc <= 3 && acc != 2;\n\
+                   }\n";
+        let f = parse_file("x.rs", src);
+        let assigns: Vec<(&str, usize, &str)> = f.fns[0]
+            .assigns
+            .iter()
+            .map(|a| (a.name.as_str(), a.line, a.rhs.as_str()))
             .collect();
         assert_eq!(
-            lets,
-            vec![("n", 11, 14, 17), ("g", 12, 12, 14), ("total", 15, 16, 17)]
+            assigns,
+            vec![("acc", 3, " t[0]"), ("t", 4, " acc"), ("out", 5, " acc ")]
         );
-        assert_eq!(f.fns[0].lets[2].rhs, " n\n+ 1");
+        // Lets and assignments in line order; `bindings` is what the
+        // dataflow lints read.
+        let bindings: Vec<(&str, usize)> = f.fns[0]
+            .bindings()
+            .iter()
+            .map(|&(name, _, line)| (name, line))
+            .collect();
+        assert_eq!(
+            bindings,
+            vec![("acc", 2), ("acc", 3), ("t", 4), ("out", 5), ("ok", 6)]
+        );
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub fn analyze(files: &[ParsedFile], graph: &CallGraph) -> Vec<Finding> {
             let item = graph.item(files, ni);
             let seeds: Vec<String> = params.iter().cloned().collect();
             let raw = graph.file(files, ni).lines();
-            ct_lint::analyze_body(&item.body, item.body_line, &raw, &seeds, &secret_fns).tainted
+            ct_lint::analyze_body(item, &raw, &seeds, &secret_fns).tainted
         },
         |tainted, expr| expr_is_tainted(expr, tainted, &secret_fns),
     );
@@ -116,7 +116,7 @@ fn secret_return_fns(files: &[ParsedFile], graph: &CallGraph) -> HashSet<String>
         let item = graph.item(files, ni);
         let raw = graph.file(files, ni).lines();
         let seeds: Vec<String> = declared_seeds(files, graph, ni).into_iter().collect();
-        ct_lint::analyze_body(&item.body, item.body_line, &raw, &seeds, secret_fns).returns_secret
+        ct_lint::analyze_body(item, &raw, &seeds, secret_fns).returns_secret
     })
 }
 
@@ -146,8 +146,8 @@ fn report(
         let raw = file.lines();
         let seeds: Vec<String> = facts.params[ni].iter().cloned().collect();
 
-        let mut full = ct_lint::analyze_body(&item.body, item.body_line, &raw, &seeds, secret_fns);
-        let local = ct_lint::analyze_body(&item.body, item.body_line, &raw, &[], &empty_calls);
+        let mut full = ct_lint::analyze_body(item, &raw, &seeds, secret_fns);
+        let local = ct_lint::analyze_body(item, &raw, &[], &empty_calls);
         let local_set: HashSet<&(usize, String)> = local.violations.iter().collect();
         full.violations.retain(|v| !local_set.contains(v));
         // Bare-declass markers are the function-scoped scan's to report.

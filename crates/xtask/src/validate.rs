@@ -213,8 +213,8 @@ fn body_facts(
     seeds: &BTreeSet<String>,
     unchecked: &HashSet<String>,
 ) -> BodyFacts {
-    let bindings = ct_lint::bindings_of(&item.body);
-    let declassified = ct_lint::declassified_by(&bindings, item.body_line, raw, VALIDATED_MARKER);
+    let bindings = item.bindings();
+    let declassified = ct_lint::declassified_by(&bindings, raw, VALIDATED_MARKER);
 
     // Flow-insensitive sanitizer clearing: a membership check anywhere
     // in the body validates the binding (word-boundary matched, so a
