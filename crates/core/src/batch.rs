@@ -37,7 +37,9 @@
 
 use std::time::{Duration, Instant};
 
-use mccls_pairing::{Fr, G1Projective, G2Prepared, G2Projective, Gt, MillerLoopResult};
+use mccls_pairing::{
+    g2_generator_table, Fr, G1Projective, G2Prepared, G2Projective, Gt, MillerLoopResult,
+};
 use mccls_rng::RngCore;
 
 use crate::mccls::McCls;
@@ -738,9 +740,11 @@ impl BatchAccumulator {
 ///
 /// The McCLS token structure splits perfectly: `S = x⁻¹·D_ID` is fixed
 /// per key pair, and `R = (r - x)·P` depends only on the nonce — so both
-/// can be prepared offline. The online phase is one hash and one field
-/// multiplication (`V = h·r`), with **zero group operations**, which is
-/// exactly what a CPS node on a deadline wants.
+/// can be prepared offline: `S` with one constant-time G1 ladder per key
+/// pair, each `R` with one constant-time comb over the generator's
+/// table. The online phase is one hash and one field multiplication
+/// (`V = h·r`), with **zero group operations**, which is exactly what a
+/// CPS node on a deadline wants.
 #[derive(Debug)]
 pub struct OfflineSigner {
     s: G1Projective,
@@ -751,21 +755,26 @@ pub struct OfflineSigner {
 
 impl OfflineSigner {
     /// Precomputes `n` signing tokens for the given key material.
+    ///
+    /// Each token's `R` is one constant-time comb over the generator's
+    /// shared table (`g2_generator_table`), so `_params` is not read:
+    /// `P` is the same for every KGC.
     pub fn precompute(
-        params: &SystemParams,
+        _params: &SystemParams,
         partial: &PartialPrivateKey,
         keys: &UserKeyPair,
         n: usize,
         rng: &mut dyn RngCore,
     ) -> Self {
         // Same secret-scalar discipline as the online sign path: Fermat
-        // inverse (x is nonzero by construction) and ct ladders.
+        // inverse (x is nonzero by construction), the ct ladder for S
+        // and the ct comb over the generator's table for each R.
         let x_inv = keys.secret.invert_ct();
         let s = ops::mul_g1_ct(&partial.d, &x_inv);
         let tokens = (0..n)
             .map(|_| {
                 let r = Fr::random_nonzero(rng);
-                let big_r = ops::mul_g2_ct(&params.p(), &r.sub(&keys.secret));
+                let big_r = ops::mul_g2_fixed(g2_generator_table(), &r.sub(&keys.secret));
                 (r, big_r)
             })
             .collect();

@@ -148,7 +148,7 @@ impl CertificatelessScheme for McCls {
     // opcount-budget: mccls.sign
     fn sign(
         &self,
-        params: &SystemParams,
+        _params: &SystemParams,
         _id: &[u8],
         partial: &PartialPrivateKey,
         keys: &UserKeyPair,
@@ -161,11 +161,12 @@ impl CertificatelessScheme for McCls {
         let x_inv = keys.secret.invert_ct();
         let r_scalar = Fr::random_nonzero(rng);
         // S = x⁻¹·D_ID (message independent), R = (r - x)·P. Both
-        // scalars are secret, so the sign path uses the ct ladders.
+        // scalars are secret: S takes the ct ladder, R the ct comb over
+        // the generator's table.
         // taint-public: S and R are published signature components
         let s = ops::mul_g1_ct(&partial.d, &x_inv);
         // taint-public: R is a published signature component
-        let r = ops::mul_g2_ct(&params.p(), &r_scalar.sub(&keys.secret));
+        let r = ops::mul_g2_fixed(g2_generator_table(), &r_scalar.sub(&keys.secret));
         let h = Self::challenge(msg, &r, &keys.public);
         // taint-public: V = h·r is a published signature component
         let v = h.mul(&r_scalar);

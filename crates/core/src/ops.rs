@@ -190,24 +190,31 @@ pub fn mul_g2(p: &G2Projective, k: &Fr) -> G2Projective {
 }
 
 /// Counted fixed-base G1 scalar multiplication through a precomputed
-/// window table. Counts in the same `g1_muls` bucket as [`mul_g1`] so
-/// Table 1 profiles are unaffected by which ladder a scheme picks.
+/// window table: the constant-time comb of
+/// [`mccls_pairing::FixedBaseTable::mul`], safe for secret scalars.
+/// Counts in the same `g1_muls` bucket as [`mul_g1`] so Table 1
+/// profiles are unaffected by which ladder a scheme picks.
 pub fn mul_g1_fixed(table: &G1Table, k: &Fr) -> G1Projective {
     G1_MULS.with(|c| c.set(c.get() + 1));
     table.mul(k)
 }
 
 /// Counted fixed-base G2 scalar multiplication through a precomputed
-/// window table (see [`mul_g1_fixed`]).
+/// window table (see [`mul_g1_fixed`]). McCLS runs every multiplication
+/// of the generator `P` through it: signing's `R = (r - x)·P`, the
+/// offline signer's tokens, the KGC's `P_pub = s·P` and verify's
+/// `(V·h⁻¹)·P`.
 pub fn mul_g2_fixed(table: &G2Table, k: &Fr) -> G2Projective {
     G2_MULS.with(|c| c.set(c.get() + 1));
     table.mul(k)
 }
 
-/// Counted G1 scalar multiplication with the uniform-schedule ladder.
+/// Counted G1 scalar multiplication with the uniform-schedule ladder
+/// on complete formulas.
 ///
-/// Use this (not [`mul_g1`]) whenever `k` is secret — signing nonces,
-/// inverted user secrets, partial private keys. Counts in the same
+/// Use this (not [`mul_g1`]) whenever `k` is secret and the base is not
+/// a tabled generator — inverted user secrets, partial private keys
+/// (a generator base takes [`mul_g1_fixed`]). Counts in the same
 /// `g1_muls` bucket so Table 1 profiles are unaffected by which ladder
 /// a scheme picks.
 pub fn mul_g1_ct(p: &G1Projective, k: &Fr) -> G1Projective {

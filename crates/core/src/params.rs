@@ -13,7 +13,9 @@
 
 use std::sync::OnceLock;
 
-use mccls_pairing::{g2_prepared_generator, Fr, G1Projective, G2Prepared, G2Projective};
+use mccls_pairing::{
+    g2_generator_table, g2_prepared_generator, Fr, G1Projective, G2Prepared, G2Projective,
+};
 use mccls_rng::RngCore;
 
 use crate::ops;
@@ -125,8 +127,9 @@ impl Kgc {
     /// `P_pub = s·P`.
     pub fn setup(rng: &mut (impl RngCore + ?Sized)) -> Self {
         let s = Fr::random_nonzero(rng);
-        // The master secret drives this multiplication: ct ladder.
-        let p_pub = ops::mul_g2_ct(&G2Projective::generator(), &s);
+        // The master secret drives this multiplication: the ct comb over
+        // the generator's table.
+        let p_pub = ops::mul_g2_fixed(g2_generator_table(), &s);
         Self {
             params: SystemParams::new(p_pub),
             master: MasterSecret { s },

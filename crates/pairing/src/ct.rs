@@ -11,8 +11,16 @@
 //!   two-way selection without data-dependent control flow;
 //! * `Fp::ct_select` / `Fr::ct_eq` / … — per-field wrappers generated
 //!   by the `montgomery_field!` macro on top of these helpers;
-//! * [`crate::G1Projective::mul_scalar_ct`] — a uniform-schedule scalar
-//!   multiplication for secret scalars.
+//! * [`crate::G1Projective::mul_scalar_ct`] — a fixed 4-bit window
+//!   for secret scalars on any base, with masked scans of its sixteen
+//!   multiples;
+//! * [`crate::FixedBaseTable::mul`] — a comb for any scalar on a tabled
+//!   base (the generators), with masked table scans.
+//!
+//! Both multiplications run on complete addition formulas
+//! (Renes–Costello–Batina 2016), so no identity or doubling case
+//! branches on the scalar. The field arithmetic beneath them still
+//! normalizes with a conditional subtraction.
 //!
 //! The custom static-analysis gate (`cargo run -p mccls-xtask -- check`)
 //! flags secret-conditioned branches in the scheme crates; the fix for a

@@ -3,7 +3,14 @@
 //!
 //! Points are held in Jacobian coordinates `(X, Y, Z)` with the affine
 //! point `(X/Z², Y/Z³)`; the identity is any point with `Z = 0`.
+//!
+//! The constant-time multiplications ([`ProjectivePoint::mul_scalar_ct`]
+//! and the fixed-base comb, `FixedBaseTable::mul`) run on a second,
+//! crate-private form: homogeneous coordinates with the complete
+//! Renes–Costello–Batina 2016 formulas, whose field-operation sequence
+//! is the same for every input, identity and doubling included.
 
+use crate::ct::{self, Choice};
 use crate::field::Field;
 use crate::fr::Fr;
 
@@ -15,6 +22,10 @@ pub trait Curve: Copy + Clone + core::fmt::Debug + PartialEq + Eq + Send + Sync 
 
     /// The curve constant `b` in `y² = x³ + b`.
     fn b() -> Self::Base;
+
+    /// `3b·x`, the one constant product the complete formulas take,
+    /// computed by additions.
+    fn mul_by_3b(x: &Self::Base) -> Self::Base;
 
     /// Affine coordinates of the canonical subgroup generator.
     fn generator_affine() -> (Self::Base, Self::Base);
@@ -148,9 +159,9 @@ impl<C: Curve> ProjectivePoint<C> {
     /// Point doubling (`dbl-2009-l`, valid for `a = 0`).
     pub fn double(&self) -> Self {
         // ct-ok: identity short-circuit of the incomplete Jacobian
-        // formulas; on the ct ladder it leaks at most the scalar's
-        // top-bit position, which is near-constant for uniform nonzero
-        // scalars (DESIGN.md §8)
+        // formulas; McCLS's secret multiplications run the complete
+        // homogeneous ones, and the gate reaches this only by name, from
+        // `.double()` on secret field elements (DESIGN.md §8)
         if self.is_identity() {
             return *self;
         }
@@ -174,8 +185,10 @@ impl<C: Curve> ProjectivePoint<C> {
     /// handling).
     pub fn add(&self, other: &Self) -> Self {
         // ct-ok: identity short-circuit of the incomplete Jacobian
-        // formulas; on the ct ladder it leaks at most the scalar's
-        // top-bit position (DESIGN.md §8)
+        // formulas; McCLS's secret multiplications run the complete
+        // homogeneous ones, and the gate reaches this by name, from
+        // `.add(..)` on secret field elements, and from the baselines'
+        // variable-time signing (DESIGN.md §8)
         if self.is_identity() {
             return *other;
         }
@@ -192,8 +205,7 @@ impl<C: Curve> ProjectivePoint<C> {
         let h = u2.sub(&u1);
         let rr = s2.sub(&s1).double();
         // ct-ok: doubling/inverse coincidence branch of the incomplete
-        // formulas; reachable with uniform operands with probability
-        // ~2^-255 (DESIGN.md §8)
+        // formulas, reached as the identity branches above are
         if h.is_zero() {
             // ct-ok: same coincidence handling as the enclosing branch
             if rr.is_zero() {
@@ -268,42 +280,41 @@ impl<C: Curve> ProjectivePoint<C> {
         acc
     }
 
-    /// Constant-time two-way select: `b` when `choice` is true, else
-    /// `a`, applied coordinate-wise.
-    pub fn ct_select(a: &Self, b: &Self, choice: crate::ct::Choice) -> Self {
-        Self {
-            x: C::Base::ct_select(&a.x, &b.x, choice),
-            y: C::Base::ct_select(&a.y, &b.y, choice),
-            z: C::Base::ct_select(&a.z, &b.z, choice),
-        }
-    }
-
-    /// Scalar multiplication with a uniform double-and-add-always
-    /// schedule, for secret scalars (signing nonces, user secret values,
-    /// partial private keys).
+    /// Scalar multiplication with a uniform schedule, for secret scalars
+    /// on a base without a table (user secret values, partial private
+    /// keys).
     ///
-    /// Every one of the 256 iterations performs exactly one doubling and
-    /// one addition; the scalar bit only chooses — via
-    /// [`Self::ct_select`] — which result to keep, so the *schedule* of
-    /// group operations never depends on the scalar. Residual caveat:
-    /// the Jacobian addition formulas themselves are not complete (they
-    /// shortcut on identity and doubling inputs), so the identity fast
-    /// path still fires during the scalar's leading zero window. This
-    /// narrows the leak to roughly the scalar's bit length rather than
-    /// its bit pattern; [`Self::mul_scalar`] (wNAF, variable schedule)
-    /// remains the right choice for public scalars.
+    /// A fixed 4-bit window: the multiples `0..=15·B` are built once,
+    /// and each of the 64 windows runs four complete doublings, a masked
+    /// scan of all sixteen multiples and one complete addition
+    /// (Renes–Costello–Batina 2016, Algorithms 9 and 7) in homogeneous
+    /// coordinates. The complete formulas have no identity or doubling
+    /// case, so neither the schedule, the memory reads nor the field
+    /// operations depend on the scalar. Fixed-base secrets go through
+    /// the comb (`FixedBaseTable::mul`); [`Self::mul_scalar`] (wNAF,
+    /// variable schedule) is for public scalars.
     pub fn mul_scalar_ct(&self, k: &Fr) -> Self {
-        let limbs = k.to_raw();
-        let mut acc = Self::identity();
-        for &limb in limbs.iter().rev() {
-            for i in (0..64).rev() {
-                acc = acc.double();
-                let sum = acc.add(self);
-                let bit = crate::ct::Choice::from_lsb(limb >> i);
-                acc = Self::ct_select(&acc, &sum, bit);
+        let base = Homogeneous::from_jacobian(self);
+        let mut multiples = [Homogeneous::identity(); 16];
+        let mut last = Homogeneous::identity();
+        for multiple in multiples.iter_mut().skip(1) {
+            last = last.add(&base);
+            *multiple = last;
+        }
+        let mut acc = Homogeneous::identity();
+        for &limb in k.to_raw().iter().rev() {
+            for shift in (0..64).step_by(4).rev() {
+                acc = acc.double().double().double().double();
+                let window = (limb >> shift) & 0xF;
+                let mut addend = Homogeneous::identity();
+                for (j, multiple) in (0u64..).zip(multiples.iter()) {
+                    let hit = ct::is_zero_word(j ^ window);
+                    addend = Homogeneous::select(&addend, multiple, hit);
+                }
+                acc = acc.add(&addend);
             }
         }
-        acc
+        acc.to_jacobian()
     }
 
     /// Scalar multiplication by a little-endian limb slice (used for the
@@ -378,6 +389,143 @@ impl<C: Curve> ProjectivePoint<C> {
     pub fn is_torsion_free(&self) -> bool {
         self.mul_bits(&Fr::MODULUS).is_identity()
     }
+}
+
+/// A point in homogeneous projective coordinates `(X : Y : Z)`, the
+/// affine point `(X/Z, Y/Z)`; the identity is `(0 : 1 : 0)`.
+///
+/// The form of the constant-time multiplications: the
+/// Renes–Costello–Batina 2016 formulas below (ePrint 2015/1060,
+/// Algorithms 7–9 for `a = 0`) are complete, one straight-line
+/// sequence of field operations for every pair of inputs.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct Homogeneous<C: Curve> {
+    x: C::Base,
+    y: C::Base,
+    z: C::Base,
+}
+
+impl<C: Curve> Homogeneous<C> {
+    /// The identity `(0 : 1 : 0)`.
+    pub(crate) fn identity() -> Self {
+        Self {
+            x: C::Base::zero(),
+            y: C::Base::one(),
+            z: C::Base::zero(),
+        }
+    }
+
+    /// `(X, Y, Z)` Jacobian is `(X·Z : Y : Z³)`; a Jacobian identity
+    /// (any `Z = 0`) becomes `(0 : 1 : 0)` by a masked select.
+    pub(crate) fn from_jacobian(p: &ProjectivePoint<C>) -> Self {
+        let at_infinity = p.z.ct_is_zero();
+        Self {
+            x: p.x.mul(&p.z),
+            y: C::Base::ct_select(&p.y, &C::Base::one(), at_infinity),
+            z: p.z.square().mul(&p.z),
+        }
+    }
+
+    /// `(X : Y : Z)` is `(X·Z, Y·Z², Z)` Jacobian; the identity becomes
+    /// `(1, 1, 0)` by a masked select.
+    pub(crate) fn to_jacobian(self) -> ProjectivePoint<C> {
+        let at_infinity = self.z.ct_is_zero();
+        let one = C::Base::one();
+        ProjectivePoint {
+            x: C::Base::ct_select(&self.x.mul(&self.z), &one, at_infinity),
+            y: C::Base::ct_select(&self.y.mul(&self.z.square()), &one, at_infinity),
+            z: self.z,
+        }
+    }
+
+    /// Constant-time two-way select: `b` when `choice` is true, else `a`.
+    pub(crate) fn select(a: &Self, b: &Self, choice: Choice) -> Self {
+        Self {
+            x: C::Base::ct_select(&a.x, &b.x, choice),
+            y: C::Base::ct_select(&a.y, &b.y, choice),
+            z: C::Base::ct_select(&a.z, &b.z, choice),
+        }
+    }
+
+    /// Complete addition (Algorithm 7): 12 multiplications, two `3b`
+    /// products.
+    pub(crate) fn add(&self, other: &Self) -> Self {
+        let t0 = self.x.mul(&other.x);
+        let t1 = self.y.mul(&other.y);
+        let t2 = self.z.mul(&other.z);
+        let t3 = self.x.add(&self.y).mul(&other.x.add(&other.y));
+        let t3 = t3.sub(&t0.add(&t1));
+        let t4 = self.y.add(&self.z).mul(&other.y.add(&other.z));
+        let t4 = t4.sub(&t1.add(&t2));
+        let y3 = self.x.add(&self.z).mul(&other.x.add(&other.z));
+        let y3 = y3.sub(&t0.add(&t2));
+        Self::finish(t0, t1, C::mul_by_3b(&t2), t3, t4, y3)
+    }
+
+    /// Complete mixed addition of an affine `(x, y)` (Algorithm 8): 11
+    /// multiplications, two `3b` products. The affine form cannot hold
+    /// the identity, so an identity addend is the caller's to select
+    /// around.
+    pub(crate) fn add_affine(&self, x: &C::Base, y: &C::Base) -> Self {
+        let t0 = self.x.mul(x);
+        let t1 = self.y.mul(y);
+        let t3 = x.add(y).mul(&self.x.add(&self.y));
+        let t3 = t3.sub(&t0.add(&t1));
+        let t4 = y.mul(&self.z).add(&self.y);
+        let y3 = x.mul(&self.z).add(&self.x);
+        Self::finish(t0, t1, C::mul_by_3b(&self.z), t3, t4, y3)
+    }
+
+    /// The shared tail of Algorithms 7 and 8 (their steps from
+    /// `X3 = t0 + t0` on), with `b3z = 3b·Z1·Z2`.
+    fn finish(
+        t0: C::Base,
+        t1: C::Base,
+        b3z: C::Base,
+        t3: C::Base,
+        t4: C::Base,
+        y3: C::Base,
+    ) -> Self {
+        let t0 = t0.double().add(&t0);
+        let z3 = t1.add(&b3z);
+        let t1 = t1.sub(&b3z);
+        let y3 = C::mul_by_3b(&y3);
+        let x3 = t3.mul(&t1).sub(&t4.mul(&y3));
+        let y3 = t1.mul(&z3).add(&y3.mul(&t0));
+        let z3 = z3.mul(&t4).add(&t0.mul(&t3));
+        Self {
+            x: x3,
+            y: y3,
+            z: z3,
+        }
+    }
+
+    /// Complete doubling (Algorithm 9): six multiplications, two
+    /// squarings, one `3b` product.
+    pub(crate) fn double(&self) -> Self {
+        let t0 = self.y.square();
+        let z3 = t0.double().double().double();
+        let t1 = self.y.mul(&self.z);
+        let t2 = C::mul_by_3b(&self.z.square());
+        let x3 = t2.mul(&z3);
+        let y3 = t0.add(&t2);
+        let z3 = t1.mul(&z3);
+        let t2 = t2.double().add(&t2);
+        let t0 = t0.sub(&t2);
+        let y3 = x3.add(&t0.mul(&y3));
+        let x3 = t0.mul(&self.x.mul(&self.y)).double();
+        Self {
+            x: x3,
+            y: y3,
+            z: z3,
+        }
+    }
+}
+
+/// `12·x` by additions, the shared factor of both curves' `3b`.
+pub(crate) fn times_twelve<F: Field>(x: &F) -> F {
+    let four = x.double().double();
+    four.double().add(&four)
 }
 
 /// Width-4 signed non-adjacent form of a little-endian scalar.
@@ -478,7 +626,7 @@ impl<C: Curve> core::ops::Mul<Fr> for ProjectivePoint<C> {
     type Output = Self;
     fn mul(self, rhs: Fr) -> Self {
         // ct-ok: the `*` operator is the documented variable-time
-        // convenience; secret scalars go through mul_g1_ct/mul_g2_ct
+        // convenience; secret scalars go through the ct ladder or comb
         self.mul_scalar(&rhs)
     }
 }
@@ -487,7 +635,7 @@ impl<C: Curve> core::ops::Mul<&Fr> for ProjectivePoint<C> {
     type Output = Self;
     fn mul(self, rhs: &Fr) -> Self {
         // ct-ok: the `*` operator is the documented variable-time
-        // convenience; secret scalars go through mul_g1_ct/mul_g2_ct
+        // convenience; secret scalars go through the ct ladder or comb
         self.mul_scalar(rhs)
     }
 }
@@ -495,5 +643,51 @@ impl<C: Curve> core::ops::Mul<&Fr> for ProjectivePoint<C> {
 impl<C: Curve> core::ops::AddAssign for ProjectivePoint<C> {
     fn add_assign(&mut self, rhs: Self) {
         *self = ProjectivePoint::add(self, &rhs);
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
+mod tests {
+    use super::*;
+    use crate::g1::G1Params;
+    use crate::g2::G2Params;
+    use mccls_rng::SeedableRng;
+
+    /// Every sum and double of the edge points (identity, `G`, `-G`,
+    /// `2G` and a random multiple) through the complete formulas equals
+    /// the Jacobian formulas' result, and `mul_by_3b` is `3b·x`.
+    fn complete_formulas_agree_with_jacobian<C: Curve>(seed: u64) {
+        let mut rng = mccls_rng::rngs::StdRng::seed_from_u64(seed);
+        let g = ProjectivePoint::<C>::generator();
+        let points = [
+            ProjectivePoint::identity(),
+            g,
+            g.neg(),
+            g.double(),
+            g.mul_scalar(&Fr::random(&mut rng)),
+        ];
+        for a in &points {
+            let ha = Homogeneous::from_jacobian(a);
+            assert_eq!(ha.double().to_jacobian(), a.double());
+            assert_eq!(ha.to_jacobian(), *a);
+            for b in &points {
+                let sum = ha.add(&Homogeneous::from_jacobian(b)).to_jacobian();
+                assert_eq!(sum, a.add(b));
+                let affine = b.to_affine();
+                if !affine.infinity {
+                    assert_eq!(ha.add_affine(&affine.x, &affine.y).to_jacobian(), a.add(b));
+                }
+            }
+        }
+        let x = C::Base::random(&mut rng);
+        let three_b = C::b().double().add(&C::b());
+        assert_eq!(C::mul_by_3b(&x), x.mul(&three_b));
+    }
+
+    #[test]
+    fn complete_formulas_agree_with_jacobian_on_edge_points() {
+        complete_formulas_agree_with_jacobian::<G1Params>(0xC0);
+        complete_formulas_agree_with_jacobian::<G2Params>(0xC1);
     }
 }

@@ -4,7 +4,7 @@
 use std::sync::OnceLock;
 
 use crate::arith::hex_to_be_bytes;
-use crate::curve::{AffinePoint, Curve, ProjectivePoint};
+use crate::curve::{times_twelve, AffinePoint, Curve, ProjectivePoint};
 use crate::fp::Fp;
 
 /// Marker type carrying the G1 curve parameters.
@@ -44,6 +44,10 @@ impl Curve for G1Params {
 
     fn b() -> Fp {
         Fp::from_u64(4)
+    }
+
+    fn mul_by_3b(x: &Fp) -> Fp {
+        times_twelve(x)
     }
 
     fn generator_affine() -> (Fp, Fp) {
@@ -300,14 +304,6 @@ mod tests {
         assert_eq!(g.mul_scalar_ct(&Fr::one()), g);
         let id = G1Projective::identity();
         assert!(id.mul_scalar_ct(&Fr::from_u64(42)).is_identity());
-    }
-
-    #[test]
-    fn ct_select_picks_points() {
-        let g = G1Projective::generator();
-        let h = g.double();
-        assert_eq!(G1Projective::ct_select(&g, &h, crate::ct::Choice::FALSE), g);
-        assert_eq!(G1Projective::ct_select(&g, &h, crate::ct::Choice::TRUE), h);
     }
 
     #[test]

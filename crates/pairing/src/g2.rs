@@ -7,7 +7,7 @@
 use std::sync::OnceLock;
 
 use crate::arith::hex_to_be_bytes;
-use crate::curve::{AffinePoint, Curve, ProjectivePoint};
+use crate::curve::{times_twelve, AffinePoint, Curve, ProjectivePoint};
 use crate::fp::Fp;
 use crate::fp2::Fp2;
 
@@ -55,6 +55,11 @@ impl Curve for G2Params {
     fn b() -> Fp2 {
         // 4(1 + u)
         Fp2::new(Fp::from_u64(4), Fp::from_u64(4))
+    }
+
+    fn mul_by_3b(x: &Fp2) -> Fp2 {
+        // 3b = 12(1 + u), and 1 + u is the tower's nonresidue.
+        times_twelve(x).mul_by_nonresidue()
     }
 
     fn generator_affine() -> (Fp2, Fp2) {

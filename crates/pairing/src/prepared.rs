@@ -14,10 +14,12 @@
 //!   `Fp12` squarings across terms and returns a [`MillerLoopResult`]
 //!   whose (expensive) final exponentiation is paid once per product
 //!   instead of once per pairing;
-//! * [`FixedBaseTable`] stores signed width-4 windows (wNAF-style
-//!   digits in `[-8, 8]`) of a fixed base so scalar multiplication
-//!   costs ~65 mixed additions and **zero** doublings, instead of the
-//!   ~255 doublings + ~51 additions of the generic wNAF ladder.
+//! * [`FixedBaseTable`] stores signed width-4 windows (digits in
+//!   `[-8, 8]`) of a fixed base so scalar multiplication costs 65
+//!   masked table scans and complete mixed additions and **zero**
+//!   doublings, instead of the ~255 doublings + ~51 additions of the
+//!   generic wNAF ladder; being constant time, it serves signing and
+//!   verification alike.
 //!
 //! # Examples
 //!
@@ -45,7 +47,9 @@
 
 use std::sync::OnceLock;
 
-use crate::curve::{AffinePoint, Curve, ProjectivePoint};
+use crate::ct;
+use crate::curve::{AffinePoint, Curve, Homogeneous, ProjectivePoint};
+use crate::field::Field;
 use crate::fp12::Fp12;
 use crate::fp2::Fp2;
 use crate::fr::Fr;
@@ -311,12 +315,12 @@ pub fn multi_miller_loop(pairs: &[(&G1Affine, &G2Prepared)]) -> MillerLoopResult
 }
 
 /// A fixed-base scalar-multiplication table over signed width-4
-/// (wNAF-style) windows.
+/// windows, multiplied by a constant-time comb.
 ///
 /// The scalar is recoded into 65 digits `d_i ∈ [-8, 8]` with
 /// `k = Σ d_i·16^i`; window `i` stores the affine multiples
-/// `{1..8}·16^i·B`, so a multiplication is at most 65 mixed additions
-/// and no doublings. Building the table costs ~520 group operations —
+/// `{1..8}·16^i·B`. A multiplication is 65 complete mixed additions and
+/// no doublings. Building the table costs ~520 group operations —
 /// about two generic scalar multiplications — so it pays for itself
 /// after a handful of uses of the same base (`P`, `P_pub`, `G`).
 ///
@@ -372,52 +376,64 @@ impl<C: Curve> FixedBaseTable<C> {
         Self { windows }
     }
 
-    /// Multiplies the fixed base by `k` via table lookups.
+    /// Multiplies the fixed base by `k` in constant time: the one
+    /// fixed-base multiplication, for secret scalars (signing nonces,
+    /// the master secret) and public ones (verify's `(V·h⁻¹)·P`) alike.
     ///
-    /// Equals `base.mul_scalar(k)` for every scalar (property-tested);
-    /// the schedule depends only on the recoded digits of `k`, so this
-    /// belongs on *verifier* paths where scalars are public.
+    /// Per window it reads all eight entries, keeps the one the digit's
+    /// magnitude names by masked selects, negates it by a masked select
+    /// on the digit's sign, and adds it with one complete mixed addition
+    /// (Renes–Costello–Batina 2016, Algorithm 8) in homogeneous
+    /// coordinates. A zero digit (or an identity entry, which the affine
+    /// addend cannot hold) keeps the old sum by a masked select, so the
+    /// schedule, the memory reads and the field operations are the same
+    /// for every scalar. The sum becomes Jacobian once, at the end.
     pub fn mul(&self, k: &Fr) -> ProjectivePoint<C> {
         let digits = signed_radix16(&k.to_raw());
-        let mut acc = ProjectivePoint::identity();
-        for (row, &d) in self.windows.iter().zip(digits.iter()) {
-            if d == 0 {
-                continue;
+        let mut acc = Homogeneous::identity();
+        for (row, &digit) in self.windows.iter().zip(digits.iter()) {
+            // `sign` is -1 (all ones) for a negative digit, else 0, so
+            // `(digit ^ sign) - sign` is `|digit|`.
+            let sign = digit >> 7;
+            let magnitude = ((digit ^ sign) - sign) as u8;
+            let mut x = C::Base::zero();
+            let mut y = C::Base::one();
+            let mut skip = ct::Choice::TRUE;
+            for (j, entry) in (1u8..).zip(row.iter()) {
+                let hit = ct::is_zero_word(u64::from(j ^ magnitude));
+                x = C::Base::ct_select(&x, &entry.x, hit);
+                y = C::Base::ct_select(&y, &entry.y, hit);
+                let at_infinity = ct::Choice::from_lsb(u64::from(entry.infinity));
+                skip = skip.and(!hit).or(hit.and(at_infinity));
             }
-            let idx = d.unsigned_abs() as usize - 1;
-            let Some(entry) = row.get(idx) else {
-                continue; // unreachable: |d| <= 8 by construction
-            };
-            let entry = if d < 0 { entry.neg() } else { *entry };
-            acc = acc.add_affine(&entry);
+            y = C::Base::ct_select(&y, &y.neg(), ct::Choice::from_lsb(u64::from(sign as u8)));
+            let sum = acc.add_affine(&x, &y);
+            acc = Homogeneous::select(&sum, &acc, skip);
         }
-        acc
+        acc.to_jacobian()
     }
 }
 
 /// Recodes a 256-bit little-endian scalar into 65 signed radix-16
-/// digits in `[-8, 8]` with `k = Σ d_i·16^i`.
+/// digits in `[-8, 8]` with `k = Σ d_i·16^i`, without branches: each
+/// nibble plus the incoming carry, `t ∈ [0, 16]`, becomes `t - 16·c`
+/// with carry out `c = (t + 7) >> 4`, which is 1 exactly when `t > 8`.
+/// The 65th digit is the carry out of the top nibble.
 fn signed_radix16(limbs: &[u64; 4]) -> [i8; WINDOWS] {
+    let nibbles = limbs
+        .iter()
+        .flat_map(|&limb| {
+            (0..64)
+                .step_by(4)
+                .map(move |shift| (limb >> shift) as u8 & 0xF)
+        })
+        .chain(core::iter::once(0));
     let mut digits = [0i8; WINDOWS];
-    let mut carry = 0i8;
-    let mut cursor = digits.iter_mut();
-    for &limb in limbs {
-        for shift in 0..16u32 {
-            let nibble = ((limb >> (shift * 4)) & 0xF) as i8 + carry;
-            let d = if nibble > 8 {
-                carry = 1;
-                nibble - 16
-            } else {
-                carry = 0;
-                nibble
-            };
-            if let Some(slot) = cursor.next() {
-                *slot = d;
-            }
-        }
-    }
-    if let Some(slot) = cursor.next() {
-        *slot = carry;
+    let mut carry = 0u8;
+    for (digit, nibble) in digits.iter_mut().zip(nibbles) {
+        let t = nibble + carry;
+        carry = (t + 7) >> 4;
+        *digit = t as i8 - (carry << 4) as i8;
     }
     digits
 }

@@ -1,16 +1,17 @@
 //! Seeded equivalence tests for the constant-time helpers.
 //!
 //! The ct paths (`ct::select_limbs`, `ct::eq_limbs`, `invert_ct`,
-//! `mul_scalar_ct`) exist so secret-dependent data never picks a
-//! branch; they must still compute *exactly* what their variable-time
-//! counterparts compute. Each test sweeps the structured edge inputs
-//! (zero, one, p-1, top-bit-set limbs) and then a deterministic seeded
-//! sample, asserting bit-for-bit agreement on the raw limb
-//! representation — not just semantic equality — so a representation
-//! drift (e.g. a non-canonical Montgomery residue) also fails.
+//! `mul_scalar_ct` and the generator tables' comb) exist so
+//! secret-dependent data never picks a branch; they must still compute
+//! *exactly* what their variable-time counterparts compute. Each test
+//! sweeps the structured edge inputs (zero, one, p-1, top-bit-set
+//! limbs) and then a deterministic seeded sample, asserting bit-for-bit
+//! agreement on the raw limb representation — not just semantic
+//! equality — so a representation drift (e.g. a non-canonical
+//! Montgomery residue) also fails.
 
 use mccls_pairing::ct::{self, Choice};
-use mccls_pairing::{Fp, Fr, G1Projective, G2Projective};
+use mccls_pairing::{g1_generator_table, g2_generator_table, Fp, Fr, G1Projective, G2Projective};
 use mccls_rng::rngs::StdRng;
 use mccls_rng::SeedableRng;
 
@@ -44,7 +45,8 @@ fn fr_modulus_minus_one() -> [u64; 4] {
 }
 
 /// Edge scalars for the group-law sweeps: 0, 1, p-1, and values whose
-/// raw limbs exercise the top-bit window of the ct ladder.
+/// raw limbs exercise the top-bit window of the ct ladder and the
+/// radix-16 carries of the comb (nibbles above 8).
 fn edge_scalars() -> Vec<Fr> {
     edge_limb_arrays().into_iter().map(Fr::from_raw).collect()
 }
@@ -164,6 +166,14 @@ fn g1_mul_scalar_ct_agrees_with_wnaf_on_edges_and_seeded_scalars() {
             );
         }
     }
+    for k in &scalars {
+        assert_eq!(
+            g1_generator_table().mul(k).to_affine(),
+            G1Projective::generator().mul_scalar(k).to_affine(),
+            "G1 comb disagrees on scalar {:?}",
+            k.to_raw()
+        );
+    }
 }
 
 #[test]
@@ -187,5 +197,13 @@ fn g2_mul_scalar_ct_agrees_with_wnaf_on_edges_and_seeded_scalars() {
                 k.to_raw()
             );
         }
+    }
+    for k in &scalars {
+        assert_eq!(
+            g2_generator_table().mul(k).to_affine(),
+            G2Projective::generator().mul_scalar(k).to_affine(),
+            "G2 comb disagrees on scalar {:?}",
+            k.to_raw()
+        );
     }
 }

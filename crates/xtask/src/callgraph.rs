@@ -7,6 +7,8 @@
 //! * a path call `ops::mul_g1(..)` prefers functions whose file stem or
 //!   owner type matches the qualifier (`Self` resolves to the caller's
 //!   owner), falling back to every function of that name;
+//! * a bare call `mac(..)` prefers free functions, as Rust resolves it
+//!   only to one in scope, with the same fallback;
 //! * a method call `.invert()` links to every known method of that name
 //!   — trait dispatch and generics are not modelled;
 //! * names that resolve to nothing (std/external calls) produce no edge.
@@ -142,7 +144,8 @@ impl CallGraph {
 /// Applies the qualifier filter: keep candidates that answer to the
 /// call's qualifier ([`answers_to`]), unless that filters everything
 /// out. Method calls whose receiver is literally `self` are narrowed to
-/// the caller's own impl block the same way.
+/// the caller's own impl block the same way, and bare calls (no
+/// qualifier, no receiver) to free functions.
 fn narrow_candidates(
     files: &[ParsedFile],
     nodes: &[NodeId],
@@ -157,6 +160,7 @@ fn narrow_candidates(
         match (&call.qualifier, qualifier(caller, call)) {
             (Some(_), Some(q)) => answers_to(&files[fi], f, q),
             (None, _) if self_call => caller.owner.is_some() && f.owner == caller.owner,
+            (None, _) if !call.is_method => f.owner.is_none(),
             _ => false,
         }
     };
@@ -476,6 +480,25 @@ mod tests {
         assert_eq!(g.edges[run].len(), 1, "self call resolves in-impl");
         let callee = g.edges[run][0].callee;
         assert_eq!(g.item(&files, callee).owner.as_deref(), Some("A"));
+    }
+
+    #[test]
+    fn bare_calls_narrow_to_free_functions() {
+        let (files, g) = graph_of(&[(
+            "a.rs",
+            "fn mac(x: u64) -> u64 { x }\nfn top() { mac(1); only(2); }\n\
+             impl Hmac { fn mac(&self) {} fn only(x: u64) {} }\n",
+        )]);
+        let top = g.named("top")[0];
+        let callees: Vec<(&str, Option<&str>)> = g.edges[top]
+            .iter()
+            .map(|e| {
+                let f = g.item(&files, e.callee);
+                (f.name.as_str(), f.owner.as_deref())
+            })
+            .collect();
+        // `mac` has a free candidate; `only` has none, so it falls back.
+        assert_eq!(callees, [("mac", None), ("only", Some("Hmac"))]);
     }
 
     #[test]

@@ -179,7 +179,9 @@ fn taint_fixture_trips_only_the_interprocedural_pass() {
     // The dirty chain (extract_share -> fold_exponent -> reduce_window)
     // is locally clean in every function; only the call-graph fixpoint
     // can connect the master secret to the branch two hops away. The
-    // `_ct` twins are branch-free and must stay silent.
+    // `_ct` twins are branch-free and must stay silent, and so must the
+    // associated `Window::pad_ct`, which a bare `pad_ct(..)` call does
+    // not resolve to.
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
     let src = std::fs::read_to_string(dir.join("taint_cases.rs")).expect("taint fixture exists");
     // Sanity: the function-scoped scan sees nothing, so anything the
