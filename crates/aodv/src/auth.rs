@@ -10,10 +10,15 @@
 //!   their partial keys, so every signature they produce fails
 //!   verification. This is the ground-truth implementation.
 //! * [`ModelAuthProvider`] — the fast, behaviour-equivalent model used
-//!   for the large figure sweeps: a proof is a digest of the signed
-//!   payload plus a legitimacy bit, and verification checks exactly what
-//!   a signature would (payload unmodified ∧ signer credentialed). Its
-//!   equivalence to the real provider is asserted by tests.
+//!   for the large figure sweeps: a proof carries the bytes that were
+//!   signed plus a legitimacy bit, and verification checks exactly what
+//!   a signature would (payload unmodified ∧ signer credentialed) by
+//!   comparing those bytes with the payload. Its equivalence to the
+//!   real provider is asserted by tests.
+//!
+//! Both proofs sit behind an [`Arc`]: every copy of a broadcast frame
+//! (one queued event per neighbour) shares one signature or one payload,
+//! and a queued event stays small.
 //!
 //! Crypto *time* is independent of the provider: [`CryptoCost`] carries
 //! the virtual-time price of one sign and one verify. This crate keeps
@@ -23,6 +28,7 @@
 //! `BENCH_table1.json`.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use mccls_core::{
     CertificatelessScheme, McCls, PartialPrivateKey, Signature, SystemParams, UserKeyPair,
@@ -83,18 +89,15 @@ impl Auth {
 }
 
 /// The proof inside an [`Auth`] tag.
-// Proofs are held one-per-packet and short-lived; boxing the signature
-// would cost an allocation per signed frame for no measured benefit.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum AuthProof {
     /// A real certificateless signature.
-    Real(Signature),
-    /// The modeled equivalent: a digest of the signed payload and
-    /// whether the signer held KGC credentials when signing.
+    Real(Arc<Signature>),
+    /// The modeled equivalent: the signed payload and whether the
+    /// signer held KGC credentials when signing.
     Model {
-        /// 64-bit payload digest (HMAC-truncation of the payload).
-        digest: u64,
+        /// The bytes that were signed.
+        signed: Arc<[u8]>,
         /// Whether the signer was credentialed.
         legitimate: bool,
     },
@@ -126,16 +129,6 @@ impl ModelAuthProvider {
             credentialed: legitimate.into_iter().collect(),
         }
     }
-
-    fn digest(payload: &[u8]) -> u64 {
-        let tag = mccls_hash::Sha256::digest(payload);
-        let mut bytes = [0u8; 8];
-        // complexity-ok: truncates a fixed 32-byte digest to 8 bytes
-        for (dst, src) in bytes.iter_mut().zip(tag.iter()) {
-            *dst = *src;
-        }
-        u64::from_be_bytes(bytes)
-    }
 }
 
 impl AuthProvider for ModelAuthProvider {
@@ -143,7 +136,7 @@ impl AuthProvider for ModelAuthProvider {
         Auth {
             signer: node,
             proof: AuthProof::Model {
-                digest: Self::digest(payload),
+                signed: Arc::from(payload),
                 legitimate: self.credentialed.contains(&node),
             },
         }
@@ -151,9 +144,7 @@ impl AuthProvider for ModelAuthProvider {
 
     fn verify(&mut self, payload: &[u8], auth: &Auth) -> bool {
         match &auth.proof {
-            AuthProof::Model { digest, legitimate } => {
-                *legitimate && *digest == Self::digest(payload)
-            }
+            AuthProof::Model { signed, legitimate } => *legitimate && **signed == *payload,
             AuthProof::Real(_) => false,
         }
     }
@@ -233,7 +224,7 @@ impl AuthProvider for RealAuthProvider {
         );
         Auth {
             signer: node,
-            proof: AuthProof::Real(sig),
+            proof: AuthProof::Real(Arc::new(sig)),
         }
     }
 
@@ -280,6 +271,34 @@ mod tests {
     }
 
     #[test]
+    fn model_check_is_exact() {
+        // 17 and 24 bytes are an RREP's and an RREQ's payload; 64 is
+        // what perfbench's layer probe signs.
+        let mut p = ModelAuthProvider::new([NodeId(0)]);
+        for len in [0usize, 17, 24, 64, 300] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let auth = p.sign(NodeId(0), &payload);
+            assert!(p.verify(&payload, &auth), "{len}-byte payload rejected");
+            for i in 0..len {
+                for bit in 0..8 {
+                    let mut flipped = payload.clone();
+                    flipped[i] ^= 1 << bit;
+                    assert!(
+                        !p.verify(&flipped, &auth),
+                        "{len} bytes, byte {i} bit {bit}"
+                    );
+                }
+            }
+            if let Some((_, shorter)) = payload.split_last() {
+                assert!(!p.verify(shorter, &auth), "{len} bytes, last dropped");
+            }
+            let mut longer = payload.clone();
+            longer.push(0);
+            assert!(!p.verify(&longer, &auth), "{len} bytes, one appended");
+        }
+    }
+
+    #[test]
     fn real_provider_accepts_legitimate_untampered() {
         let mut p = RealAuthProvider::new(4, &attackers(&[3]), 7);
         let auth = p.sign(NodeId(1), b"RREQ|fields");
@@ -318,11 +337,17 @@ mod tests {
         let atk = attackers(&[3]);
         let mut real = RealAuthProvider::new(4, &atk, 11);
         let mut model = ModelAuthProvider::new((0..4).map(NodeId).filter(|n| !atk.contains(n)));
+        let long: Vec<u8> = (0..64).collect();
+        let mut long_tampered = long.clone();
+        long_tampered[63] ^= 1;
         for (signer, payload, verify_payload) in [
             (NodeId(0), b"aa".as_slice(), b"aa".as_slice()), // honest, clean
             (NodeId(0), b"aa", b"ab"),                       // honest, tampered
             (NodeId(3), b"aa", b"aa"),                       // attacker, clean
             (NodeId(3), b"aa", b"ab"),                       // attacker, tampered
+            (NodeId(0), &long, &long),                       // honest, 64 bytes
+            (NodeId(0), &long, &long_tampered),              // last byte flipped
+            (NodeId(3), &long, &long),                       // attacker, 64 bytes
         ] {
             let ra = real.sign(signer, payload);
             let ma = model.sign(signer, payload);

@@ -36,9 +36,6 @@ mod forwarding;
 mod stats;
 
 /// Events flowing through the scheduler.
-// `Receive` dominates the event stream; boxing its packet would trade
-// one heap allocation per delivered frame for a smaller heap entry.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum NetEvent {
     /// A frame arrives at `to`'s radio.
@@ -75,6 +72,11 @@ pub enum NetEvent {
         node: NodeId,
     },
 }
+
+// The calendar queue moves queued events on every sorted insert and
+// rebuild, and a broadcast queues one `Receive` per neighbour, so a new
+// packet field must not silently grow every event.
+const _: () = assert!(std::mem::size_of::<NetEvent>() <= 64);
 
 /// A discovery in progress: buffered data packets and retry state.
 #[derive(Debug, Default)]
