@@ -29,7 +29,6 @@
 //! println!("PDR = {:.2}", metrics.packet_delivery_ratio());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod auth;

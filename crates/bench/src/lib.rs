@@ -14,7 +14,6 @@
 //! Run a figure with `cargo run --release -p mccls-bench --bin fig1`
 //! (add `-- --trials 5 --seed 7` to override defaults).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline;

@@ -44,7 +44,6 @@
 //! assert!(scheme.verify(&params, b"node-1", &keys.public, b"RREQ|...", &sig).is_ok());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod ap;

@@ -20,7 +20,6 @@
 //! assert_eq!(digest[0], 0xba);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod hmac;

@@ -36,7 +36,6 @@
 //! assert_eq!(lhs, rhs);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arith;

@@ -37,7 +37,6 @@
 //! let _ = coin;
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod splitmix;

@@ -39,7 +39,6 @@
 //! assert_eq!(pings, 4);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod grid;

@@ -2,7 +2,7 @@
 //! text by the gate tests to prove `taint::analyze` still catches a
 //! secret that leaks across call boundaries.
 //!
-//! The dirty chain below is *invisible* to the function-scoped lint:
+//! The dirty chain below is *invisible* to any one body's analysis:
 //! every individual function is locally clean (no `.secret` text, no
 //! taint source in the branching function), so only the call-graph
 //! fixpoint can connect the master secret to the branch two hops away.

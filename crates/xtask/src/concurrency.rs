@@ -30,9 +30,9 @@
 //!    lexical scope this analysis (or a reviewer) can bound. Both
 //!    shapes are reported.
 //!
-//! The Send/Sync boundary is rustc's to check: every crate root forbids
-//! `unsafe` (so no `unsafe impl Send`/`Sync`, and no access to a
-//! `static mut`), a `Cell` field in the registry fails its `Sync` bound
+//! The Send/Sync boundary is rustc's to check: the workspace lint table
+//! forbids `unsafe` (so no `unsafe impl Send`/`Sync`, and no access to
+//! a `static mut`), a `Cell` field in the registry fails its `Sync` bound
 //! in `registry_is_send_and_sync`, and the deny-by-default
 //! `let_underscore_lock` rejects a guard bound to `_`.
 //!

@@ -1,17 +1,12 @@
-//! The constant-time discipline lint: intraprocedural backend.
+//! The `ct` lint's per-body engine.
 //!
 //! McCLS's selling point is a cheap signing path on exposed mobile
 //! nodes, which makes timing leaks part of the threat model. This
-//! module provides the per-function-body taint engine used two ways:
-//!
-//! * [`scan`] — the function-scoped lint from PR 1: each body is
-//!   analysed in isolation, seeded only by taint *sources* born inside
-//!   it (key-material field reads, RNG draws). Parameters carry no
-//!   taint here.
-//! * [`analyze_body`] — the reusable engine behind the interprocedural
-//!   pass in [`crate::taint`], which additionally seeds declared-secret
-//!   parameters and calls known to return secrets, and reports whether
-//!   the body's return value is secret-carrying.
+//! module analyses one function body ([`analyze_body`]); the lint's one
+//! runner, the call-graph pass in [`crate::taint`], seeds it with the
+//! body's declared-secret and interprocedurally tainted parameters and
+//! the calls known to return secrets, and reads back the violations
+//! and whether the body's return value is secret-carrying.
 //!
 //! The engine's rules:
 //!
@@ -39,9 +34,9 @@
 
 use std::collections::HashSet;
 
-use crate::lexer::{self, contains_word, is_ident_char};
-use crate::parser::{FnItem, ParsedFile};
-use crate::{suppression_near, unless_suppressed, Finding, Suppression};
+use crate::lexer::{contains_word, is_ident_char};
+use crate::parser::FnItem;
+use crate::{suppression_near, Suppression};
 
 /// The suppression marker for this lint.
 pub const ALLOW_MARKER: &str = "ct-ok:";
@@ -137,11 +132,7 @@ pub fn analyze_body(
         &bindings,
         seeds,
         |name| declassified.names.contains(name),
-        |tainted, init| {
-            TAINT_SOURCES.iter().any(|s| init.contains(s))
-                || tainted.iter().any(|t| mentions_secret(init, t))
-                || secret_calls.iter().any(|c| contains_call(init, c))
-        },
+        |tainted, init| expr_is_tainted(init, tainted, secret_calls),
     );
 
     let mut violations = Vec::new();
@@ -161,63 +152,16 @@ pub fn analyze_body(
     }
 }
 
-/// Scans one parsed file with the function-scoped policy of PR 1.
-///
-/// Each `fn` body is analysed in isolation — a `b` tainted in one
-/// function does not condemn every other `b` in the file — and
-/// parameters are not taint sources. Test functions are skipped
-/// outright (tests branch on random draws constantly, by design).
-pub fn scan(file: &ParsedFile) -> Vec<Finding> {
-    let raw_lines = file.lines();
-    let no_secret_calls = HashSet::new();
-
-    let mut findings = Vec::new();
-    for f in file.fns.iter().filter(|f| !f.is_test) {
-        let analysis = analyze_body(f, &raw_lines, &[], &no_secret_calls);
-        findings.extend(filter_violations(
-            &file.path,
-            &raw_lines,
-            &file.test_spans,
-            &analysis,
-        ));
-    }
-    findings
-}
-
-/// Applies test-span and suppression filtering to raw violations,
-/// producing final findings (including bare-marker reports).
-pub fn filter_violations(
-    file: &str,
-    raw_lines: &[&str],
-    spans: &[(usize, usize)],
-    analysis: &BodyAnalysis,
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for &(lineno, ref message) in &analysis.violations {
-        if lexer::in_spans(lineno, spans) {
-            continue;
-        }
-        findings.extend(unless_suppressed(
-            raw_lines,
-            file,
-            lineno,
-            "ct",
-            ALLOW_MARKER,
-            message.clone(),
-        ));
-    }
-    for &lineno in &analysis.bare_declass {
-        if lexer::in_spans(lineno, spans) {
-            continue;
-        }
-        findings.push(Finding {
-            file: file.to_owned(),
-            line: lineno,
-            lint: "ct",
-            message: "taint-public marker present but gives no reason".to_owned(),
-        });
-    }
-    findings
+/// True when an expression carries secrets: it contains a textual taint
+/// source, mentions a tainted name, or calls a secret-returning fn.
+pub(crate) fn expr_is_tainted(
+    expr: &str,
+    tainted: &[String],
+    secret_calls: &HashSet<String>,
+) -> bool {
+    TAINT_SOURCES.iter().any(|s| expr.contains(s))
+        || tainted.iter().any(|t| mentions_secret(expr, t))
+        || secret_calls.iter().any(|c| contains_call(expr, c))
 }
 
 /// Violation messages for a single scrubbed line.
@@ -453,13 +397,21 @@ fn returns_secret(body: &str, tainted: &[String]) -> bool {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
-    use crate::parser::parse_file;
+    use crate::callgraph::CallGraph;
+    use crate::parser::{parse_file, parse_files};
+    use crate::Finding;
 
     const FIXTURE: &str = include_str!("../fixtures/ct_cases.rs");
 
+    /// The `ct` lint over one file, as `check` runs it.
+    fn scan(path: &str, src: &str) -> Vec<Finding> {
+        let files = parse_files(&[(path.to_owned(), src.to_owned())]);
+        crate::taint::analyze(&files, &CallGraph::build(&files))
+    }
+
     #[test]
     fn fixture_violations_are_found() {
-        let findings = scan(&parse_file("fixtures/ct_cases.rs", FIXTURE));
+        let findings = scan("fixtures/ct_cases.rs", FIXTURE);
         let msgs: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
         assert!(
             msgs.iter().any(|m| m.contains("secret-carrying `x`")),
@@ -481,7 +433,7 @@ mod tests {
 
     #[test]
     fn fixture_clean_lines_stay_clean() {
-        for f in scan(&parse_file("fixtures/ct_cases.rs", FIXTURE)) {
+        for f in scan("fixtures/ct_cases.rs", FIXTURE) {
             let line = FIXTURE.lines().nth(f.line - 1).unwrap_or("");
             assert!(
                 !line.contains("CLEAN"),
@@ -495,13 +447,13 @@ mod tests {
     #[test]
     fn justified_ct_ok_suppresses() {
         let src = "fn f(rng: &mut R) {\n    let x = Fr::random(rng);\n    // ct-ok: rejection sampling leaks only candidate-was-zero\n    if x.is_zero() { retry(); }\n}\n";
-        assert!(scan(&parse_file("x.rs", src)).is_empty());
+        assert!(scan("x.rs", src).is_empty());
     }
 
     #[test]
     fn taint_propagates_through_lets() {
         let src = "fn f(k: &Keys) {\n    let a = k.secret.invert_ct();\n    let b = mul(&a);\n    if b.is_identity() { bail(); }\n}\n";
-        let findings = scan(&parse_file("x.rs", src));
+        let findings = scan("x.rs", src);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("`b`"));
     }
@@ -509,15 +461,17 @@ mod tests {
     #[test]
     fn taint_propagates_through_assignments() {
         let src = "fn f(k: &Keys) {\n    let mut acc = Acc::zero();\n    acc = acc.mix(&k.secret.invert_ct());\n    if acc.is_zero() { bail(); }\n}\n";
-        let findings = scan(&parse_file("x.rs", src));
+        let findings = scan("x.rs", src);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("`acc`"));
     }
 
     #[test]
     fn parameters_are_not_sources() {
+        // Only a declared-secret parameter type seeds taint
+        // (`taint::SECRET_PARAM_TYPES`).
         let src = "fn f(secret_ish: u64) {\n    if secret_ish > 0 { g(); }\n}\n";
-        assert!(scan(&parse_file("x.rs", src)).is_empty());
+        assert!(scan("x.rs", src).is_empty());
     }
 
     #[test]
@@ -525,7 +479,7 @@ mod tests {
         // `y` is secret in `f` but a perfectly public coordinate in `g`;
         // only the branch inside `f` may fire.
         let src = "fn f(rng: &mut R) {\n    let y = Fr::random(rng);\n    if y.is_zero() { retry(); }\n}\n\nfn g(p: &Point) {\n    let y = p.y;\n    if y.is_zero() { infinity(); }\n}\n";
-        let findings = scan(&parse_file("x.rs", src));
+        let findings = scan("x.rs", src);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].line, 3);
     }
@@ -533,7 +487,7 @@ mod tests {
     #[test]
     fn test_modules_are_exempt() {
         let src = "#[cfg(test)]\nmod tests {\n    fn t(k: &Keys) {\n        let x = k.secret;\n        if x.is_zero() { panic!(); }\n    }\n}\n";
-        assert!(scan(&parse_file("x.rs", src)).is_empty());
+        assert!(scan("x.rs", src).is_empty());
     }
 
     /// `analyze_body` over `fn f() <body>`, with no raw lines.
@@ -580,25 +534,31 @@ mod tests {
         let src = "fn f(rng: &mut R) -> G2 {\n    let n = Fr::random(rng);\n    // taint-public: R is a published signature component\n    let r = ladder(&n);\n    if r.is_identity() { retry(); }\n    r\n}\n";
         // `ladder` is not a secret-returning call here, but `r` would be
         // tainted through `n`… unless declassified.
-        let findings = scan(&parse_file("x.rs", src));
+        let findings = scan("x.rs", src);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
     fn bare_declass_marker_is_reported() {
-        let src = "fn f(rng: &mut R) -> G2 {\n    let n = Fr::random(rng);\n    // taint-public:\n    let r = ladder(&n);\n    r\n}\n";
-        let findings = scan(&parse_file("x.rs", src));
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("gives no reason"));
+        // Taint born in the body, then taint entering through a secret
+        // parameter: the marker's finding names no entry either way.
+        for src in [
+            "fn f(rng: &mut R) -> G2 {\n    let n = Fr::random(rng);\n    // taint-public:\n    let r = ladder(&n);\n    r\n}\n",
+            "fn f(n: &MasterSecret) -> G2 {\n    let m = n.s;\n    // taint-public:\n    let r = ladder(&m);\n    r\n}\n",
+        ] {
+            let findings = scan("x.rs", src);
+            assert_eq!(findings.len(), 1, "{findings:?}");
+            assert_eq!(
+                findings[0].to_string(),
+                "x.rs:4: [ct] taint-public marker present but gives no reason"
+            );
+        }
     }
 
     #[test]
     fn secret_index_division_and_try_are_flagged() {
         let src = "fn f(k: &Keys) {\n    let d = k.secret;\n    let e = table[d];\n    let q = n / d;\n    let w = d.checked()?;\n}\n";
-        let msgs: Vec<String> = scan(&parse_file("x.rs", src))
-            .into_iter()
-            .map(|f| f.message)
-            .collect();
+        let msgs: Vec<String> = scan("x.rs", src).into_iter().map(|f| f.message).collect();
         assert!(
             msgs.iter().any(|m| m.contains("secret-dependent index")),
             "{msgs:?}"
@@ -616,6 +576,6 @@ mod tests {
     #[test]
     fn plain_loop_indexing_is_not_flagged() {
         let src = "fn f(k: &Keys) {\n    let d = k.secret;\n    let mut out = [0u64; 4];\n    for i in 0..4 { out[i] = base[i]; }\n    g(&d);\n}\n";
-        assert!(scan(&parse_file("x.rs", src)).is_empty());
+        assert!(scan("x.rs", src).is_empty());
     }
 }

@@ -1,21 +1,20 @@
 //! `mccls-xtask` — the workspace's static-analysis gate.
 //!
-//! `cargo run -p mccls-xtask -- check` runs eleven lints over the tree
+//! `cargo run -p mccls-xtask -- check` runs eight lints over the tree
 //! and exits non-zero if any finding survives its suppression filter:
 //!
 //! * **panic** — no `unwrap`/`expect`/`panic!`-family macros or risky
 //!   slice indexing in non-test code of the cryptographic crates
 //!   (`mccls-hash`, `mccls-pairing`, `mccls-core`). Suppress a justified
 //!   site with `// lint:allow(panic) <reason>`.
-//! * **ct** — no branching on secret-carrying identifiers in
-//!   `mccls-core`/`mccls-pairing`, using a light function-scoped taint
-//!   pass seeded from the key-material field names and RNG draws.
-//!   Suppress with `// ct-ok: <reason>`.
-//! * **taint** — the interprocedural extension of **ct**: secrets are
-//!   tracked across call edges and return values over the workspace
-//!   call graph ([`taint`]), so a master secret branched on two calls
-//!   below `sign()` is still caught. Same suppression marker; a
-//!   published protocol value is declassified at its binding with
+//! * **ct** — no branching, indexing or variable-time call on secret
+//!   data in the cryptographic crates. Taint is seeded from key-material
+//!   field reads, RNG draws and secret-typed parameters, and tracked
+//!   through bindings ([`ct_lint`]) and across call edges and return
+//!   values over the crypto call graph ([`taint`]), so a master secret
+//!   branched on two calls below `sign()` is caught like one branched
+//!   on in `sign()`. Suppress with `// ct-ok: <reason>`; a published
+//!   protocol value is declassified at its binding with
 //!   `// taint-public: <reason>`.
 //! * **validate** — the untrusted-input validation-state pass
 //!   ([`validate`]): a value decoded from raw bytes (an unchecked
@@ -52,8 +51,8 @@
 //!   multiplication (guards bracket map access only), and guards
 //!   returned from a function or stored in a struct are reported.
 //!   Suppress a reviewed site with `// lock-ok: <reason>`. The
-//!   Send/Sync boundary is left to rustc: the crate roots forbid
-//!   `unsafe` (no `unsafe impl Sync`, no `static mut` access),
+//!   Send/Sync boundary is left to rustc: the workspace lint table
+//!   forbids `unsafe` (no `unsafe impl Sync`, no `static mut` access),
 //!   `registry_is_send_and_sync` stops compiling on a non-`Sync` field,
 //!   and the deny-by-default `let_underscore_lock` rejects `let _ =
 //!   m.lock()`.
@@ -62,17 +61,19 @@
 //!   `PartialPrivateKey`, or any struct holding them, and the seed
 //!   types must zeroize in `Drop`. Suppress a deliberate exception
 //!   with `// secret-ok: <reason>`.
-//! * **hygiene** — every crate keeps `#![forbid(unsafe_code)]` at its
-//!   root and opts into the shared `[workspace.lints]` table.
-//! * **deps** — every `Cargo.toml` dependency resolves in-repo (path or
-//!   workspace), keeping the build offline-safe by construction.
+//!
+//! What rustc and cargo check, the gate does not: in the root
+//! `[workspace.lints.rust]` table, `unsafe_code = "forbid"` rejects
+//! `unsafe` in every target of every workspace crate, and
+//! `tests/manifests.rs` checks that every manifest opts into that table
+//! and that neither lockfile names a registry or git package.
 //!
 //! Every source lint reads one model, [`parser::ParsedFile`]: each file
 //! is scrubbed and parsed once into its test spans, `struct` items and
 //! `fn` items (with their calls, loop regions and `let` statements).
 //! [`check_workspace`] parses every crate a lint reads once
 //! ([`SOURCE_SCOPE`]), builds the crypto crates' call graph and
-//! certified operation costs once for `taint`, `opcount` and
+//! certified operation costs once for `ct`, `opcount` and
 //! `concurrency`, and runs each row of the one lint table,
 //! [`report::LINTS`], which also drives the SARIF rules.
 //!
@@ -82,15 +83,11 @@
 //! The crate is std-only on purpose: the gate must never be the reason
 //! the offline build breaks.
 
-#![forbid(unsafe_code)]
-
 pub mod callgraph;
 pub mod certify;
 pub mod complexity;
 pub mod concurrency;
 pub mod ct_lint;
-pub mod deps_lint;
-pub mod hygiene_lint;
 pub mod lexer;
 pub mod opcount;
 pub mod overflow;
@@ -238,22 +235,17 @@ pub fn display_path(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Crates whose non-test code must be panic-free.
-pub const PANIC_SCOPE: &[&str] = &["crates/hash", "crates/pairing", "crates/core"];
-
-/// Crates subject to the constant-time discipline lint.
-pub const CT_SCOPE: &[&str] = &["crates/core", "crates/pairing"];
-
-/// Crates of the one crypto call graph that `taint`, `opcount` and
+/// The cryptographic crates: their non-test code must be panic-free,
+/// and they make the one call graph that `ct`, `opcount` and
 /// `concurrency` share.
-pub const GRAPH_SCOPE: &[&str] = &["crates/hash", "crates/pairing", "crates/core"];
+pub const CRYPTO_SCOPE: &[&str] = &["crates/hash", "crates/pairing", "crates/core"];
 
 /// Crates subject to the limb-overflow lint: the multi-precision
 /// arithmetic lives in the pairing crate.
 pub const OVERFLOW_SCOPE: &[&str] = &["crates/pairing"];
 
 /// Crates covered by the validation-state pass. Wider than
-/// [`GRAPH_SCOPE`]: the AODV simulation is where untrusted network
+/// [`CRYPTO_SCOPE`]: the AODV simulation is where untrusted network
 /// bytes enter, so its parsers must be visible as potential sources
 /// even though it is not held to the panic/ct discipline.
 pub const VALIDATE_SCOPE: &[&str] = &[
@@ -268,7 +260,7 @@ pub const VALIDATE_SCOPE: &[&str] = &[
 pub const COMPLEXITY_SCOPE: &[&str] = &["crates/aodv", "crates/sim"];
 
 /// Every crate a source lint reads, ordered so that each lint's scope is
-/// one contiguous run of the parse: the crypto crates ([`GRAPH_SCOPE`]),
+/// one contiguous run of the parse: the crypto crates ([`CRYPTO_SCOPE`]),
 /// then `aodv`, which [`VALIDATE_SCOPE`] adds, then `sim`, which with
 /// `aodv` makes [`COMPLEXITY_SCOPE`].
 pub const SOURCE_SCOPE: &[&str] = &[
@@ -344,7 +336,7 @@ impl Workspace<'_> {
 /// `root`.
 pub fn check_workspace(root: &Path) -> Vec<Finding> {
     let parsed = parse_scope(root, SOURCE_SCOPE);
-    let crypto = scope_run(&parsed, GRAPH_SCOPE);
+    let crypto = scope_run(&parsed, CRYPTO_SCOPE);
     let graph = CallGraph::build(crypto);
     let costs = opcount::compute_costs(crypto, &graph);
     let workspace = Workspace {
@@ -410,18 +402,16 @@ mod tests {
             .map(|c| parser::parse_file(&format!("{c}/src/lib.rs"), ""))
             .collect();
         for scope in [
-            PANIC_SCOPE,
-            CT_SCOPE,
-            GRAPH_SCOPE,
+            CRYPTO_SCOPE,
             OVERFLOW_SCOPE,
             VALIDATE_SCOPE,
             COMPLEXITY_SCOPE,
         ] {
             assert_eq!(scope_run(&parsed, scope).len(), scope.len(), "{scope:?}");
         }
-        assert!(in_scope("crates/core/src/mccls.rs", CT_SCOPE));
-        assert!(!in_scope("crates/hash/src/lib.rs", CT_SCOPE));
-        assert!(!in_scope("crates/core2/src/lib.rs", CT_SCOPE));
+        assert!(in_scope("crates/core/src/mccls.rs", CRYPTO_SCOPE));
+        assert!(!in_scope("crates/aodv/src/lib.rs", CRYPTO_SCOPE));
+        assert!(!in_scope("crates/core2/src/lib.rs", CRYPTO_SCOPE));
     }
 
     #[test]

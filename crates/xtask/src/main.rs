@@ -1,7 +1,5 @@
 //! CLI for the static-analysis gate: `cargo run -p mccls-xtask -- check`.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 

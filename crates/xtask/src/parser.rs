@@ -15,8 +15,8 @@
 //! nested, `Some(..)`, struct and let-else patterns), its type
 //! annotation, its right-hand side and the lines that and its scope end
 //! on; each [`Assign`] holds the base name of a plain or compound
-//! assignment's place and its right-hand side. `ct`, `taint` and
-//! `validate` read both ([`FnItem::bindings`]), `overflow` reads the
+//! assignment's place and its right-hand side. `ct` and `validate`
+//! read both ([`FnItem::bindings`]), `overflow` reads the
 //! lets and the `for` headers of [`RegionKind::For`] regions, and
 //! `opcount` and `concurrency` read the lets.
 //!
@@ -240,7 +240,7 @@ impl FnItem {
 
     /// Every name the body's `let`s bind (`_` aside) and its assignments
     /// assign, as `(name, right-hand side, 1-based line)` in line order:
-    /// the flow the dataflow lints (`ct`, `taint`, `validate`) follow.
+    /// the flow the dataflow lints (`ct`, `validate`) follow.
     pub fn bindings(&self) -> Vec<(&str, &str, usize)> {
         let lets = self.lets.iter().flat_map(|l| {
             l.names

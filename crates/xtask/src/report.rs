@@ -9,9 +9,8 @@
 use std::fmt::Write as _;
 
 use crate::{
-    certify, complexity, concurrency, ct_lint, deps_lint, hygiene_lint, opcount, overflow,
-    panic_lint, secret_lint, taint, validate, Finding, Workspace, COMPLEXITY_SCOPE, CT_SCOPE,
-    OVERFLOW_SCOPE, PANIC_SCOPE, VALIDATE_SCOPE,
+    certify, complexity, concurrency, opcount, overflow, panic_lint, secret_lint, taint, validate,
+    Finding, Workspace, COMPLEXITY_SCOPE, CRYPTO_SCOPE, OVERFLOW_SCOPE, VALIDATE_SCOPE,
 };
 
 /// One row of the lint table: the id every finding of the lint
@@ -31,20 +30,15 @@ pub struct Lint {
 /// Every lint the gate runs. The SARIF driver always advertises the
 /// full rule set — not just the lints that happened to fire — so
 /// code-scanning UIs can render "passing" rules.
-pub const LINTS: [Lint; 11] = [
+pub const LINTS: [Lint; 8] = [
     Lint {
         id: "panic",
         description: "No unwrap/expect/panic-family or risky indexing in crypto crates",
-        run: |ws| ws.scan(PANIC_SCOPE, panic_lint::scan),
+        run: |ws| ws.scan(CRYPTO_SCOPE, panic_lint::scan),
     },
     Lint {
         id: "ct",
-        description: "No branching on secret-carrying identifiers",
-        run: |ws| ws.scan(CT_SCOPE, ct_lint::scan),
-    },
-    Lint {
-        id: "taint",
-        description: "Interprocedural secret flow across the workspace call graph",
+        description: "No branching, indexing or variable-time call on secret data, across calls",
         run: |ws| taint::analyze(ws.crypto, ws.graph),
     },
     Lint {
@@ -86,16 +80,6 @@ pub const LINTS: [Lint; 11] = [
         id: "secret",
         description: "No Debug/Clone/serialization derives on key material; zeroize on Drop",
         run: |ws| secret_lint::analyze(ws.crypto),
-    },
-    Lint {
-        id: "hygiene",
-        description: "forbid(unsafe_code) and workspace lints at every crate root",
-        run: |ws| hygiene_lint::scan(ws.root),
-    },
-    Lint {
-        id: "deps",
-        description: "Every dependency is an in-repo path",
-        run: |ws| deps_lint::scan(ws.root),
     },
 ];
 
@@ -243,7 +227,7 @@ mod tests {
         vec![Finding {
             file: "crates/core/src/mccls.rs".into(),
             line: 12,
-            lint: "taint",
+            lint: "ct",
             message: "branch conditioned on secret-carrying `x`".into(),
         }]
     }
@@ -259,7 +243,7 @@ mod tests {
     #[test]
     fn human_output_lists_and_summarizes() {
         let out = render(&sample(), Format::Human);
-        assert!(out.contains("mccls.rs:12: [taint]"));
+        assert!(out.contains("mccls.rs:12: [ct]"));
         assert!(out.contains("1 finding(s)"));
         assert!(render(&[], Format::Human).contains("clean"));
     }
@@ -277,7 +261,7 @@ mod tests {
         let out = render(&sample(), Format::Sarif);
         assert!(out.contains("sarif-2.1.0.json"));
         assert!(out.contains("\"name\": \"mccls-xtask\""));
-        assert!(out.contains("\"id\": \"taint\""));
+        assert!(out.contains("\"id\": \"ct\""));
         assert!(out.contains("\"startLine\": 12"));
         // Empty runs still produce a structurally valid document.
         let empty = render(&[], Format::Sarif);
@@ -286,7 +270,7 @@ mod tests {
 
     #[test]
     fn sarif_driver_always_advertises_every_rule() {
-        assert_eq!(LINTS.len(), 11, "the gate runs eleven lints");
+        assert_eq!(LINTS.len(), 8, "the gate runs eight lints");
         // Rules carry metadata and appear even when nothing fired.
         let empty = render(&[], Format::Sarif);
         for Lint {

@@ -1,13 +1,14 @@
-//! The interprocedural secret-taint pass.
+//! The `ct` lint: the constant-time discipline, over the call graph.
 //!
-//! The function-scoped lint ([`crate::ct_lint::scan`]) cannot see a
-//! master secret handed two calls down into a helper that branches on
-//! it. This pass can: over the workspace call graph, it seeds taint
-//! at the declared secret sources, propagates it across call edges and
-//! return values to a fixed point, and reports every secret-reaching
-//! function that still contains data-dependent control flow.
+//! A master secret handed two calls down into a helper that branches on
+//! it is as much a leak as a branch in `sign()` itself. Over the crypto
+//! crates' call graph, this pass seeds taint at the declared secret
+//! sources, propagates it across call edges and return values to a
+//! fixed point, and reports every violation of every function body
+//! ([`crate::ct_lint::analyze_body`]) once, whether its taint was born
+//! in the body or arrived through a parameter.
 //!
-//! **Sources** (the declarative list the issue asks for):
+//! **Sources** (declarative):
 //!
 //! * parameters whose type mentions a name in [`SECRET_PARAM_TYPES`]
 //!   (`MasterSecret`, `PartialPrivateKey`) — key material by type;
@@ -23,19 +24,19 @@
 //! the callee's `self`. Within a body, taint flows through `let`
 //! bindings and assignments ([`crate::ct_lint::analyze_body`]).
 //!
-//! **Reporting**: only findings that would *not* fire under the
-//! function-scoped scan are emitted (lint name `taint`), so a local
-//! violation is never double-reported. Suppression uses the same
-//! `// ct-ok: <reason>` marker; `// taint-public: <reason>` on a
-//! binding declassifies a published protocol value.
+//! **Reporting**: lint name `ct`; a finding in a function whose
+//! parameters carry taint names them (`` [secret enters `f` via x] ``).
+//! A reviewed site is suppressed with `// ct-ok: <reason>`;
+//! `// taint-public: <reason>` on a binding declassifies a published
+//! protocol value.
 
 use std::collections::{BTreeSet, HashSet};
 
 use crate::callgraph::{name_fixpoint, param_fixpoint, CallGraph, ParamFacts};
-use crate::ct_lint::{self, contains_call, TAINT_SOURCES};
+use crate::ct_lint::{self, expr_is_tainted};
 use crate::lexer::contains_word;
 use crate::parser::ParsedFile;
-use crate::Finding;
+use crate::{unless_suppressed, Finding};
 
 /// Parameter types that are secret by declaration.
 pub const SECRET_PARAM_TYPES: &[&str] = &["MasterSecret", "PartialPrivateKey"];
@@ -120,25 +121,16 @@ fn secret_return_fns(files: &[ParsedFile], graph: &CallGraph) -> HashSet<String>
     })
 }
 
-/// True when an expression carries secrets: it mentions a tainted name,
-/// contains a textual taint source, or calls a secret-returning fn.
-fn expr_is_tainted(expr: &str, tainted: &[String], secret_fns: &HashSet<String>) -> bool {
-    tainted.iter().any(|t| ct_lint::mentions_secret(expr, t))
-        || TAINT_SOURCES.iter().any(|s| expr.contains(s))
-        || secret_fns.iter().any(|f| contains_call(expr, f))
-}
-
-/// Emits the findings the function-scoped scan could not see: for each
-/// node, violations present under the converged facts but absent under
-/// empty facts are reported as lint `taint`, annotated with the
-/// interprocedural entry points (tainted parameters).
+/// Emits every finding of the lint once: for each node, the violations
+/// of its body under its converged parameter taint and each
+/// secret-carrying operand it hands a variable-time sink, annotated
+/// with the tainted parameters, then its bare `taint-public:` markers.
 fn report(
     files: &[ParsedFile],
     graph: &CallGraph,
     facts: &ParamFacts,
     secret_fns: &HashSet<String>,
 ) -> Vec<Finding> {
-    let empty_calls = HashSet::new();
     let mut findings = Vec::new();
     for ni in 0..graph.nodes.len() {
         let item = graph.item(files, ni);
@@ -146,12 +138,7 @@ fn report(
         let raw = file.lines();
         let seeds: Vec<String> = facts.params[ni].iter().cloned().collect();
 
-        let mut full = ct_lint::analyze_body(item, &raw, &seeds, secret_fns);
-        let local = ct_lint::analyze_body(item, &raw, &[], &empty_calls);
-        let local_set: HashSet<&(usize, String)> = local.violations.iter().collect();
-        full.violations.retain(|v| !local_set.contains(v));
-        // Bare-declass markers are the function-scoped scan's to report.
-        full.bare_declass.clear();
+        let mut body = ct_lint::analyze_body(item, &raw, &seeds, secret_fns);
         // Vartime-sink rule: a secret-carrying argument or receiver
         // handed to a variable-time-by-contract function.
         for edge in &graph.edges[ni] {
@@ -164,9 +151,9 @@ fn report(
                 .args
                 .iter()
                 .chain(call.receiver.as_ref())
-                .any(|a| expr_is_tainted(a, &full.tainted, secret_fns));
+                .any(|a| expr_is_tainted(a, &body.tainted, secret_fns));
             if hot {
-                full.violations.push((
+                body.violations.push((
                     call.line,
                     format!(
                         "secret-carrying operand passed to variable-time `{}`",
@@ -175,21 +162,30 @@ fn report(
                 ));
             }
         }
-        full.violations.sort();
-        full.violations.dedup();
+        body.violations.sort();
+        body.violations.dedup();
 
         let entry = if seeds.is_empty() {
             String::new()
         } else {
             format!(" [secret enters `{}` via {}]", item.name, seeds.join(", "))
         };
-        for f in ct_lint::filter_violations(&file.path, &raw, &[], &full) {
-            findings.push(Finding {
-                lint: "taint",
+        for (line, message) in body.violations {
+            let finding =
+                unless_suppressed(&raw, &file.path, line, "ct", ct_lint::ALLOW_MARKER, message);
+            findings.extend(finding.map(|f| Finding {
                 message: format!("{}{entry}", f.message),
                 ..f
-            });
+            }));
         }
+        // A bare marker is a fault of the binding, not of the flow into
+        // the function, so it names no entry.
+        findings.extend(body.bare_declass.iter().map(|&line| Finding {
+            file: file.path.clone(),
+            line,
+            lint: "ct",
+            message: "taint-public marker present but gives no reason".to_owned(),
+        }));
     }
     findings.sort();
     findings.dedup();
@@ -259,14 +255,18 @@ mod tests {
     }
 
     #[test]
-    fn local_violations_are_not_double_reported() {
-        // This branch fires under the function-scoped scan already; the
-        // taint pass must stay silent about it.
+    fn local_violations_are_reported_once() {
+        // Taint born in the body it branches in: one finding, with no
+        // entry note, since no parameter carries it.
         let findings = run(&[(
             "a.rs",
             "fn f(keys: &Keys) {\n    let x = keys.secret;\n    if x.is_zero() { bail(); }\n}\n",
         )]);
-        assert!(findings.is_empty(), "{findings:?}");
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(
+            findings[0].to_string(),
+            "a.rs:3: [ct] branch conditioned on secret-carrying `x`"
+        );
     }
 
     #[test]

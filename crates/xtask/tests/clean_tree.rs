@@ -8,11 +8,12 @@
 // Tests may panic freely; that is how they fail.
 #![allow(clippy::expect_used)]
 
+use std::collections::HashSet;
 use std::path::PathBuf;
 
 use mccls_xtask::callgraph::CallGraph;
 use mccls_xtask::opcount::{self, compute_costs};
-use mccls_xtask::parser::{parse_file, ParsedFile};
+use mccls_xtask::parser::{parse_file, parse_files, ParsedFile};
 use mccls_xtask::{concurrency, taint, Finding};
 
 fn workspace_root() -> PathBuf {
@@ -30,7 +31,7 @@ fn fixture(name: &str) -> String {
 // The three graph lints over one call graph (and, where they need
 // them, its certified costs), as `check_workspace` runs them.
 
-fn taint_findings(files: &[ParsedFile]) -> Vec<Finding> {
+fn ct_findings(files: &[ParsedFile]) -> Vec<Finding> {
     taint::analyze(files, &CallGraph::build(files))
 }
 
@@ -46,7 +47,7 @@ fn concurrency_findings(files: &[ParsedFile]) -> Vec<Finding> {
 
 /// Every fixture run, one per analyzer call, titled `<lint> <fixture>`.
 fn fixture_runs() -> Vec<(&'static str, Vec<Finding>)> {
-    use mccls_xtask::{complexity, ct_lint, overflow, panic_lint, parser, secret_lint, validate};
+    use mccls_xtask::{complexity, overflow, panic_lint, parser, secret_lint, validate};
     let parsed = |name: &str| parser::parse_files(&[(name.to_owned(), fixture(name))]);
     let scan = |name: &str, lint: fn(&parser::ParsedFile) -> Vec<Finding>| {
         lint(&parse_file(name, &fixture(name)))
@@ -60,15 +61,11 @@ fn fixture_runs() -> Vec<(&'static str, Vec<Finding>)> {
             "panic panic_cases.rs",
             scan("panic_cases.rs", panic_lint::scan),
         ),
-        ("ct ct_cases.rs", scan("ct_cases.rs", ct_lint::scan)),
-        ("ct taint_cases.rs", scan("taint_cases.rs", ct_lint::scan)),
-        (
-            "taint taint_cases.rs",
-            taint_findings(&parsed("taint_cases.rs")),
-        ),
+        ("ct ct_cases.rs", ct_findings(&parsed("ct_cases.rs"))),
+        ("ct taint_cases.rs", ct_findings(&parsed("taint_cases.rs"))),
         (
             "ct suppression_cases.rs",
-            scan("suppression_cases.rs", ct_lint::scan),
+            ct_findings(&parsed("suppression_cases.rs")),
         ),
         (
             "panic suppression_cases.rs",
@@ -100,7 +97,7 @@ fn fixture_runs() -> Vec<(&'static str, Vec<Finding>)> {
         ),
         (
             "ct prepared_cases.rs",
-            scan("prepared_cases.rs", ct_lint::scan),
+            ct_findings(&parsed("prepared_cases.rs")),
         ),
         (
             "concurrency concurrency_cases.rs",
@@ -171,7 +168,7 @@ fn fixtures_do_fail_the_gate() {
         std::fs::read_to_string(dir.join("panic_cases.rs")).expect("panic fixture exists");
     let ct_src = std::fs::read_to_string(dir.join("ct_cases.rs")).expect("ct fixture exists");
     assert!(!mccls_xtask::panic_lint::scan(&parse_file("panic_cases.rs", &panic_src)).is_empty());
-    assert!(!mccls_xtask::ct_lint::scan(&parse_file("ct_cases.rs", &ct_src)).is_empty());
+    assert!(!ct_findings(&parse_files(&[("ct_cases.rs".to_owned(), ct_src)])).is_empty());
 }
 
 #[test]
@@ -184,14 +181,17 @@ fn taint_fixture_trips_only_the_interprocedural_pass() {
     // not resolve to.
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
     let src = std::fs::read_to_string(dir.join("taint_cases.rs")).expect("taint fixture exists");
-    // Sanity: the function-scoped scan sees nothing, so anything the
-    // taint pass reports is genuinely interprocedural.
-    assert!(
-        mccls_xtask::ct_lint::scan(&parse_file("taint_cases.rs", &src)).is_empty(),
-        "fixture must be locally clean or the test proves nothing"
-    );
-    let files = mccls_xtask::parser::parse_files(&[("taint_cases.rs".to_owned(), src)]);
-    let findings = taint_findings(&files);
+    let files = parse_files(&[("taint_cases.rs".to_owned(), src)]);
+    // Sanity: no body violates on its own, with no parameter seeded and
+    // no call known to return a secret, so anything the lint reports
+    // came across a call edge.
+    let raw: Vec<&str> = files[0].raw_lines.iter().map(String::as_str).collect();
+    for f in &files[0].fns {
+        let local = mccls_xtask::ct_lint::analyze_body(f, &raw, &[], &HashSet::new());
+        let clean = local.violations.is_empty();
+        assert!(clean, "`{}` is not locally clean", f.name);
+    }
+    let findings = ct_findings(&files);
     assert!(
         findings.iter().any(|f| f
             .message
@@ -211,7 +211,10 @@ fn bare_suppression_reasons_do_not_suppress() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
     let src = std::fs::read_to_string(dir.join("suppression_cases.rs"))
         .expect("suppression fixture exists");
-    let ct = mccls_xtask::ct_lint::scan(&parse_file("suppression_cases.rs", &src));
+    let ct = ct_findings(&parse_files(&[(
+        "suppression_cases.rs".to_owned(),
+        src.clone(),
+    )]));
     assert!(
         ct.iter().any(|f| f.message.contains("gives no reason")),
         "bare ct-ok must still be reported: {ct:?}"
@@ -499,9 +502,9 @@ fn prepared_pairing_fixture_fails_both_gates() {
         panic_findings.len() >= 3,
         "expected the computed-index/unwrap/expect seeds to fire, got: {panic_findings:?}"
     );
-    let ct_findings = mccls_xtask::ct_lint::scan(&parse_file("prepared_cases.rs", &src));
+    let secret_flow = ct_findings(&parse_files(&[("prepared_cases.rs".to_owned(), src)]));
     assert!(
-        !ct_findings.is_empty(),
+        !secret_flow.is_empty(),
         "expected the secret-digit/blinder branches to fire"
     );
 }

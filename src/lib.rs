@@ -26,8 +26,6 @@
 //! assert!(scheme.verify(&params, b"node-1", &keypair.public, b"hello CPS", &sig).is_ok());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use mccls_aodv as aodv;
 pub use mccls_core as cls;
 pub use mccls_hash as hash;
