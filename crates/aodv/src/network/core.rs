@@ -6,7 +6,8 @@
 //! range), whose candidate blocks are constant-size under the density
 //! contract, and the per-node mobility streams make trajectories
 //! independent of who samples them when — which is what keeps the grid
-//! path bit-identical to the linear-scan ablation.
+//! path bit-identical to the linear-scan ablation, and what lets a
+//! query leave unsampled the candidates a drift bound puts out of range.
 
 use mccls_rng::rngs::StdRng;
 use mccls_rng::SeedableRng;
@@ -28,8 +29,16 @@ use super::{NetEvent, Network, Node};
 /// `range / (2 · max_speed)` seconds (see [`Network::refresh_interval`]),
 /// so a bucketed position drifts at most half a cell width: every true
 /// neighbor then sits within Chebyshev distance 2 of the query cell,
-/// which `slack = 1` covers.
+/// which `slack = 1` covers. A query therefore gathers a 5×5 block.
 const GRID_SLACK: usize = 1;
+
+/// Slack, metres, added to the drift bound before a grid candidate is
+/// skipped unsampled. It absorbs the rounding of the leg interpolation
+/// (about 10⁻¹¹ m across a city) and of the leg hand-off, whose
+/// nanosecond-rounded arrival can move a node `max_speed · 0.5 ns`
+/// (10⁻⁸ m at 20 m/s) per leg ended between samples, so the skip never
+/// drops a node that is in range.
+const DRIFT_MARGIN: f64 = 1e-3;
 
 impl Network {
     /// Builds a network from a scenario configuration.
@@ -41,8 +50,11 @@ impl Network {
             .map(|_| RandomWaypoint::new(area, waypoints, &mut rng))
             .collect();
         let mut grid = SpatialGrid::new(cfg.area_width, cfg.area_height, cfg.radio_range);
+        let mut seen = Vec::with_capacity(cfg.num_nodes);
         for (i, m) in mobility.iter_mut().enumerate() {
-            grid.update(i, m.position_at(SimTime::ZERO));
+            let pos = m.position_at(SimTime::ZERO);
+            grid.update(i, pos);
+            seen.push((pos, SimTime::ZERO));
         }
         let nodes: Vec<Node> = (0..cfg.num_nodes as u16)
             .map(|i| Node::new(cfg.behavior_of(NodeId(i))))
@@ -70,6 +82,7 @@ impl Network {
             radio,
             nodes,
             mobility,
+            seen,
             grid,
             candidate_buf: Vec::new(),
             neighbor_buf: Vec::new(),
@@ -179,17 +192,25 @@ impl Network {
     }
 
     /// Position of `node` at the scheduler's current instant, keeping
-    /// its grid bucket in sync.
+    /// its grid bucket and its `seen` record in sync.
     pub(super) fn sample_position(&mut self, node: NodeId, now: SimTime) -> Position {
         let pos = self.mobility[node.index()].position_at(now);
         self.grid.update(node.index(), pos);
+        self.seen[node.index()] = (pos, now);
         pos
     }
 
     /// Fills `neighbor_buf` with every node currently within radio range
-    /// of `node` (ascending id) and its distance. Grid candidates come
-    /// back sorted, so the iteration order — and with it every RNG draw
-    /// downstream — matches the linear scan exactly.
+    /// of `node` (ascending id) and its distance.
+    ///
+    /// The grid gathers the candidates in bucket order. A candidate
+    /// whose last sampled position lies farther from `node` than the
+    /// range plus the distance it can have moved since (at `max_speed`)
+    /// is out of range now, so it is skipped without sampling its
+    /// mobility or touching its bucket; trajectories are pure functions
+    /// of time, so skipping a sample moves no draw. The survivors are
+    /// sorted by id, so the iteration order, and with it every RNG draw
+    /// downstream, matches the linear scan exactly.
     // complexity: neighbors
     fn neighbors_of(&mut self, now: SimTime, node: NodeId) {
         let mut neighbors = std::mem::take(&mut self.neighbor_buf);
@@ -208,6 +229,11 @@ impl Network {
                 if other == node {
                     continue;
                 }
+                let (seen, at) = self.seen[other.index()];
+                let drift = self.cfg.max_speed * now.duration_since(at).as_secs_f64();
+                if src_pos.distance(&seen) > self.radio.range + drift + DRIFT_MARGIN {
+                    continue;
+                }
                 let pos = self.sample_position(other, now);
                 let dist = src_pos.distance(&pos);
                 if dist <= self.radio.range {
@@ -215,6 +241,7 @@ impl Network {
                 }
             }
             self.candidate_buf = candidates;
+            neighbors.sort_unstable_by_key(|&(id, _)| id);
         }
         self.neighbor_buf = neighbors;
     }
@@ -336,5 +363,52 @@ impl Network {
     /// A fresh MAC backoff for broadcast forwarding by honest nodes.
     pub(super) fn jitter(&mut self) -> SimDuration {
         self.radio.sample_jitter(&mut self.rng)
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
+mod tests {
+    use super::*;
+
+    #[test]
+    fn neighbors_come_back_in_ascending_id_order() {
+        // The grid gathers candidates bucket by bucket, and at 20 m/s
+        // nodes keep crossing cells, each crossing swap-removing from a
+        // bucket, so the gather is out of id order. Re-bucketing every
+        // node each second stands in for the refresh events; querying
+        // half a second later leaves every `seen` record stale, so the
+        // drift bound is in play too.
+        let n = 200;
+        let mut net = Network::new(ScenarioConfig::scaled(n, 20.0, 5));
+        let mut unsorted_gathers = 0;
+        let mut linear = Vec::new();
+        for s in 1..=30 {
+            let refresh = SimTime::from_secs(s);
+            for i in 0..n {
+                net.sample_position(NodeId(i as u16), refresh);
+            }
+            let now = refresh + SimDuration::from_millis(500);
+            for i in 0..n {
+                let node = NodeId(i as u16);
+                let src = net.sample_position(node, now);
+                net.candidate_buf.clear();
+                net.grid
+                    .candidates_into(src, GRID_SLACK, &mut net.candidate_buf);
+                if !net.candidate_buf.is_sorted() {
+                    unsorted_gathers += 1;
+                }
+                net.neighbors_of(now, node);
+                linear.clear();
+                net.neighbors_linear(now, node, src, &mut linear);
+                assert!(
+                    net.neighbor_buf.is_sorted_by(|a, b| a.0 < b.0),
+                    "node {i} at {s}.5 s: {:?}",
+                    net.neighbor_buf
+                );
+                assert_eq!(net.neighbor_buf, linear, "node {i} at {s}.5 s");
+            }
+        }
+        assert!(unsorted_gathers > 0, "every gather came back sorted");
     }
 }

@@ -62,7 +62,8 @@ const GRID_SPEEDUP_SMOKE: f64 = 4.0;
 /// Timed samples per row; a row is their median.
 const SAMPLES: usize = 3;
 
-/// Simulated seconds per full-mode run.
+/// Simulated seconds per run: every full-mode run, and in smoke mode
+/// every run but the 5,000-node pair's.
 const FULL_SIM_SECS: u64 = 10;
 
 /// Builds the benchmark scenario: `n` nodes at the paper's density,
@@ -93,12 +94,17 @@ fn main() -> ExitCode {
     let mode = Mode::from_args("BENCH_sim.json");
     println!("simulation harness ({} mode)\n", mode.label());
 
-    // Smoke keeps CI fast; full is what the committed baseline records.
-    // The per-simulated-second unit keeps the two comparable under the
-    // 10x gate. Every row is a median of three samples, so one preempted
-    // sample on a loaded host cannot fail the gate; in smoke mode the
-    // two rows that cost seconds per sample take one.
-    let sim_secs = if mode.smoke { 2 } else { FULL_SIM_SECS };
+    // Full mode is what the committed baseline records. Smoke shortens
+    // only the 5,000-node pair, whose ablation costs about two seconds
+    // per simulated second; both halves keep one length, so the
+    // bit-identical contract compares like with like. Every other row
+    // runs the full length in both modes: a short run front-loads route
+    // discoveries and amortizes less set-up, so it costs several times
+    // the committed row per simulated second, and one host swing would
+    // fail the 10x gate. Every row is a median of three samples, so one
+    // preempted sample on a loaded host cannot fail the gate; in smoke
+    // mode the two rows that cost seconds per sample take one.
+    let city_secs = if mode.smoke { 2 } else { FULL_SIM_SECS };
     let costly = if mode.smoke { 1 } else { SAMPLES };
 
     let mut current: Vec<Entry> = Vec::new();
@@ -116,12 +122,12 @@ fn main() -> ExitCode {
         (ns, metrics)
     };
 
-    let paper = || scenario(20, sim_secs, false);
+    let paper = || scenario(20, FULL_SIM_SECS, false);
     row("sim/run_n20", paper(), SAMPLES);
-    row("sim/run_n500", scenario(500, sim_secs, false), SAMPLES);
-    let (grid_ns, grid_metrics) = row("sim/run_n5000", scenario(5_000, sim_secs, false), SAMPLES);
+    row("sim/run_n500", scenario(500, FULL_SIM_SECS, false), SAMPLES);
+    let (grid_ns, grid_metrics) = row("sim/run_n5000", scenario(5_000, city_secs, false), SAMPLES);
     let (linear_ns, linear_metrics) =
-        row("sim/linear_n5000", scenario(5_000, sim_secs, true), costly);
+        row("sim/linear_n5000", scenario(5_000, city_secs, true), costly);
     row("sim/mccls_n20", paper().secured(), SAMPLES);
     row(
         "sim/mccls_blackhole_n20",
@@ -141,11 +147,7 @@ fn main() -> ExitCode {
     let mut first_wins = paper();
     first_wins.aodv.first_rrep_wins = true;
     row("sim/first_rrep_wins_n20", first_wins, SAMPLES);
-    // Real crypto runs the full mode's length in both modes: the route
-    // discoveries' signing and pairings crowd into the first seconds,
-    // so a 2-second run costs several times the committed row per
-    // simulated second, and one host swing would fail the gate.
-    let mut real = scenario(20, FULL_SIM_SECS, false).secured();
+    let mut real = paper().secured();
     real.real_crypto = true;
     row("sim/real_crypto_n20", real, costly);
 

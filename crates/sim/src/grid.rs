@@ -6,7 +6,9 @@
 //! when bucketed positions may be stale). Range queries therefore cost
 //! O(neighbors) — the density contract the `complexity` lint leans on:
 //! with cell side = radio range and bounded node density, a cell block
-//! holds a bounded multiple of the true neighbor count.
+//! holds a bounded multiple of the true neighbor count. A query returns
+//! that superset unsorted, in bucket order; the caller filters it by
+//! distance and orders what it keeps.
 //!
 //! Re-bucketing is incremental: [`SpatialGrid::update`] moves a node
 //! between buckets only when its cell actually changed, so a mobility
@@ -147,8 +149,9 @@ impl SpatialGrid {
     /// Appends to `out` every node bucketed within `1 + slack` cells
     /// (Chebyshev) of the cell covering `pos` — a superset of the nodes
     /// within radio range, provided no bucketed position is stale by
-    /// more than `slack` cell widths. Candidates arrive in ascending
-    /// node order so downstream iteration is deterministic.
+    /// more than `slack` cell widths. Candidates arrive in bucket order,
+    /// which depends on the update history: a caller that needs a
+    /// deterministic order sorts what it keeps.
     pub fn candidates_into(&self, pos: Position, slack: usize, out: &mut Vec<u32>) {
         let cx = ((pos.x / self.cell).floor().max(0.0) as usize).min(self.cols - 1);
         let cy = ((pos.y / self.cell).floor().max(0.0) as usize).min(self.rows - 1);
@@ -157,7 +160,6 @@ impl SpatialGrid {
         let x1 = (cx + reach).min(self.cols - 1);
         let y0 = cy.saturating_sub(reach);
         let y1 = (cy + reach).min(self.rows - 1);
-        let before = out.len();
         // complexity-ok: cell block is (3 + 2*slack)^2 cells, constant by the density contract
         for gy in y0..=y1 {
             // complexity-ok: inner axis of the constant cell block
@@ -165,7 +167,6 @@ impl SpatialGrid {
                 out.extend_from_slice(&self.buckets[gy * self.cols + gx]);
             }
         }
-        out[before..].sort_unstable();
     }
 }
 
@@ -241,7 +242,7 @@ mod tests {
     }
 
     #[test]
-    fn candidates_are_sorted_regardless_of_bucket_history() {
+    fn candidates_hold_each_node_once_regardless_of_bucket_history() {
         let mut g = SpatialGrid::new(200.0, 200.0, 100.0);
         // Insert out of order and churn the bucket so swap_remove
         // scrambles its internal ordering.
@@ -252,6 +253,7 @@ mod tests {
         g.update(2, pos(20.0, 10.0)); // ...and come back
         let mut out = Vec::new();
         g.candidates_into(pos(15.0, 15.0), 0, &mut out);
+        out.sort_unstable();
         assert_eq!(out, vec![2, 5, 9]);
     }
 

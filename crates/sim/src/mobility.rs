@@ -278,19 +278,67 @@ mod tests {
         }
     }
 
+    /// When the current leg began or its pause ends: it changes each
+    /// time a travel leg ends.
+    fn leg_start(node: &RandomWaypoint) -> Option<SimTime> {
+        match node.leg {
+            Leg::Moving { start, .. } => Some(start),
+            Leg::Idle { until, .. } => until,
+        }
+    }
+
     #[test]
     fn respects_speed_limit() {
-        let area = Area::new(1500.0, 300.0);
-        let mut r = rng(3);
-        let max = 20.0;
-        let mut node = RandomWaypoint::new(area, WaypointConfig::paper(max), &mut r);
-        let mut last = node.position_at(SimTime::ZERO);
-        for s in 1..300 {
-            let p = node.position_at(SimTime::from_secs(s));
-            let dist = p.distance(&last);
-            assert!(dist <= max + 1e-6, "moved {dist} m in 1 s (max {max})");
-            last = p;
+        // The grid query skips a node unsampled when its last sample
+        // lies farther than range + max_speed·Δt: this is the bound it
+        // rests on. Gaps run from 0.1 ms to 30 s, log-uniform, so legs
+        // and pauses end between samples; the last config moves at
+        // exactly its maximum, where only rounding separates the
+        // displacement from the bound.
+        let configs = [
+            WaypointConfig::paper(0.5),
+            WaypointConfig::paper(5.0),
+            WaypointConfig::paper(20.0),
+            WaypointConfig {
+                pause: SimDuration::from_secs(2),
+                ..WaypointConfig::paper(20.0)
+            },
+            WaypointConfig {
+                max_speed: 7.0,
+                min_speed: 7.0,
+                pause: SimDuration::from_millis(300),
+            },
+        ];
+        let mut gaps = rng(3);
+        let (short, long) = (1e-4_f64.ln(), 30.0_f64.ln());
+        let mut leg_ends = 0;
+        for (i, config) in configs.into_iter().enumerate() {
+            for area in [Area::new(1500.0, 300.0), Area::new(60.0, 40.0)] {
+                let mut node = RandomWaypoint::new(area, config, &mut rng(30 + i as u64));
+                let mut t = SimTime::ZERO;
+                let mut last = node.position_at(t);
+                let mut leg = leg_start(&node);
+                for _ in 0..2_000 {
+                    let dt = SimDuration::from_secs_f64(gaps.gen_range(short..long).exp());
+                    t += dt;
+                    let p = node.position_at(t);
+                    let moved = p.distance(&last);
+                    let bound = config.max_speed * dt.as_secs_f64() + 1e-6;
+                    assert!(
+                        moved <= bound,
+                        "moved {moved} m in {dt:?} (max {} m/s)",
+                        config.max_speed
+                    );
+                    leg_ends += usize::from(leg_start(&node) != leg);
+                    leg = leg_start(&node);
+                    last = p;
+                }
+            }
         }
+        assert!(
+            leg_ends > 1_000,
+            "only {leg_ends} samples crossed a leg end"
+        );
     }
 
     #[test]
