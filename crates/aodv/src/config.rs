@@ -201,8 +201,7 @@ impl ScenarioConfig {
     /// density (one node per 22,500 m², the paper's 20 nodes in
     /// 1500 m × 300 m) and its 5:1 aspect ratio, with the same CBR load
     /// of 10 flows × 4 packets/s × 512 B. Used by the city-scale sweeps
-    /// (500–5,000 nodes) that the spatial grid and calendar queue make
-    /// tractable.
+    /// (500–5,000 nodes) that the spatial grid makes tractable.
     pub fn scaled(num_nodes: usize, max_speed: f64, seed: u64) -> Self {
         assert!(num_nodes >= 2, "need at least two nodes");
         let mut cfg = Self::paper_baseline(max_speed, seed);

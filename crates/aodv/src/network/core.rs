@@ -135,14 +135,9 @@ impl Network {
         // in-flight packets may still be delivered a little later.
         let drain = end + SimDuration::from_secs(5);
         // complexity-ok: the event loop itself is unbounded by design; per-event work is what is budgeted
-        while let Some((t, ev)) = {
-            // Stop generating past `end`; stop everything past `drain`.
-            if sched.now() > drain {
-                None
-            } else {
-                sched.pop()
-            }
-        } {
+        while let Some((t, ev)) = sched.pop() {
+            // Stop everything past `drain`. The event popped here still
+            // counts in `processed`, and so in `Metrics::events`.
             if t > drain {
                 break;
             }

@@ -76,9 +76,9 @@ pub enum NetEvent {
     },
 }
 
-// The calendar queue moves queued events on every sorted insert and
-// rebuild, and a broadcast queues one `Receive` per neighbour, so a new
-// packet field must not silently grow every event.
+// The scheduler writes every queued event into its slot store and moves
+// it out when it fires, and a broadcast queues one `Receive` per
+// neighbour, so a new packet field must not silently grow every event.
 const _: () = assert!(std::mem::size_of::<NetEvent>() <= 64);
 
 /// A discovery in progress: buffered data packets and retry state.

@@ -1,6 +1,6 @@
-//! City-scale simulation throughput harness: what the spatial grid and
-//! the calendar queue buy as the node count grows, and what the paper
-//! scenario's protocol and attack variants cost.
+//! City-scale simulation throughput harness: what the spatial grid buys
+//! as the node count grows, and what the paper scenario's protocol and
+//! attack variants cost.
 //!
 //! Every row is the median wall-clock cost of one full simulation run
 //! normalized to nanoseconds per simulated second:
@@ -27,9 +27,11 @@
 //! grid ever stops paying for itself, the row that proves it goes
 //! red), and both paths must produce
 //! bit-identical metrics (per-node mobility streams make trajectories
-//! independent of how neighbors are enumerated). Medians are then
-//! gated against the committed `BENCH_sim.json` with the same >10x
-//! budget as the other harnesses.
+//! independent of how neighbors are enumerated). Smoke mode runs the
+//! ablation over 2 simulated seconds and checks both contracts against
+//! an ungated 2-second grid run. Medians are then gated against the
+//! committed `BENCH_sim.json` with the same >10x budget as the other
+//! harnesses.
 //!
 //! Usage: `cargo run -p mccls-bench --release --bin sim
 //! [-- --smoke] [--update-baseline] [--baseline <path>]`.
@@ -62,8 +64,8 @@ const GRID_SPEEDUP_SMOKE: f64 = 4.0;
 /// Timed samples per row; a row is their median.
 const SAMPLES: usize = 3;
 
-/// Simulated seconds per run: every full-mode run, and in smoke mode
-/// every run but the 5,000-node pair's.
+/// Simulated seconds per run: every run but the smoke-mode ablation and
+/// the grid run it is checked against.
 const FULL_SIM_SECS: u64 = 10;
 
 /// Builds the benchmark scenario: `n` nodes at the paper's density,
@@ -95,16 +97,17 @@ fn main() -> ExitCode {
     println!("simulation harness ({} mode)\n", mode.label());
 
     // Full mode is what the committed baseline records. Smoke shortens
-    // only the 5,000-node pair, whose ablation costs about two seconds
-    // per simulated second; both halves keep one length, so the
-    // bit-identical contract compares like with like. Every other row
-    // runs the full length in both modes: a short run front-loads route
-    // discoveries and amortizes less set-up, so it costs several times
-    // the committed row per simulated second, and one host swing would
-    // fail the 10x gate. Every row is a median of three samples, so one
-    // preempted sample on a loaded host cannot fail the gate; in smoke
-    // mode the two rows that cost seconds per sample take one.
-    let city_secs = if mode.smoke { 2 } else { FULL_SIM_SECS };
+    // only the linear-scan ablation, which costs about two seconds per
+    // simulated second, and checks it against an ungated grid run of the
+    // same length, so the bit-identical contract compares like with
+    // like. Every other row runs the full length in both modes: a short
+    // run front-loads route discoveries and amortizes less set-up, so it
+    // costs several times the committed row per simulated second, and
+    // one host swing would fail the 10x gate. Every row is a median of
+    // three samples, so one preempted sample on a loaded host cannot
+    // fail the gate; in smoke mode the two rows that cost seconds per
+    // sample take one.
+    let ablation_secs = if mode.smoke { 2 } else { FULL_SIM_SECS };
     let costly = if mode.smoke { 1 } else { SAMPLES };
 
     let mut current: Vec<Entry> = Vec::new();
@@ -125,9 +128,14 @@ fn main() -> ExitCode {
     let paper = || scenario(20, FULL_SIM_SECS, false);
     row("sim/run_n20", paper(), SAMPLES);
     row("sim/run_n500", scenario(500, FULL_SIM_SECS, false), SAMPLES);
-    let (grid_ns, grid_metrics) = row("sim/run_n5000", scenario(5_000, city_secs, false), SAMPLES);
-    let (linear_ns, linear_metrics) =
-        row("sim/linear_n5000", scenario(5_000, city_secs, true), costly);
+    let city = |sim_secs, linear_scan| scenario(5_000, sim_secs, linear_scan);
+    let gated = row("sim/run_n5000", city(FULL_SIM_SECS, false), SAMPLES);
+    let (grid_ns, grid_metrics) = if mode.smoke {
+        measure(&city(ablation_secs, false), SAMPLES)
+    } else {
+        gated
+    };
+    let (linear_ns, linear_metrics) = row("sim/linear_n5000", city(ablation_secs, true), costly);
     row("sim/mccls_n20", paper().secured(), SAMPLES);
     row(
         "sim/mccls_blackhole_n20",

@@ -3,9 +3,9 @@
 //!
 //! Four orthogonal pieces:
 //!
-//! * [`Scheduler`] — a deterministic discrete-event calendar queue over
-//!   typed events ([`SimTime`]/[`SimDuration`] virtual time, FIFO
-//!   tie-break, O(1) amortized enqueue/dequeue);
+//! * [`Scheduler`] — a deterministic discrete-event queue over typed
+//!   events ([`SimTime`]/[`SimDuration`] virtual time, FIFO tie-break),
+//!   a binary min-heap of `(time, seq, slot)` keys;
 //! * [`RandomWaypoint`] — the random-waypoint mobility model over a
 //!   rectangular [`Area`], evaluated analytically on a private per-node
 //!   RNG stream;
@@ -30,13 +30,14 @@
 //! let mut sched = Scheduler::new();
 //! sched.schedule_at(SimTime::from_secs(1), Event::Ping(0));
 //! let mut pings = 0;
-//! sched.run_until(SimTime::from_secs(10), |_, Event::Ping(n), s| {
+//! while let Some((t, Event::Ping(n))) = sched.pop() {
 //!     pings += 1;
 //!     if n < 3 {
-//!         s.schedule_in(SimDuration::from_secs(2), Event::Ping(n + 1));
+//!         sched.schedule_at(t + SimDuration::from_secs(2), Event::Ping(n + 1));
 //!     }
-//! });
+//! }
 //! assert_eq!(pings, 4);
+//! assert_eq!(sched.now(), SimTime::from_secs(7));
 //! ```
 
 #![warn(missing_docs)]

@@ -1,47 +1,15 @@
 //! The discrete-event scheduler: a time-ordered queue of typed events
 //! with deterministic FIFO tie-breaking.
 //!
-//! Implemented as a calendar queue (Brown 1988): pending events hash
-//! into an array of day buckets by `timestamp / width`, the dequeue
-//! scans forward from the current day, and the bucket array is resized
-//! whenever the population outgrows or undershoots it — or when an
-//! insert finds a day piled past [`OVERFULL`]. Each rebuild re-derives
-//! the width from the inter-event gaps at the *head* of the schedule
-//! (Brown's sampling rule), so a handful of far-future timers cannot
-//! stretch the width until a burst of clustered events collapses into
-//! one day. With the width tracking the head gap, both enqueue and
-//! dequeue are O(1) amortized — the property the `complexity` lint's
-//! per-event budget leans on — against the O(log n) binary heap the
-//! first cut of this module used.
+//! A binary min-heap of 24-byte `(time, seq, slot)` keys over a store of
+//! event slots. Heap sifts move only the keys, never the events, and
+//! `seq`, the insertion counter, breaks ties in scheduling order. A
+//! popped event's slot goes on a free list for the next insert.
 
-use crate::time::{SimDuration, SimTime};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> Entry<E> {
-    /// Priority key: earliest time first, then insertion order.
-    fn key(&self) -> (u64, u64) {
-        (self.at.as_nanos(), self.seq)
-    }
-}
-
-/// Bucket-count floor (power of two).
-const MIN_BUCKETS: usize = 16;
-/// Bucket-width ceiling, ns (~18 min), keeping day arithmetic far from
-/// u64 overflow even for sparse schedules.
-const MAX_WIDTH: u64 = 1 << 40;
-/// Day-occupancy cap: an insert that leaves a bucket deeper than this
-/// forces a width recalibration (rate-limited), because sorted inserts
-/// into an overfull day degrade to O(population) memmoves.
-const OVERFULL: usize = 32;
-/// Head-sample size for the width derivation: day occupancy tracks the
-/// gaps among the events about to fire, so the width comes from the
-/// earliest pending timestamps rather than the full span.
-const WIDTH_SAMPLE: usize = 64;
+use crate::time::SimTime;
 
 /// A discrete-event scheduler over events of type `E`.
 ///
@@ -52,7 +20,7 @@ const WIDTH_SAMPLE: usize = 64;
 /// # Examples
 ///
 /// ```
-/// use mccls_sim::{Scheduler, SimDuration, SimTime};
+/// use mccls_sim::{Scheduler, SimTime};
 ///
 /// let mut sched = Scheduler::new();
 /// sched.schedule_at(SimTime::from_secs(2), "b");
@@ -64,19 +32,15 @@ const WIDTH_SAMPLE: usize = 64;
 /// assert_eq!(seen, vec![(1_000_000_000, "a"), (2_000_000_000, "b")]);
 /// ```
 pub struct Scheduler<E> {
-    /// Day buckets; each kept sorted descending by `(at, seq)` so the
-    /// bucket minimum pops from the tail in O(1).
-    buckets: Vec<Vec<Entry<E>>>,
-    /// Bucket width in nanoseconds (one "day").
-    width: u64,
-    /// Pending event count.
-    len: usize,
+    /// Pending `(at, seq, slot)` keys, earliest first.
+    heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    /// Event storage, indexed by a key's slot; `None` when vacant.
+    slots: Vec<Option<E>>,
+    /// Vacant slots, reused before `slots` grows.
+    free: Vec<usize>,
     seq: u64,
     now: SimTime,
     processed: u64,
-    /// Operations since the last rebuild, rate-limiting the overfull-day
-    /// recalibration so same-instant pile-ups cannot rebuild per insert.
-    since_resize: usize,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -89,13 +53,12 @@ impl<E> Scheduler<E> {
     /// Creates an empty scheduler at `t = 0`.
     pub fn new() -> Self {
         Self {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            width: 1 << 20, // ~1 ms; re-derived on first resize
-            len: 0,
+            heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             seq: 0,
             now: SimTime::ZERO,
             processed: 0,
-            since_resize: 0,
         }
     }
 
@@ -104,24 +67,19 @@ impl<E> Scheduler<E> {
         self.now
     }
 
-    /// Number of events waiting.
+    /// Number of events waiting: the occupied slots.
     pub fn len(&self) -> usize {
-        self.len
+        self.slots.len() - self.free.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Total events processed so far.
     pub fn processed(&self) -> u64 {
         self.processed
-    }
-
-    /// The bucket index covering nanosecond timestamp `t`.
-    fn bucket_index(&self, t: u64) -> usize {
-        ((t / self.width) as usize) & (self.buckets.len() - 1)
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -137,161 +95,26 @@ impl<E> Scheduler<E> {
             "cannot schedule into the past ({at} < {})",
             self.now
         );
-        if self.len == 2 * self.buckets.len() {
-            self.resize(self.buckets.len() * 2);
-        }
-        let entry = Entry {
-            at,
-            seq: self.seq,
-            event,
-        };
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        self.slots[slot] = Some(event);
+        self.heap.push(Reverse((at, self.seq, slot)));
         self.seq += 1;
-        self.len += 1;
-        let idx = self.bucket_index(at.as_nanos());
-        let bucket = &mut self.buckets[idx];
-        // Descending order: find the first strictly-smaller key. Equal
-        // timestamps sort by seq, so a fresh entry lands before its
-        // same-time elders and the tail keeps FIFO order.
-        let pos = bucket.partition_point(|e| e.key() > entry.key());
-        bucket.insert(pos, entry);
-        self.since_resize += 1;
-        // A burst of clustered timestamps (an RREQ flood wave) can pile
-        // one day high while the width still reflects an older, sparser
-        // schedule; re-derive it before inserts degrade to
-        // O(population) memmoves.
-        if self.buckets[idx].len() > OVERFULL && self.since_resize > self.buckets.len() {
-            self.resize(self.buckets.len());
-        }
-    }
-
-    /// Schedules `event` after a delay from the current time.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.schedule_at(self.now + delay, event);
-    }
-
-    /// Finds the bucket holding the next event without popping it.
-    ///
-    /// Scans day windows forward from `now`; every pending event has
-    /// `at >= now`, and same-day windows are disjoint and increasing,
-    /// so the first in-window tail is the global minimum. When a whole
-    /// year passes without a hit (sparse far-future schedules), falls
-    /// back to a direct minimum scan over the bucket tails.
-    fn next_bucket(&self) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        let nbuckets = self.buckets.len();
-        let day0 = self.now.as_nanos() / self.width;
-        // The day scan is amortized O(1) in steady state (the clock
-        // advances past every empty day it visits); the lint's bucket
-        // density contract classifies it log-bound, which is the class
-        // the committed budget certifies for `pop`.
-        for k in 0..nbuckets as u64 {
-            let idx = ((day0 + k) as usize) & (nbuckets - 1);
-            if let Some(tail) = self.buckets[idx].last() {
-                let window_end = u128::from(day0 + k + 1) * u128::from(self.width);
-                if u128::from(tail.at.as_nanos()) < window_end {
-                    return Some(idx);
-                }
-            }
-        }
-        // complexity-ok: rare fallback for schedules sparser than one event per year of buckets
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| b.last().map(|tail| (tail.key(), i)))
-            .min()
-            .map(|(_, i)| i)
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
-    // complexity: log
+    // complexity: const
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let idx = self.next_bucket()?;
-        self.pop_bucket(idx)
-    }
-
-    /// Pops the tail of bucket `idx`, already known (via
-    /// [`Self::next_bucket`]) to hold the global minimum — the split
-    /// lets [`Self::run_until`] peek and pop with a single day scan.
-    fn pop_bucket(&mut self, idx: usize) -> Option<(SimTime, E)> {
-        // complexity-ok: Vec::pop on the bucket tail, not a scheduler recursion
-        let entry = self.buckets[idx].pop()?;
-        debug_assert!(entry.at >= self.now, "event queue went backwards");
-        self.len -= 1;
-        self.now = entry.at;
-        self.processed += 1;
-        self.since_resize += 1;
-        if self.buckets.len() > MIN_BUCKETS && self.len < self.buckets.len() / 2 {
-            self.resize(self.buckets.len() / 2);
-        }
-        Some((entry.at, entry.event))
-    }
-
-    /// Runs `handler` over every event until the queue drains or the
-    /// clock passes `until`, whichever comes first. Events scheduled
-    /// beyond `until` remain queued.
-    pub fn run_until(&mut self, until: SimTime, mut handler: impl FnMut(SimTime, E, &mut Self)) {
-        // complexity-ok: the event loop itself is unbounded by design; per-event work is what is budgeted
-        while let Some(idx) = self.next_bucket() {
-            let Some(head) = self.buckets[idx].last() else {
-                break;
-            };
-            if head.at > until {
-                break;
-            }
-            let Some((t, ev)) = self.pop_bucket(idx) else {
-                break;
-            };
-            handler(t, ev, self);
-        }
-        if self.now < until {
-            self.now = until;
-        }
-    }
-
-    /// Rebuilds the calendar with `nbuckets` buckets (a power of two),
-    /// re-deriving the day width from the pending span so the mean
-    /// occupancy stays O(1). Cost is O(len), amortized over the inserts
-    /// or pops that triggered it.
-    fn resize(&mut self, nbuckets: usize) {
-        debug_assert!(nbuckets.is_power_of_two());
-        let mut entries: Vec<Entry<E>> = Vec::with_capacity(self.len);
-        // complexity-ok: rebuild is amortized across the geometric resize schedule
-        for bucket in &mut self.buckets {
-            entries.append(bucket);
-        }
-        entries.sort_unstable_by_key(Entry::key);
-        // Derive the width from the head of the schedule: day occupancy
-        // is governed by the gaps among the events about to fire. Using
-        // the full span instead would let far-future stragglers (e.g.
-        // mobility-refresh timers seconds out) stretch the width until a
-        // flood burst piles thousands of events into a single day. Falls
-        // back to the full span when the head is one same-instant clump.
-        let head = &entries[..entries.len().min(WIDTH_SAMPLE)];
-        let gap = |sample: &[Entry<E>]| {
-            let (first, last) = (sample.first()?, sample.last()?);
-            let span = last.at.as_nanos() - first.at.as_nanos();
-            (span > 0).then(|| (span / sample.len() as u64).clamp(1, MAX_WIDTH))
+        let Reverse((at, _, slot)) = self.heap.pop()?;
+        let Some(event) = self.slots[slot].take() else {
+            unreachable!("a queued key names a vacant slot");
         };
-        if let Some(width) = gap(head).or_else(|| gap(&entries)) {
-            self.width = width;
-        }
-        // complexity-ok: fresh bucket allocation is part of the same amortized rebuild
-        self.buckets = (0..nbuckets).map(|_| Vec::new()).collect();
-        // complexity-ok: redistribution is the tail of the amortized rebuild
-        for entry in entries {
-            let idx = self.bucket_index(entry.at.as_nanos());
-            self.buckets[idx].push(entry);
-        }
-        // Entries were distributed in ascending key order, so each bucket
-        // only needs reversing to restore the descending pop-from-tail
-        // invariant.
-        // complexity-ok: per-bucket reversal closes out the amortized rebuild
-        for bucket in &mut self.buckets {
-            bucket.reverse();
-        }
-        self.since_resize = 0;
+        self.free.push(slot);
+        self.now = at;
+        self.processed += 1;
+        Some((at, event))
     }
 }
 
@@ -299,7 +122,7 @@ impl<E> core::fmt::Debug for Scheduler<E> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Scheduler")
             .field("now", &self.now)
-            .field("pending", &self.len)
+            .field("pending", &self.len())
             .field("processed", &self.processed)
             .finish()
     }
@@ -351,33 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_at_horizon() {
-        let mut s = Scheduler::new();
-        for t in 1..=10u64 {
-            s.schedule_at(SimTime::from_secs(t), t);
-        }
-        let mut seen = Vec::new();
-        s.run_until(SimTime::from_secs(5), |_, e, _| seen.push(e));
-        assert_eq!(seen, vec![1, 2, 3, 4, 5]);
-        assert_eq!(s.len(), 5);
-        assert_eq!(s.now(), SimTime::from_secs(5));
-    }
-
-    #[test]
-    fn handler_can_schedule_followups() {
-        let mut s = Scheduler::new();
-        s.schedule_at(SimTime::from_secs(1), 0u64);
-        let mut count = 0;
-        s.run_until(SimTime::from_secs(100), |_, gen, sched| {
-            count += 1;
-            if gen < 4 {
-                sched.schedule_in(SimDuration::from_secs(1), gen + 1);
-            }
-        });
-        assert_eq!(count, 5);
-    }
-
-    #[test]
     fn always_non_decreasing() {
         let mut rng = mccls_rng::rngs::StdRng::seed_from_u64(0x5C4ED);
         for _ in 0..32 {
@@ -398,8 +194,10 @@ mod tests {
     }
 
     /// Model check against a sorted reference: random interleavings of
-    /// schedules and pops across many resizes must replay the exact
-    /// `(time, seq)` order a stable sort would produce.
+    /// schedules and pops must replay the exact `(time, seq)` order a
+    /// stable sort would produce, and `len` must count the pending events
+    /// after every step, so a slot the free list leaks, or hands out while
+    /// it is occupied, fails here.
     #[test]
     fn matches_sorted_reference_under_churn() {
         let mut rng = mccls_rng::rngs::StdRng::seed_from_u64(0xCA1E);
@@ -410,8 +208,8 @@ mod tests {
             let mut popped: Vec<(u64, u64)> = Vec::new();
             for _ in 0..rng.gen_range(50usize..800) {
                 if rng.gen_bool(0.7) || s.is_empty() {
-                    // Mix of near-future, far-future, and same-instant
-                    // timestamps to stress day scans and year wraps.
+                    // Mix of same-instant, near-future and far-future
+                    // timestamps, so ties and long waits interleave.
                     let base = s.now().as_nanos();
                     let at = match rng.gen_range(0u8..4) {
                         0 => base,
@@ -425,9 +223,11 @@ mod tests {
                 } else if let Some((t, l)) = s.pop() {
                     popped.push((t.as_nanos(), l));
                 }
+                assert_eq!(s.len(), reference.len() - popped.len(), "round {round}");
             }
             while let Some((t, l)) = s.pop() {
                 popped.push((t.as_nanos(), l));
+                assert_eq!(s.len(), reference.len() - popped.len(), "round {round}");
             }
             // Labels are assigned in schedule order, so a stable sort
             // by time reproduces the required FIFO tie-break.
@@ -437,10 +237,10 @@ mod tests {
     }
 
     #[test]
-    fn shrink_keeps_far_future_events() {
+    fn far_future_event_outlasts_a_burst() {
         let mut s = Scheduler::new();
-        // Grow the calendar, then drain most of it so it shrinks back
-        // while one distant event must survive every rebuild.
+        // One distant event, queued first, must pop after a burst of
+        // 200 near events that all arrive behind it.
         s.schedule_at(SimTime::from_secs(3_600), 999u64);
         for i in 0..200u64 {
             s.schedule_at(SimTime::from_nanos(i * 7), i);

@@ -22,9 +22,9 @@ fn scan_all_pairs(all_nodes: &[u32]) -> u32 {
     acc
 }
 
-// A contract that drifted: the comment promises `log` but the body
-// scans the whole node table.
-// complexity: log
+// A contract that drifted: the comment promises `neighbors` but the
+// body scans the whole node table.
+// complexity: neighbors
 fn drifted_walk(all_nodes: &[u32]) -> u32 {
     let mut acc = 0;
     for n in all_nodes {

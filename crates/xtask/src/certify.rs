@@ -477,7 +477,7 @@ mod tests {
     #[test]
     fn marker_opens_a_comment_line_above_or_trails_the_declaration() {
         let src: Vec<String> = "// complexity: neighbors\n#[inline]\npub fn a() {}\n\
-             pub fn b() {} // complexity: log\n\
+             pub fn b() {} // complexity: const\n\
              /// Prose naming `// complexity: nodes` is documentation.\npub fn c() {}\n\
              let x = 1;\npub fn d() {}\n"
             .lines()
@@ -485,7 +485,7 @@ mod tests {
             .collect();
         let read = |line| read_marker(&src, line, "// complexity:").map(|m| (m.text, m.line));
         assert_eq!(read(3), Some(("neighbors".to_owned(), 1)));
-        assert_eq!(read(4), Some(("log".to_owned(), 4)));
+        assert_eq!(read(4), Some(("const".to_owned(), 4)));
         assert_eq!(read(6), None, "doc prose is not a marker");
         assert_eq!(read(8), None, "the run stops at code");
     }

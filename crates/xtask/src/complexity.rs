@@ -3,21 +3,21 @@
 //!
 //! It is one lattice ([`Classes`]) over the shared certification engine
 //! ([`crate::certify`]). Every function gets a symbolic big-O class — a
-//! product of bounded factors `nodes` (network size), `neighbors`
-//! (grid-bucket candidates, capped by the density contract), and `log`
-//! (calendar/day scans) — inferred from its loop nests and composed
-//! bottom-up through the qualifier- and suppression-filtered call graph;
-//! recursion saturates to "unbounded".
+//! product of bounded factors `nodes` (network size) and `neighbors`
+//! (grid-bucket candidates, capped by the density contract) — inferred
+//! from its loop nests and composed bottom-up through the qualifier- and
+//! suppression-filtered call graph; recursion saturates to "unbounded".
+//! A call into a std collection (`BinaryHeap::pop`, `HashMap::get`,
+//! `Vec::insert`, …) has no callee in the analyzed crates, so the model
+//! charges it nothing.
 //!
 //! Loop iteration counts are classified from the loop header text:
 //!
 //! 1. `while`/`loop` have no static trip count → unbounded;
 //! 2. headers naming `neighbor`/`candidate` collections → `neighbors`;
-//! 3. headers naming `bucket`s → `log` (the calendar-queue day scan,
-//!    whose amortized bound the scheduler documents);
-//! 4. headers naming `node`s/`peer`s/mobility state → `nodes`;
-//! 5. literal or `SCREAMING_CASE`-constant ranges → constant;
-//! 6. anything else → `nodes` (a sound over-approximation).
+//! 3. headers naming `node`s/`peer`s/mobility state → `nodes`;
+//! 4. literal or `SCREAMING_CASE`-constant ranges → constant;
+//! 5. anything else → `nodes` (a sound over-approximation).
 //!
 //! Iterator adaptors (`map`, `filter`, …) count as loops only when
 //! their receiver chain visibly produces an iterator (`.iter()`,
@@ -58,19 +58,18 @@ pub const BUDGET_FILE: &str = "complexity-budgets.toml";
 /// near it).
 const MAX_POW: u8 = 2;
 
-/// A symbolic asymptotic class: `nodes^a · neighbors^b · log^c`, or
-/// unbounded when no static bound exists (recursion, `while`/`loop`).
+/// A symbolic asymptotic class: `nodes^a · neighbors^b`, or unbounded
+/// when no static bound exists (recursion, `while`/`loop`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Class {
     nodes: u8,
     neighbors: u8,
-    log: u8,
     unbounded: bool,
 }
 
 impl Class {
     /// Constant work: the lattice bottom.
-    pub const CONST: Self = Self::of(0, 0, 0);
+    pub const CONST: Self = Self::of(0, 0);
 
     /// No static bound: the lattice top.
     pub const UNBOUNDED: Self = Self {
@@ -79,25 +78,21 @@ impl Class {
     };
 
     /// One factor of the network size.
-    pub const NODES: Self = Self::of(1, 0, 0);
+    pub const NODES: Self = Self::of(1, 0);
 
     /// One factor of the density-bounded neighbor count.
-    pub const NEIGHBORS: Self = Self::of(0, 1, 0);
+    pub const NEIGHBORS: Self = Self::of(0, 1);
 
-    /// One logarithmic factor.
-    pub const LOG: Self = Self::of(0, 0, 1);
-
-    const fn of(nodes: u8, neighbors: u8, log: u8) -> Self {
+    const fn of(nodes: u8, neighbors: u8) -> Self {
         Self {
             nodes,
             neighbors,
-            log,
             unbounded: false,
         }
     }
 
-    /// Parses `"const"` or a `*`-product of `nodes`/`neighbors`/`log`
-    /// factors, each optionally squared (`nodes^2`).
+    /// Parses `"const"` or a `*`-product of `nodes`/`neighbors` factors,
+    /// each optionally squared (`nodes^2`).
     pub fn parse(text: &str) -> Option<Self> {
         let t = text.trim();
         if t == "const" {
@@ -119,7 +114,6 @@ impl Class {
             let slot = match base {
                 "nodes" => &mut out.nodes,
                 "neighbors" => &mut out.neighbors,
-                "log" => &mut out.log,
                 _ => return None,
             };
             *slot = slot.checked_add(pow).filter(|&v| v <= MAX_POW)?;
@@ -133,15 +127,11 @@ impl Class {
         if self.unbounded || other.unbounded {
             return Self::UNBOUNDED;
         }
-        let (n, b, l) = (
-            self.nodes + other.nodes,
-            self.neighbors + other.neighbors,
-            self.log + other.log,
-        );
-        if n > MAX_POW || b > MAX_POW || l > MAX_POW {
+        let (n, b) = (self.nodes + other.nodes, self.neighbors + other.neighbors);
+        if n > MAX_POW || b > MAX_POW {
             Self::UNBOUNDED
         } else {
-            Self::of(n, b, l)
+            Self::of(n, b)
         }
     }
 
@@ -153,7 +143,6 @@ impl Class {
         Self::of(
             self.nodes.max(other.nodes),
             self.neighbors.max(other.neighbors),
-            self.log.max(other.log),
         )
     }
 }
@@ -169,10 +158,7 @@ impl Bound for Class {
         if other.unbounded {
             return true;
         }
-        !self.unbounded
-            && self.nodes <= other.nodes
-            && self.neighbors <= other.neighbors
-            && self.log <= other.log
+        !self.unbounded && self.nodes <= other.nodes && self.neighbors <= other.neighbors
     }
 }
 
@@ -182,11 +168,7 @@ impl fmt::Display for Class {
             return write!(f, "unbounded");
         }
         let mut factors = Vec::new();
-        for (name, pow) in [
-            ("nodes", self.nodes),
-            ("neighbors", self.neighbors),
-            ("log", self.log),
-        ] {
+        for (name, pow) in [("nodes", self.nodes), ("neighbors", self.neighbors)] {
             match pow {
                 0 => {}
                 1 => factors.push(name.to_owned()),
@@ -251,8 +233,6 @@ fn classify_iterable(text: &str) -> Class {
     let lower = text.to_ascii_lowercase();
     if lower.contains("neighbor") || lower.contains("candidate") {
         Class::NEIGHBORS
-    } else if lower.contains("bucket") {
-        Class::LOG
     } else if lower.contains("node") || lower.contains("peer") || lower.contains("mobilit") {
         Class::NODES
     } else if const_range(text) {
@@ -483,8 +463,8 @@ impl Lattice for Classes<'_> {
         }
         let Some(class) = Class::parse(text) else {
             return Some(Err(format!(
-                "`class = \"{text}\"` is not a product of `nodes`/`neighbors`/`log` factors \
-                 or `const`"
+                "`class = \"{text}\"` is not a product of `nodes`/`neighbors` factors or \
+                 `const`"
             )));
         };
         *budget = class;
@@ -544,7 +524,7 @@ impl Lattice for Classes<'_> {
             let name = entry.map_or(f.name.clone(), BudgetEntry::target);
             let message = format!(
                 "cannot parse `{CONTRACT_MARKER} {}` on `{name}` (expected factors of \
-                 `nodes`/`neighbors`/`log`, or `const`)",
+                 `nodes`/`neighbors`, or `const`)",
                 marker.text
             );
             return Some((marker.line, message));
@@ -657,9 +637,8 @@ mod tests {
             "const",
             "nodes",
             "neighbors",
-            "log",
             "nodes^2",
-            "nodes * log",
+            "nodes * neighbors",
         ] {
             let c = Class::parse(text).unwrap();
             assert_eq!(c.to_string(), text);
@@ -679,7 +658,10 @@ mod tests {
         assert_eq!(n2.to_string(), "nodes^2");
         assert_eq!(n2.times(Class::NODES), Class::UNBOUNDED);
         assert_eq!(Class::UNBOUNDED.join(Class::CONST), Class::UNBOUNDED);
-        assert_eq!(Class::NODES.join(Class::LOG).to_string(), "nodes * log");
+        assert_eq!(
+            Class::NODES.join(Class::NEIGHBORS).to_string(),
+            "nodes * neighbors"
+        );
     }
 
     #[test]
@@ -692,7 +674,6 @@ mod tests {
             classify_iterable(" c in candidates.iter() "),
             Class::NEIGHBORS
         );
-        assert_eq!(classify_iterable(" k in 0..nbuckets "), Class::LOG);
         assert_eq!(classify_iterable(" i in 0..num_nodes "), Class::NODES);
         assert_eq!(classify_iterable(" _ in 0..16 "), Class::CONST);
         assert_eq!(classify_iterable(" _ in 0..MAX_ROUNDS "), Class::CONST);
@@ -723,7 +704,7 @@ mod tests {
     fn slack_and_missing_marker_both_fail() {
         let findings = run(
             "fn tiny() -> u32 { 7 }\n",
-            "[fixture.tiny]\nfn = \"tiny\"\nclass = \"log\"\n",
+            "[fixture.tiny]\nfn = \"tiny\"\nclass = \"neighbors\"\n",
         );
         assert_eq!(findings.len(), 2, "{findings:?}");
         assert!(findings.iter().any(|f| f.message.contains("lacks a")));
@@ -824,7 +805,7 @@ mod tests {
     #[test]
     fn calls_compose_multiplicatively_through_loops() {
         let findings = run(
-            "// complexity: nodes * log\n\
+            "// complexity: nodes * neighbors\n\
              fn sweep(all_nodes: &[u32]) -> u32 {\n\
                  let mut acc = 0;\n\
                  for n in all_nodes {\n\
@@ -834,13 +815,13 @@ mod tests {
              }\n\
              fn probe(x: u32) -> u32 {\n\
                  let mut acc = x;\n\
-                 for b in 0..nbuckets_of(x) {\n\
+                 for b in 0..neighbor_count(x) {\n\
                      acc ^= b;\n\
                  }\n\
                  acc\n\
              }\n\
-             fn nbuckets_of(x: u32) -> u32 { x | 1 }\n",
-            "[fixture.sweep]\nfn = \"sweep\"\nclass = \"nodes * log\"\n",
+             fn neighbor_count(x: u32) -> u32 { x | 1 }\n",
+            "[fixture.sweep]\nfn = \"sweep\"\nclass = \"nodes * neighbors\"\n",
         );
         assert!(findings.is_empty(), "{findings:?}");
     }
@@ -848,7 +829,7 @@ mod tests {
     #[test]
     fn stale_contract_on_unbudgeted_fn_is_reported() {
         let findings = run(
-            "// complexity: log\n\
+            "// complexity: neighbors\n\
              fn drifted(all_nodes: &[u32]) -> u32 {\n\
                  let mut acc = 0;\n\
                  for n in all_nodes {\n\
