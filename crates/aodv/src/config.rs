@@ -5,38 +5,34 @@ use mccls_sim::{SimDuration, SimTime};
 use crate::auth::CryptoCost;
 use crate::types::NodeId;
 
-/// AODV protocol timers and limits (RFC 3561 defaults, simplified).
+/// Lifetime granted to routes on creation/use.
+pub(crate) const ACTIVE_ROUTE_TIMEOUT: SimDuration = SimDuration::from_secs(3);
+/// Time to wait for an RREP before retrying discovery
+/// (NET_TRAVERSAL_TIME).
+pub(crate) const RREQ_TIMEOUT: SimDuration = SimDuration::from_millis(2_000);
+/// Attempts beyond the first flood.
+pub(crate) const RREQ_RETRIES: u32 = 2;
+/// Max packets buffered per destination awaiting a route.
+pub(crate) const BUFFER_CAPACITY: usize = 64;
+/// Max hops any packet may traverse (NET_DIAMETER).
+pub(crate) const MAX_HOPS: u8 = 35;
+/// Propagation budget for RERRs.
+pub(crate) const RERR_TTL: u8 = 3;
+/// Initial TTL of an expanding-ring discovery.
+pub(crate) const RING_TTL_START: u8 = 2;
+/// TTL increment per expanding-ring retry.
+pub(crate) const RING_TTL_STEP: u8 = 2;
+
+/// The AODV behaviours a run may switch. RFC 3561's timers and limits
+/// are fixed, and intermediate nodes with a fresh route always answer
+/// RREQs, as RFC 3561 prescribes (the hook the black hole abuses).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AodvConfig {
-    /// ACTIVE_ROUTE_TIMEOUT: lifetime granted to routes on
-    /// creation/use.
-    pub active_route_timeout: SimDuration,
-    /// How long a (origin, rreq_id) pair stays in the duplicate cache
-    /// (PATH_DISCOVERY_TIME).
-    pub rreq_seen_lifetime: SimDuration,
-    /// Time to wait for an RREP before retrying discovery
-    /// (NET_TRAVERSAL_TIME).
-    pub rreq_timeout: SimDuration,
-    /// RREQ_RETRIES: attempts beyond the first flood.
-    pub rreq_retries: u32,
-    /// Max packets buffered per destination awaiting a route.
-    pub buffer_capacity: usize,
-    /// Max hops any packet may traverse (NET_DIAMETER).
-    pub max_hops: u8,
-    /// Propagation budget for RERRs.
-    pub rerr_ttl: u8,
-    /// Whether intermediate nodes with fresh routes answer RREQs
-    /// (RFC 3561 behaviour; also the hook the black hole abuses).
-    pub intermediate_rrep: bool,
     /// RFC 3561 §6.4 expanding-ring search: start discoveries with a
     /// small flood radius and widen on retry, instead of always flooding
     /// the whole network. Off by default to match the paper's flat
     /// floods; the ablation bench measures the overhead difference.
     pub expanding_ring: bool,
-    /// Initial TTL of an expanding-ring discovery.
-    pub ring_ttl_start: u8,
-    /// TTL increment per retry.
-    pub ring_ttl_step: u8,
     /// When set, a node keeps the route established by the first RREP it
     /// accepts and ignores later offers while that route is valid (a
     /// common simplification of QualNet-era AODV models). This caps a
@@ -53,17 +49,7 @@ pub struct AodvConfig {
 impl Default for AodvConfig {
     fn default() -> Self {
         Self {
-            active_route_timeout: SimDuration::from_secs(3),
-            rreq_seen_lifetime: SimDuration::from_secs(6),
-            rreq_timeout: SimDuration::from_millis(2_000),
-            rreq_retries: 2,
-            buffer_capacity: 64,
-            max_hops: 35,
-            rerr_ttl: 3,
-            intermediate_rrep: true,
             expanding_ring: false,
-            ring_ttl_start: 2,
-            ring_ttl_step: 2,
             first_rrep_wins: false,
             link_break_detection: SimDuration::from_millis(1_500),
         }

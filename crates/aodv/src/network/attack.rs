@@ -10,7 +10,7 @@
 use mccls_rng::Rng;
 use mccls_sim::{Scheduler, SimDuration, SimTime};
 
-use crate::config::Behavior;
+use crate::config::{Behavior, MAX_HOPS};
 use crate::packet::{Packet, Rrep, Rreq};
 use crate::types::{NodeId, SeqNo};
 
@@ -59,7 +59,7 @@ impl Network {
             Behavior::Rushing => {
                 // Forward immediately: no verification, no jitter, no
                 // processing delay — win the duplicate-suppression race.
-                if rreq.hop_count + 1 >= rreq.ttl.min(self.cfg.aodv.max_hops) {
+                if rreq.hop_count + 1 >= rreq.ttl.min(MAX_HOPS) {
                     return None;
                 }
                 let mut fwd = rreq;
@@ -86,7 +86,7 @@ impl Network {
                     self.broadcast(now, node, Packet::Rreq(stale), SimDuration::ZERO, sched);
                 }
                 // Keep forwarding the live flood to stay inconspicuous.
-                if rreq.hop_count + 1 < rreq.ttl.min(self.cfg.aodv.max_hops) {
+                if rreq.hop_count + 1 < rreq.ttl.min(MAX_HOPS) {
                     let mut fwd = rreq;
                     fwd.hop_count += 1;
                     let fwd = self.maybe_sign_rreq(node, fwd);

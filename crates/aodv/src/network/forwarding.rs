@@ -4,12 +4,15 @@
 //!
 //! Per-event work here is bounded by explicit caps the complexity lint
 //! leans on: RERR payloads carry at most [`RERR_MAX_DESTS`] entries,
-//! per-destination buffers at most `buffer_capacity` packets, and
+//! per-destination buffers at most `BUFFER_CAPACITY` packets, and
 //! routing tables at most `MAX_ROUTES` routes.
 
 use mccls_sim::{Scheduler, SimDuration, SimTime};
 
-use crate::config::{Behavior, Flow};
+use crate::config::{
+    Behavior, Flow, ACTIVE_ROUTE_TIMEOUT, BUFFER_CAPACITY, MAX_HOPS, RERR_TTL, RING_TTL_START,
+    RING_TTL_STEP, RREQ_RETRIES, RREQ_TIMEOUT,
+};
 use crate::packet::{DataPacket, Packet, Rerr, Rrep, Rreq};
 use crate::types::{NodeId, SeqNo};
 
@@ -112,10 +115,9 @@ impl Network {
         ) {
             return false;
         }
-        let timeout = self.cfg.aodv.active_route_timeout;
         let table = &mut self.nodes[node.index()].table;
-        table.refresh(dst, timeout, now);
-        table.refresh(next_hop, timeout, now);
+        table.refresh(dst, ACTIVE_ROUTE_TIMEOUT, now);
+        table.refresh(next_hop, ACTIVE_ROUTE_TIMEOUT, now);
         true
     }
 
@@ -127,10 +129,9 @@ impl Network {
         sched: &mut Scheduler<NetEvent>,
     ) {
         let dst = pkt.dst;
-        let capacity = self.cfg.aodv.buffer_capacity;
         let needs_discovery = {
             let entry = self.nodes[node.index()].pending.entry(dst).or_default();
-            if entry.buffered.len() >= capacity {
+            if entry.buffered.len() >= BUFFER_CAPACITY {
                 self.metrics.honest_dropped += 1;
             } else {
                 entry.buffered.push_back(pkt);
@@ -157,7 +158,7 @@ impl Network {
             n.seq.increment();
             n.next_rreq_id += 1;
             let rreq_id = n.next_rreq_id;
-            n.seen_rreq.insert((node, rreq_id), now);
+            n.seen_rreq.insert((node, rreq_id));
             if let Some(p) = n.pending.get_mut(&dest) {
                 p.attempt = attempt;
                 p.rreq_id = rreq_id;
@@ -175,13 +176,11 @@ impl Network {
         };
         let mut rreq = rreq;
         rreq.ttl = if self.cfg.aodv.expanding_ring {
-            self.cfg
-                .aodv
-                .ring_ttl_start
-                .saturating_add(self.cfg.aodv.ring_ttl_step.saturating_mul(attempt as u8))
-                .min(self.cfg.aodv.max_hops)
+            RING_TTL_START
+                .saturating_add(RING_TTL_STEP.saturating_mul(attempt as u8))
+                .min(MAX_HOPS)
         } else {
-            self.cfg.aodv.max_hops
+            MAX_HOPS
         };
         if attempt == 0 {
             self.metrics.rreq_initiated += 1;
@@ -193,11 +192,7 @@ impl Network {
         let rreq_id = rreq.rreq_id;
         self.broadcast(now, node, Packet::Rreq(rreq), delay, sched);
         // Exponential backoff on retries, as RFC 3561 prescribes.
-        let timeout = self
-            .cfg
-            .aodv
-            .rreq_timeout
-            .saturating_mul(1 << attempt.min(4));
+        let timeout = RREQ_TIMEOUT.saturating_mul(1 << attempt.min(4));
         sched.schedule_at(
             now + timeout,
             NetEvent::RreqTimeout {
@@ -225,7 +220,7 @@ impl Network {
                 Some(p) if p.rreq_id != rreq_id || p.attempt != attempt => return,
                 None => return, // already resolved
                 Some(_) => {
-                    if attempt < self.cfg.aodv.rreq_retries {
+                    if attempt < RREQ_RETRIES {
                         true
                     } else {
                         // Give up: drop everything buffered.
@@ -268,20 +263,18 @@ impl Network {
             if rreq.origin == node {
                 return; // own flood echoed back
             }
-            if n.seen_rreq.contains_key(&(rreq.origin, rreq.rreq_id)) {
+            if !n.seen_rreq.insert((rreq.origin, rreq.rreq_id)) {
                 return; // duplicate: first copy wins
             }
-            n.seen_rreq.insert((rreq.origin, rreq.rreq_id), now);
         }
 
         // Reverse route towards the originator through the sender.
-        let lifetime = self.cfg.aodv.active_route_timeout;
         self.nodes[node.index()].table.offer(
             rreq.origin,
             from,
             rreq.hop_count + 1,
             rreq.origin_seq,
-            lifetime,
+            ACTIVE_ROUTE_TIMEOUT,
             now,
         );
 
@@ -321,36 +314,34 @@ impl Network {
         }
 
         // Intermediate reply when we hold a fresh-enough route.
-        if self.cfg.aodv.intermediate_rrep {
-            let fresh = self.nodes[node.index()]
-                .table
-                .lookup(rreq.dest, now)
-                .and_then(|r| {
-                    let fresh_enough = match rreq.dest_seq {
-                        Some(want) => r.dest_seq.is_at_least(want),
-                        None => true,
-                    };
-                    fresh_enough.then_some((r.hop_count, r.dest_seq))
-                });
-            if let Some((hops, seq)) = fresh {
-                let rrep = Rrep {
-                    origin: rreq.origin,
-                    dest: rreq.dest,
-                    dest_seq: seq,
-                    hop_count: hops,
-                    replier: node,
-                    auth: None,
+        let fresh = self.nodes[node.index()]
+            .table
+            .lookup(rreq.dest, now)
+            .and_then(|r| {
+                let fresh_enough = match rreq.dest_seq {
+                    Some(want) => r.dest_seq.is_at_least(want),
+                    None => true,
                 };
-                let rrep = self.maybe_sign_rrep(node, rrep);
-                self.metrics.rrep_generated += 1;
-                let delay = self.verify_cost() + self.sign_cost();
-                self.unicast(now, node, from, Packet::Rrep(rrep), delay, sched);
-                return;
-            }
+                fresh_enough.then_some((r.hop_count, r.dest_seq))
+            });
+        if let Some((hops, seq)) = fresh {
+            let rrep = Rrep {
+                origin: rreq.origin,
+                dest: rreq.dest,
+                dest_seq: seq,
+                hop_count: hops,
+                replier: node,
+                auth: None,
+            };
+            let rrep = self.maybe_sign_rrep(node, rrep);
+            self.metrics.rrep_generated += 1;
+            let delay = self.verify_cost() + self.sign_cost();
+            self.unicast(now, node, from, Packet::Rrep(rrep), delay, sched);
+            return;
         }
 
         // Rebroadcast, within the flood radius.
-        if rreq.hop_count + 1 >= rreq.ttl.min(self.cfg.aodv.max_hops) {
+        if rreq.hop_count + 1 >= rreq.ttl.min(MAX_HOPS) {
             return;
         }
         let mut fwd = rreq;
@@ -381,7 +372,6 @@ impl Network {
 
         // Forward route to the destination through the sender. Under
         // first-RREP-wins semantics an already-valid route is kept.
-        let lifetime = self.cfg.aodv.active_route_timeout;
         let has_valid = self.nodes[node.index()]
             .table
             .lookup(rrep.dest, now)
@@ -392,7 +382,7 @@ impl Network {
                 from,
                 rrep.hop_count + 1,
                 rrep.dest_seq,
-                lifetime,
+                ACTIVE_ROUTE_TIMEOUT,
                 now,
             );
         }
@@ -404,7 +394,7 @@ impl Network {
                 .remove(&rrep.dest)
                 .map(|p| p.buffered)
                 .unwrap_or_default();
-            // complexity-ok: at most buffer_capacity (64) packets are buffered per destination
+            // complexity-ok: at most BUFFER_CAPACITY (64) packets are buffered per destination
             for pkt in buffered {
                 self.route_or_discover(now, node, pkt, sched);
             }
@@ -458,7 +448,7 @@ impl Network {
         broken.truncate(RERR_MAX_DESTS);
         let rerr = Rerr {
             unreachable: broken,
-            ttl: self.cfg.aodv.rerr_ttl,
+            ttl: RERR_TTL,
         };
         self.metrics.rerr_sent += 1;
         self.broadcast(now, node, Packet::Rerr(rerr), SimDuration::ZERO, sched);
@@ -545,7 +535,7 @@ impl Network {
                     .unwrap_or(SeqNo(0));
                 let rerr = Rerr {
                     unreachable: vec![(pkt.dst, seq)],
-                    ttl: self.cfg.aodv.rerr_ttl,
+                    ttl: RERR_TTL,
                 };
                 self.metrics.rerr_sent += 1;
                 self.broadcast(now, node, Packet::Rerr(rerr), SimDuration::ZERO, sched);

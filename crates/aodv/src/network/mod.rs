@@ -18,7 +18,7 @@
 //!   the honest protocol logic reads straight through.
 //! * `stats` — authentication helpers and their metrics accounting.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use mccls_rng::rngs::StdRng;
 use mccls_sim::{Position, RadioConfig, RandomWaypoint, SimTime, SpatialGrid};
@@ -95,7 +95,7 @@ struct Node {
     seq: SeqNo,
     next_rreq_id: u32,
     table: RoutingTable,
-    seen_rreq: BTreeMap<(NodeId, u32), SimTime>,
+    seen_rreq: BTreeSet<(NodeId, u32)>,
     pending: BTreeMap<NodeId, Pending>,
     /// Neighbors with failing transmissions and the time of the first
     /// failure (link-break sensing in progress).
@@ -112,7 +112,7 @@ impl Node {
             seq: SeqNo(0),
             next_rreq_id: 0,
             table: RoutingTable::new(),
-            seen_rreq: BTreeMap::new(),
+            seen_rreq: BTreeSet::new(),
             pending: BTreeMap::new(),
             suspect: BTreeMap::new(),
             captured: Vec::new(),

@@ -102,11 +102,6 @@ impl Packet {
         };
         LINK_OVERHEAD + body
     }
-
-    /// True for broadcast frames (RREQ/RERR).
-    pub fn is_broadcast(&self) -> bool {
-        matches!(self, Packet::Rreq(_) | Packet::Rerr(_))
-    }
 }
 
 impl Rreq {
@@ -184,25 +179,6 @@ mod tests {
             ttl: 2,
         });
         assert_eq!(rerr.size_bytes(), 44 + 12);
-    }
-
-    #[test]
-    fn broadcast_classification() {
-        assert!(Packet::Rreq(sample_rreq()).is_broadcast());
-        assert!(Packet::Rerr(Rerr {
-            unreachable: vec![],
-            ttl: 1
-        })
-        .is_broadcast());
-        assert!(!Packet::Data(DataPacket {
-            src: NodeId(0),
-            dst: NodeId(1),
-            seq: 0,
-            payload: 1,
-            sent_at: SimTime::ZERO,
-            hops: 0,
-        })
-        .is_broadcast());
     }
 
     #[test]

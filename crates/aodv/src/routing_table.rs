@@ -59,11 +59,6 @@ impl RoutingTable {
         self.routes.get(&dest)
     }
 
-    /// Mutable entry access.
-    pub fn entry_mut(&mut self, dest: NodeId) -> Option<&mut Route> {
-        self.routes.get_mut(&dest)
-    }
-
     /// Applies the AODV update rule: adopt the offered route when it is
     /// strictly fresher (newer `dest_seq`), equally fresh but shorter,
     /// or when no valid entry exists. Returns true when the table

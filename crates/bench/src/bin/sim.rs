@@ -22,16 +22,14 @@
 //!   crypto time (the scenario default); the rows time the simulator.
 //!
 //! The run asserts two contracts before any baseline gating: the
-//! linear-scan ablation must cost at least [`GRID_SPEEDUP`]× the grid
-//! run at 5,000 nodes ([`GRID_SPEEDUP_SMOKE`]× in smoke mode — if the
-//! grid ever stops paying for itself, the row that proves it goes
-//! red), and both paths must produce
+//! linear-scan ablation must cost at least [`GRID_SPEEDUP`]× the gated
+//! `sim/run_n5000` row (if the grid ever stops paying for itself, the
+//! row that proves it goes red), and both paths must produce
 //! bit-identical metrics (per-node mobility streams make trajectories
-//! independent of how neighbors are enumerated). Smoke mode runs the
-//! ablation over 2 simulated seconds and checks both contracts against
-//! an ungated 2-second grid run. Medians are then gated against the
-//! committed `BENCH_sim.json` with the same >10x budget as the other
-//! harnesses.
+//! independent of how neighbors are enumerated). Both modes run every
+//! scenario over the same simulated length, so both contracts hold in
+//! smoke mode too. Medians are then gated against the committed
+//! `BENCH_sim.json` with the same >10x budget as the other harnesses.
 //!
 //! Usage: `cargo run -p mccls-bench --release --bin sim
 //! [-- --smoke] [--update-baseline] [--baseline <path>]`.
@@ -52,31 +50,25 @@ use mccls_sim::SimDuration;
 const SCHEMA: &str = "mccls-bench/sim/v1";
 
 /// The 5,000-node grid run must beat the linear-scan ablation by at
-/// least this factor in full mode, or the harness fails outright.
+/// least this factor, or the harness fails outright.
 const GRID_SPEEDUP: f64 = 10.0;
-
-/// Smoke-mode floor: a 2-simulated-second run, whose ablation row is a
-/// single sample, still has to show the ablation hurting by a wide
-/// multiple, but it front-loads discovery floods and amortizes less
-/// setup, so CI machines get slack.
-const GRID_SPEEDUP_SMOKE: f64 = 4.0;
 
 /// Timed samples per row; a row is their median.
 const SAMPLES: usize = 3;
 
-/// Simulated seconds per run: every run but the smoke-mode ablation and
-/// the grid run it is checked against.
+/// Simulated seconds per run, in both modes.
 const FULL_SIM_SECS: u64 = 10;
 
 /// Builds the benchmark scenario: `n` nodes at the paper's density,
-/// 10 m/s, a fixed seed, truncated to `sim_secs` simulated seconds.
-fn scenario(n: usize, sim_secs: u64, linear_scan: bool) -> ScenarioConfig {
+/// 10 m/s, a fixed seed, truncated to [`FULL_SIM_SECS`] simulated
+/// seconds.
+fn scenario(n: usize, linear_scan: bool) -> ScenarioConfig {
     let mut cfg = if n == 20 {
         ScenarioConfig::paper_baseline(10.0, 0xC17A_5CA1)
     } else {
         ScenarioConfig::scaled(n, 10.0, 0xC17A_5CA1)
     };
-    cfg.duration = SimDuration::from_secs(sim_secs);
+    cfg.duration = SimDuration::from_secs(FULL_SIM_SECS);
     cfg.linear_scan = linear_scan;
     cfg
 }
@@ -96,18 +88,13 @@ fn main() -> ExitCode {
     let mode = Mode::from_args("BENCH_sim.json");
     println!("simulation harness ({} mode)\n", mode.label());
 
-    // Full mode is what the committed baseline records. Smoke shortens
-    // only the linear-scan ablation, which costs about two seconds per
-    // simulated second, and checks it against an ungated grid run of the
-    // same length, so the bit-identical contract compares like with
-    // like. Every other row runs the full length in both modes: a short
-    // run front-loads route discoveries and amortizes less set-up, so it
-    // costs several times the committed row per simulated second, and
-    // one host swing would fail the 10x gate. Every row is a median of
-    // three samples, so one preempted sample on a loaded host cannot
-    // fail the gate; in smoke mode the two rows that cost seconds per
-    // sample take one.
-    let ablation_secs = if mode.smoke { 2 } else { FULL_SIM_SECS };
+    // Full mode is what the committed baseline records. Every row runs
+    // the full length in both modes: a short run front-loads route
+    // discoveries and amortizes less set-up, so it costs several times
+    // the committed row per simulated second, and one host swing would
+    // fail the 10x gate. Every row is a median of three samples, so one
+    // preempted sample on a loaded host cannot fail the gate; in smoke
+    // mode the two rows that cost seconds per sample take one.
     let costly = if mode.smoke { 1 } else { SAMPLES };
 
     let mut current: Vec<Entry> = Vec::new();
@@ -125,17 +112,11 @@ fn main() -> ExitCode {
         (ns, metrics)
     };
 
-    let paper = || scenario(20, FULL_SIM_SECS, false);
+    let paper = || scenario(20, false);
     row("sim/run_n20", paper(), SAMPLES);
-    row("sim/run_n500", scenario(500, FULL_SIM_SECS, false), SAMPLES);
-    let city = |sim_secs, linear_scan| scenario(5_000, sim_secs, linear_scan);
-    let gated = row("sim/run_n5000", city(FULL_SIM_SECS, false), SAMPLES);
-    let (grid_ns, grid_metrics) = if mode.smoke {
-        measure(&city(ablation_secs, false), SAMPLES)
-    } else {
-        gated
-    };
-    let (linear_ns, linear_metrics) = row("sim/linear_n5000", city(ablation_secs, true), costly);
+    row("sim/run_n500", scenario(500, false), SAMPLES);
+    let (grid_ns, grid_metrics) = row("sim/run_n5000", scenario(5_000, false), SAMPLES);
+    let (linear_ns, linear_metrics) = row("sim/linear_n5000", scenario(5_000, true), costly);
     row("sim/mccls_n20", paper().secured(), SAMPLES);
     row(
         "sim/mccls_blackhole_n20",
@@ -167,16 +148,11 @@ fn main() -> ExitCode {
         "grid and linear-scan runs diverged: neighbor enumeration leaked into the simulation"
     );
     // Contract 2: the grid pays for itself at city scale.
-    let floor = if mode.smoke {
-        GRID_SPEEDUP_SMOKE
-    } else {
-        GRID_SPEEDUP
-    };
     let speedup = linear_ns / grid_ns;
-    println!("\ngrid speedup at n=5000: {speedup:.1}x (floor {floor}x)");
+    println!("\ngrid speedup at n=5000: {speedup:.1}x (floor {GRID_SPEEDUP}x)");
     assert!(
-        speedup >= floor,
-        "spatial grid no longer beats the linear scan {floor}x at 5,000 nodes \
+        speedup >= GRID_SPEEDUP,
+        "spatial grid no longer beats the linear scan {GRID_SPEEDUP}x at 5,000 nodes \
          ({speedup:.1}x measured)"
     );
 

@@ -384,11 +384,6 @@ impl ShardedVerifier {
         &self.params
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The configured residency bound: no more than this many peers are
     /// ever cached at once.
     pub fn capacity(&self) -> usize {

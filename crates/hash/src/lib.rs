@@ -5,8 +5,7 @@
 //! concrete instantiations everything else is built on, implemented from
 //! scratch so the workspace has no external cryptographic dependencies:
 //!
-//! * [`Sha256`] / [`Sha512`] — FIPS 180-4 hash functions,
-//! * [`Hmac`] — RFC 2104 keyed MAC over SHA-256,
+//! * [`Sha256`] — the FIPS 180-4 hash function,
 //! * [`expand_message`] — an XMD-style expander producing arbitrary-length
 //!   uniform output with domain separation, used by the pairing crate's
 //!   hash-to-field and hash-to-curve routines.
@@ -22,32 +21,9 @@
 
 #![warn(missing_docs)]
 
-mod hmac;
 mod sha256;
-mod sha512;
 
-pub use hmac::{hmac_sha256, Hmac};
 pub use sha256::Sha256;
-pub use sha512::Sha512;
-
-/// A streaming hash function with a fixed-size digest.
-///
-/// Both [`Sha256`] and [`Sha512`] implement this trait; generic code (such
-/// as [`expand_message`]) can work over either.
-pub trait Digest: Default {
-    /// Digest length in bytes.
-    const OUTPUT_LEN: usize;
-    /// Internal block length in bytes (used by HMAC and XMD expansion).
-    const BLOCK_LEN: usize;
-
-    /// Absorbs `data` into the hash state.
-    fn update(&mut self, data: &[u8]);
-
-    /// Consumes the state and returns the digest as a `Vec`.
-    ///
-    /// The vector always has length [`Self::OUTPUT_LEN`].
-    fn finalize_vec(self) -> Vec<u8>;
-}
 
 /// Expands `msg` to `out_len` uniformly pseudo-random bytes with the domain
 /// separation tag `dst`, following the XMD construction of RFC 9380 §5.3.1

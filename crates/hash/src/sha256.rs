@@ -1,7 +1,5 @@
 //! FIPS 180-4 SHA-256.
 
-use crate::Digest;
-
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
@@ -154,19 +152,6 @@ impl Sha256 {
         self.state[5] = self.state[5].wrapping_add(f);
         self.state[6] = self.state[6].wrapping_add(g);
         self.state[7] = self.state[7].wrapping_add(h);
-    }
-}
-
-impl Digest for Sha256 {
-    const OUTPUT_LEN: usize = 32;
-    const BLOCK_LEN: usize = 64;
-
-    fn update(&mut self, data: &[u8]) {
-        Sha256::update(self, data);
-    }
-
-    fn finalize_vec(self) -> Vec<u8> {
-        self.finalize().to_vec()
     }
 }
 

@@ -130,17 +130,6 @@ pub fn select_limbs<const N: usize>(a: &[u64; N], b: &[u64; N], choice: Choice) 
     out
 }
 
-/// Conditionally swaps `a` and `b` in place when `choice` is true.
-#[inline]
-pub fn swap_limbs<const N: usize>(a: &mut [u64; N], b: &mut [u64; N], choice: Choice) {
-    let mask = choice.mask();
-    for i in 0..N {
-        let t = (a[i] ^ b[i]) & mask;
-        a[i] ^= t;
-        b[i] ^= t;
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
@@ -179,14 +168,5 @@ mod tests {
         assert_eq!(eq_limbs(&a, &b), Choice::FALSE);
         assert_eq!(select_limbs(&a, &b, Choice::FALSE), a);
         assert_eq!(select_limbs(&a, &b, Choice::TRUE), b);
-    }
-
-    #[test]
-    fn swap_behaves() {
-        let (mut a, mut b) = ([1u64, 2], [3u64, 4]);
-        swap_limbs(&mut a, &mut b, Choice::FALSE);
-        assert_eq!((a, b), ([1, 2], [3, 4]));
-        swap_limbs(&mut a, &mut b, Choice::TRUE);
-        assert_eq!((a, b), ([3, 4], [1, 2]));
     }
 }

@@ -73,16 +73,6 @@ impl<C: Curve> AffinePoint<C> {
         }
     }
 
-    /// Builds a point from coordinates after checking the curve equation.
-    pub fn from_xy(x: C::Base, y: C::Base) -> Option<Self> {
-        let p = Self {
-            x,
-            y,
-            infinity: false,
-        };
-        p.is_on_curve().then_some(p)
-    }
-
     /// True for the identity.
     pub fn is_identity(&self) -> bool {
         self.infinity

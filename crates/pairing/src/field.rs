@@ -330,27 +330,13 @@ macro_rules! montgomery_field {
             /// Uses the binary extended Euclidean algorithm on the
             /// Montgomery representative: `(aR)^{-1} = a^{-1}R^{-1}`,
             /// restored to Montgomery form by two multiplications by
-            /// `R²`. Agreement with [`Self::invert_fermat`] is covered
-            /// by property tests.
+            /// `R²`. Agreement with [`Self::invert_ct`] (`a^{p-2}`) is
+            /// covered by property tests.
             pub fn invert(&self) -> Option<Self> {
                 let raw_inv =
                     $crate::arith::mod_inverse(&self.0, &Self::MODULUS)?;
                 let t = Self::mont_mul(&raw_inv, &Self::R2);
                 Some(Self(Self::mont_mul(&t, &Self::R2)))
-            }
-
-            /// Multiplicative inverse via Fermat's little theorem
-            /// (`a^{p-2}`); the slower reference implementation
-            /// [`Self::invert`] is validated against.
-            pub fn invert_fermat(&self) -> Option<Self> {
-                if self.is_zero() {
-                    None
-                } else {
-                    Some(<Self as $crate::field::Field>::pow(
-                        self,
-                        &Self::MODULUS_MINUS_2,
-                    ))
-                }
             }
 
             /// Uniformly random element (rejection-free wide reduction).

@@ -182,13 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_gcd_matches_fermat() {
-        for_random_fp(64, 0xF2, |a, _, _| {
-            assert_eq!(a.invert(), a.invert_fermat());
-        });
-    }
-
-    #[test]
     fn sqrt_round_trips() {
         for_random_fp(64, 0xF3, |a, _, _| {
             let sq = a.square();
@@ -225,7 +218,7 @@ mod tests {
 
     #[test]
     fn invert_ct_matches_invert_and_maps_zero_to_zero() {
-        for_random_fp(16, 0xF6, |a, _, _| {
+        for_random_fp(64, 0xF6, |a, _, _| {
             if a.is_zero() {
                 return;
             }

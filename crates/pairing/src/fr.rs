@@ -133,13 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_gcd_matches_fermat() {
-        for_random_fr(64, 0xB2, |a, _, _| {
-            assert_eq!(a.invert(), a.invert_fermat());
-        });
-    }
-
-    #[test]
     fn pow_addition_law() {
         let mut rng = mccls_rng::rngs::StdRng::seed_from_u64(0xB3);
         for _ in 0..64 {
@@ -173,7 +166,7 @@ mod tests {
 
     #[test]
     fn invert_ct_matches_invert_and_maps_zero_to_zero() {
-        for_random_fr(16, 0xB6, |a, _, _| {
+        for_random_fr(64, 0xB6, |a, _, _| {
             if a.is_zero() {
                 return;
             }

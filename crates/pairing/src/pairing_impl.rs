@@ -17,11 +17,10 @@
 //!   arithmetic, and the output is the base-`p` exponentiation's bit for
 //!   bit, not a power of it.
 
-use crate::curve::AffinePoint;
 use crate::fp12::Fp12;
 use crate::fr::Fr;
 use crate::g1::G1Affine;
-use crate::g2::{G2Affine, G2Params};
+use crate::g2::G2Affine;
 use crate::prepared::{multi_miller_loop, G2Prepared};
 
 /// `|u|` for the BLS parameter `u = -0xd201000000010000`.
@@ -170,13 +169,6 @@ pub fn pairing_product(pairs: &[(G1Affine, G2Affine)]) -> Gt {
         .map(|((p, _), q)| (p, q))
         .collect();
     multi_miller_loop(&refs).final_exponentiation()
-}
-
-impl AffinePoint<G2Params> {
-    /// Convenience pairing with the argument order flipped.
-    pub fn pair_with(&self, p: &G1Affine) -> Gt {
-        pairing(p, self)
-    }
 }
 
 #[cfg(test)]

@@ -47,9 +47,6 @@ pub struct SpatialGrid {
     buckets: Vec<Vec<u32>>,
     /// Per node: index of the bucket currently holding it.
     homes: Vec<u32>,
-    /// Number of nodes currently bucketed, maintained incrementally so
-    /// `len`/`is_empty` are O(1).
-    occupied: usize,
 }
 
 impl SpatialGrid {
@@ -71,32 +68,20 @@ impl SpatialGrid {
             rows,
             buckets: vec![Vec::new(); cols * rows],
             homes: Vec::new(),
-            occupied: 0,
         }
     }
 
-    /// Cell side length, metres.
-    pub fn cell_size(&self) -> f64 {
-        self.cell
-    }
-
-    /// Number of nodes currently bucketed.
-    // complexity: const
-    pub fn len(&self) -> usize {
-        self.occupied
-    }
-
-    /// True when no node is bucketed.
-    // complexity: const
-    pub fn is_empty(&self) -> bool {
-        self.occupied == 0
-    }
-
-    /// The bucket index covering `pos` (clamped to the grid edges, so
-    /// off-area positions map to the nearest border cell).
-    fn bucket_of(&self, pos: Position) -> u32 {
+    /// The `(column, row)` of the cell covering `pos` (clamped to the
+    /// grid edges, so off-area positions map to the nearest border cell).
+    fn cell_of(&self, pos: Position) -> (usize, usize) {
         let cx = ((pos.x / self.cell).floor().max(0.0) as usize).min(self.cols - 1);
         let cy = ((pos.y / self.cell).floor().max(0.0) as usize).min(self.rows - 1);
+        (cx, cy)
+    }
+
+    /// The bucket index covering `pos`.
+    fn bucket_of(&self, pos: Position) -> u32 {
+        let (cx, cy) = self.cell_of(pos);
         (cy * self.cols + cx) as u32
     }
 
@@ -113,28 +98,11 @@ impl SpatialGrid {
         if old_home == new_home {
             return false;
         }
-        if old_home == ABSENT {
-            self.occupied += 1;
-        } else {
+        if old_home != ABSENT {
             self.evict(node, old_home);
         }
         self.buckets[new_home as usize].push(node as u32);
         self.homes[node] = new_home;
-        true
-    }
-
-    /// Drops `node` from the grid (a departing peer). Returns true when
-    /// the node was present.
-    pub fn remove(&mut self, node: usize) -> bool {
-        let Some(&home) = self.homes.get(node) else {
-            return false;
-        };
-        if home == ABSENT {
-            return false;
-        }
-        self.evict(node, home);
-        self.homes[node] = ABSENT;
-        self.occupied -= 1;
         true
     }
 
@@ -153,8 +121,7 @@ impl SpatialGrid {
     /// which depends on the update history: a caller that needs a
     /// deterministic order sorts what it keeps.
     pub fn candidates_into(&self, pos: Position, slack: usize, out: &mut Vec<u32>) {
-        let cx = ((pos.x / self.cell).floor().max(0.0) as usize).min(self.cols - 1);
-        let cy = ((pos.y / self.cell).floor().max(0.0) as usize).min(self.rows - 1);
+        let (cx, cy) = self.cell_of(pos);
         let reach = 1 + slack;
         let x0 = cx.saturating_sub(reach);
         let x1 = (cx + reach).min(self.cols - 1);
@@ -180,17 +147,12 @@ mod tests {
     }
 
     #[test]
-    fn insert_query_remove_roundtrip() {
+    fn inserted_node_is_a_candidate_of_its_cell() {
         let mut g = SpatialGrid::new(1000.0, 1000.0, 100.0);
-        assert!(g.is_empty());
         assert!(g.update(7, pos(50.0, 50.0)));
-        assert_eq!(g.len(), 1);
         let mut out = Vec::new();
         g.candidates_into(pos(60.0, 60.0), 0, &mut out);
         assert_eq!(out, vec![7]);
-        assert!(g.remove(7));
-        assert!(!g.remove(7));
-        assert!(g.is_empty());
     }
 
     #[test]

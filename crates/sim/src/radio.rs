@@ -16,8 +16,11 @@ use crate::time::SimDuration;
 /// Radio and MAC parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadioConfig {
-    /// Reception range (m). 250 m is the classic 802.11 figure QualNet
-    /// scenarios use.
+    /// Reception range (m). The 250 m default is ns-2's classic 802.11
+    /// figure, and only this module's unit tests read it: every
+    /// simulation sets the range from `mccls_aodv`'s
+    /// `ScenarioConfig::radio_range`, 370 m (QualNet's default 802.11b
+    /// range) in the paper's scenario.
     pub range: f64,
     /// Link bandwidth in bits per second (2 Mb/s in the usual setups).
     pub bandwidth_bps: f64,

@@ -3,7 +3,7 @@
 //! Re-exports the public APIs of the member crates so examples and
 //! downstream users can depend on a single crate:
 //!
-//! * [`hash`] — SHA-256/512, HMAC, XMD message expansion ([`mccls_hash`]),
+//! * [`hash`] — SHA-256 and XMD message expansion ([`mccls_hash`]),
 //! * [`pairing`] — from-scratch BLS12-381 ([`mccls_pairing`]),
 //! * [`cls`] — the McCLS scheme and the AP/ZWXF/YHG baselines
 //!   ([`mccls_core`]),
