@@ -158,7 +158,6 @@ impl Network {
             n.seq.increment();
             n.next_rreq_id += 1;
             let rreq_id = n.next_rreq_id;
-            n.seen_rreq.insert((node, rreq_id));
             if let Some(p) = n.pending.get_mut(&dest) {
                 p.attempt = attempt;
                 p.rreq_id = rreq_id;

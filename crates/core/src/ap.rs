@@ -76,8 +76,6 @@ impl CertificatelessScheme for Ap {
         }
     }
 
-    // validated: honest-signer output; every component is a scalar
-    // multiple of a subgroup generator or a cofactor-cleared hash point
     // opcount-budget: ap.sign
     fn sign(
         &self,

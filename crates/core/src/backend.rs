@@ -89,9 +89,8 @@ pub trait VerifierBackend {
     /// Copies out a peer's cached `(public key, e(Q_ID, P_pub))` pair,
     /// marking it recently used. This is what lets the batch engine
     /// reuse warm per-peer state.
-    // validated: returns a copy of cache state admitted by enroll_peer,
-    // which rejected identity components and derived the Gt from a
-    // trusted pairing; the id bytes are only used as a map key.
+    // The entry was admitted by `enroll_peer`, which rejected identity
+    // components and computed the `Gt` itself.
     fn warm_entry(&self, id: &[u8]) -> Option<(UserPublicKey, Gt)>;
 
     /// Batch-verifies signatures with per-index fault isolation,

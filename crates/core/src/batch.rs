@@ -806,7 +806,7 @@ impl OfflineSigner {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::unreachable)] // tests may panic freely
 mod tests {
     use super::*;
     use crate::scheme::CertificatelessScheme;

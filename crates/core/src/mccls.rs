@@ -79,8 +79,8 @@ impl McCls {
     /// `S` or `R`, a challenge `h` without an inverse and an identity
     /// `(V·h⁻¹)·P - R`, and returns `(S, (V·h⁻¹)·P - R)`, the two
     /// arguments of the left-hand pairing (see the module doc).
-    // validated: the bytes are the message, which only feeds the
-    // challenge hash; S and R come from a Signature the caller holds
+    // S and R come from a `Signature` the caller holds, so they are
+    // subgroup points only if its decoder checked them.
     pub(crate) fn equation_terms(
         public: &UserPublicKey,
         msg: &[u8],
@@ -143,8 +143,6 @@ impl CertificatelessScheme for McCls {
         }
     }
 
-    // validated: honest-signer output; every component is a scalar
-    // multiple of a subgroup generator or a cofactor-cleared hash point
     // opcount-budget: mccls.sign
     fn sign(
         &self,
@@ -200,7 +198,7 @@ impl CertificatelessScheme for McCls {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::unreachable)] // tests may panic freely
 mod tests {
     use super::*;
     use crate::params::Kgc;
@@ -351,7 +349,7 @@ mod tests {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::unreachable)] // tests may panic freely
 mod reference {
     //! The paper's verification equation, kept as the reference for the
     //! computed form every verify path uses.

@@ -255,8 +255,6 @@ pub fn g2_table(base: &G2Projective) -> G2Table {
 }
 
 /// Counted hash-to-G1 (map-to-point).
-// validated: counting wrapper over the pairing crate's hash_to_g1,
-// whose cofactor-cleared output is subgroup-valid by construction
 pub fn hash_to_g1(msg: &[u8], dst: &[u8]) -> G1Projective {
     HASHES_TO_G1.with(|c| c.set(c.get() + 1));
     mccls_pairing::hash_to_g1(msg, dst)

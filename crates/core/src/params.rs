@@ -70,7 +70,6 @@ impl SystemParams {
     }
 
     /// Hashes an identity onto G1 (`Q_ID = H1(ID)`).
-    // validated: hash-to-curve output, subgroup-valid by construction
     pub fn hash_identity(&self, id: &[u8]) -> G1Projective {
         ops::hash_to_g1(id, DST_H1)
     }
@@ -245,13 +244,47 @@ impl UserPublicKey {
 }
 
 /// A user's full key pair (secret value + public key).
-#[derive(Debug, Clone)]
+///
+/// Any signature carries `S = x⁻¹·D_ID`, so `x` alone gives the whole
+/// signing key `D_ID = x·S`: it is key material like `D_ID` itself.
 pub struct UserKeyPair {
     /// The secret value `x ∈ Z_r*` (`S_ID` in the paper's notation).
     pub secret: Fr,
     /// The published public key.
     pub public: UserPublicKey,
 }
+
+impl core::fmt::Debug for UserKeyPair {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("UserKeyPair")
+            .field("secret", &format_args!("<redacted>"))
+            .field("public", &self.public)
+            .finish()
+    }
+}
+
+impl Drop for UserKeyPair {
+    fn drop(&mut self) {
+        self.secret.zeroize();
+    }
+}
+
+// No key type is `Clone`, so no copy of a key escapes its zeroizing
+// `Drop`, and a derived `Clone` or `Copy` on any struct that holds one
+// fails to build (E0277). The ambiguity idiom of `static_assertions`'
+// `assert_not_impl_any!`: for a `Clone` type both impls below apply, and
+// the `_` cannot be inferred (E0283).
+const _: fn() = || {
+    trait AmbiguousIfClone<A> {
+        fn some_item() {}
+    }
+    impl<T> AmbiguousIfClone<()> for T {}
+    struct IsClone;
+    impl<T: Clone> AmbiguousIfClone<IsClone> for T {}
+    let _ = <MasterSecret as AmbiguousIfClone<_>>::some_item;
+    let _ = <PartialPrivateKey as AmbiguousIfClone<_>>::some_item;
+    let _ = <UserKeyPair as AmbiguousIfClone<_>>::some_item;
+};
 
 /// Derives a `Z_r` scalar from signature material
 /// (the paper's `H2(M, R, P_ID)` pattern).
@@ -268,6 +301,7 @@ pub fn h2_scalar(parts: &[&[u8]]) -> Fr {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
+    use crate::CertificatelessScheme;
     use mccls_rng::SeedableRng;
 
     #[test]
@@ -307,9 +341,35 @@ mod tests {
     }
 
     #[test]
-    fn master_secret_debug_redacts() {
-        let kgc = Kgc::from_master_secret(Fr::from_u64(3));
+    fn key_material_prints_redacted_and_wipes_on_drop() {
+        let mut rng = mccls_rng::rngs::StdRng::seed_from_u64(42);
+        let kgc = Kgc::setup(&mut rng);
+        let ppk = kgc.extract_partial_private_key(b"alice");
+        let keys = crate::McCls::new().generate_key_pair(kgc.params(), &mut rng);
         assert_eq!(format!("{:?}", kgc.master), "MasterSecret(<redacted>)");
+        let secrets = [
+            format!("{:?}", kgc.master_secret_for_type2_games()),
+            format!("{:?}", ppk.d),
+            format!("{:?}", keys.secret),
+        ];
+        for printed in [
+            format!("{:?}", kgc.master),
+            format!("{kgc:?}"),
+            format!("{ppk:?}"),
+            format!("{keys:?}"),
+        ] {
+            assert!(printed.contains("<redacted>"), "{printed}");
+            for secret in &secrets {
+                assert!(!printed.contains(secret.as_str()), "{printed}");
+            }
+        }
+        // Each key type has a `Drop` of its own: none of its fields needs one.
+        assert!(std::mem::needs_drop::<MasterSecret>());
+        assert!(std::mem::needs_drop::<PartialPrivateKey>());
+        assert!(std::mem::needs_drop::<UserKeyPair>());
+        assert!(!std::mem::needs_drop::<Fr>());
+        assert!(!std::mem::needs_drop::<G1Projective>());
+        assert!(!std::mem::needs_drop::<UserPublicKey>());
     }
 
     #[test]

@@ -286,9 +286,8 @@ impl VerifierBackend for Verifier {
         self.verify_with_key(id, public, msg, sig)
     }
 
-    // validated: copies out a cache entry admitted by register_peer,
-    // which rejected identity components and derived the Gt from a
-    // trusted pairing; the id bytes are only used as a map key.
+    // The entry was admitted by `register_peer`, which rejected identity
+    // components and computed the `Gt` itself.
     fn warm_entry(&self, id: &[u8]) -> Option<(UserPublicKey, Gt)> {
         self.peers.peek(id).map(|peer| (peer.public, peer.rhs))
     }

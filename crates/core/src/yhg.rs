@@ -78,8 +78,6 @@ impl CertificatelessScheme for Yhg {
         }
     }
 
-    // validated: honest-signer output; every component is a scalar
-    // multiple of a subgroup generator or a cofactor-cleared hash point
     // opcount-budget: yhg.sign
     fn sign(
         &self,

@@ -9,8 +9,11 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![allow(clippy::single_range_in_vec_init)] // the range IS the element here
 
+mod common;
+
+use common::{wrong_subgroup_g1_bytes, wrong_subgroup_g2_bytes};
 use mccls_core::{Ap, CertificatelessScheme, McCls, Signature, Yhg, Zwxf};
-use mccls_pairing::{G1Affine, G2Affine};
+use mccls_pairing::G1Affine;
 use mccls_rng::SeedableRng;
 
 /// One valid signature per scheme, from a deterministic setup.
@@ -31,36 +34,6 @@ fn signatures() -> Vec<(&'static str, Signature)> {
         out.push((scheme.name(), sig));
     }
     out
-}
-
-/// Compressed encoding of a G1 curve point outside the subgroup.
-fn wrong_subgroup_g1_bytes() -> [u8; 48] {
-    for x in 1..10_000u64 {
-        let mut b = [0u8; 48];
-        b[40..48].copy_from_slice(&x.to_be_bytes());
-        b[0] |= 0b1000_0000;
-        if let Some(p) = G1Affine::from_compressed_unchecked(&b) {
-            if !p.is_torsion_free() {
-                return b;
-            }
-        }
-    }
-    panic!("no wrong-subgroup G1 point found in scan range");
-}
-
-/// Compressed encoding of a G2 curve point outside the subgroup.
-fn wrong_subgroup_g2_bytes() -> [u8; 96] {
-    for x in 1..10_000u64 {
-        let mut b = [0u8; 96];
-        b[88..96].copy_from_slice(&x.to_be_bytes());
-        b[0] |= 0b1000_0000;
-        if let Some(p) = G2Affine::from_compressed_unchecked(&b) {
-            if !p.is_torsion_free() {
-                return b;
-            }
-        }
-    }
-    panic!("no wrong-subgroup G2 point found in scan range");
 }
 
 /// Byte ranges of the G1 (48-byte) and G2 (96-byte) components inside

@@ -20,7 +20,7 @@
 //! Every verdict is a single-path (`McCls::verify`) verdict and is fed
 //! as its `Debug` text.
 
-#![allow(clippy::expect_used)]
+#![allow(clippy::expect_used, clippy::unreachable)]
 
 use mccls_core::security::mccls_type2_forgery;
 use mccls_core::{

@@ -19,7 +19,7 @@
 //! one mixed batch. The Type II forgery must be `Ok` on every path: it
 //! is the scheme's known break.
 
-#![allow(clippy::expect_used)]
+#![allow(clippy::expect_used, clippy::unreachable)]
 
 use mccls_core::security::mccls_type2_forgery;
 use mccls_core::{

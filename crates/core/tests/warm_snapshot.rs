@@ -11,6 +11,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+mod common;
+
+use common::{wrong_subgroup_g1_bytes, wrong_subgroup_g2_bytes};
 use mccls_core::{CertificatelessScheme, McCls, ShardedVerifier, SnapshotError, VerifyError};
 use mccls_pairing::G2Affine;
 use mccls_rng::SeedableRng;
@@ -172,6 +175,37 @@ fn identity_key_record_is_rejected_by_registration() {
         Err(SnapshotError::BadPeer(VerifyError::IdentityPublicKey))
     );
     assert_eq!(restored.peer_count(), 0);
+}
+
+#[test]
+fn wrong_subgroup_records_are_rejected() {
+    // Two one-record snapshots that parse as curve points: a primary
+    // outside G2's subgroup, and an honest primary whose AP-style G1
+    // secondary (flags 1) lies outside G1's. Both points must fail the
+    // importer's own decode, before any registration.
+    let w = world(79);
+    let honest = G2Affine::generator().to_compressed();
+    let secondary = wrong_subgroup_g1_bytes();
+    for (primary, flags, tail) in [
+        (wrong_subgroup_g2_bytes(), 0u8, &[][..]),
+        (honest, 1, &secondary[..]),
+    ] {
+        let mut forged = vec![1u8];
+        forged.extend_from_slice(&w.params.prepared_p_pub().to_bytes());
+        forged.extend_from_slice(&1u32.to_be_bytes());
+        forged.extend_from_slice(&4u32.to_be_bytes());
+        forged.extend_from_slice(b"evil");
+        forged.push(flags);
+        forged.extend_from_slice(&primary);
+        forged.extend_from_slice(tail);
+        let restored = ShardedVerifier::new(w.params.clone());
+        assert_eq!(
+            restored.import_warm(&forged),
+            Err(SnapshotError::Encoding),
+            "flags {flags}"
+        );
+        assert_eq!(restored.peer_count(), 0, "flags {flags}");
+    }
 }
 
 #[test]

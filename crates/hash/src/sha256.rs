@@ -117,7 +117,6 @@ impl Sha256 {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
         for i in 16..64 {
-            // lint:allow(panic) offsets i-16..=i-2 lie in 0..64 for i in 16..64
             let (w15, w2, w16, w7) = (w[i - 15], w[i - 2], w[i - 16], w[i - 7]);
             let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
             let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);

@@ -69,7 +69,6 @@ pub const fn limb_bit_len<const N: usize>(a: &[u64; N]) -> usize {
     while i > 0 {
         i -= 1;
         if a[i] != 0 {
-            // overflow-ok: bit-position bookkeeping on usize counts;
             // leading_zeros of a nonzero limb is at most 63, so the
             // subtraction cannot underflow and the sum is at most 64·N
             return i * 64 + (64 - a[i].leading_zeros() as usize);
@@ -154,10 +153,9 @@ pub const fn add_one_shift_right2<const N: usize>(m: &[u64; N]) -> [u64; N] {
     let mut out = [0u64; N];
     let mut j = 0;
     while j < N {
-        // lint:allow(panic) guarded by j + 1 < N
         let hi = if j + 1 < N { t[j + 1] } else { 0 };
-        // overflow-ok: shift fold — only hi's low 2 bits belong in this
-        // limb; the bits shifted out are consumed at index j + 1
+        // Shift fold: only hi's low 2 bits belong in this limb; the bits
+        // shifted out are consumed at index j + 1.
         out[j] = (t[j] >> 2) | (hi << 62);
         j += 1;
     }
@@ -170,10 +168,9 @@ pub const fn sub_one_shift_right1<const N: usize>(m: &[u64; N]) -> [u64; N] {
     let mut out = [0u64; N];
     let mut j = 0;
     while j < N {
-        // lint:allow(panic) guarded by j + 1 < N
         let hi = if j + 1 < N { t[j + 1] } else { 0 };
-        // overflow-ok: shift fold — only hi's low bit belongs in this
-        // limb; the bits shifted out are consumed at index j + 1
+        // Shift fold: only hi's low bit belongs in this limb; the bits
+        // shifted out are consumed at index j + 1.
         out[j] = (t[j] >> 1) | (hi << 63);
         j += 1;
     }
@@ -196,10 +193,9 @@ fn is_zero_limbs<const N: usize>(a: &[u64; N]) -> bool {
 #[inline]
 fn shr1<const N: usize>(a: &mut [u64; N]) {
     for i in 0..N {
-        // lint:allow(panic) guarded by i + 1 < N
         let hi = if i + 1 < N { a[i + 1] } else { 0 };
-        // overflow-ok: shift fold — only hi's low bit belongs in this
-        // limb; the bits shifted out are consumed at index i + 1
+        // Shift fold: only hi's low bit belongs in this limb; the bits
+        // shifted out are consumed at index i + 1.
         a[i] = (a[i] >> 1) | (hi << 63);
     }
 }
@@ -218,9 +214,8 @@ fn half_mod<const N: usize>(u: &mut [u64; N], p: &[u64; N]) {
             carry = c;
         }
         shr1(u);
-        // lint:allow(panic) limb counts are const generics >= 1
-        // overflow-ok: carry is the adc carry-out (0 or 1), so the
-        // shift into the vacated top bit loses nothing
+        // carry is the adc carry-out (0 or 1), so the shift into the
+        // vacated top bit loses nothing.
         u[N - 1] |= carry << 63;
     }
 }
@@ -303,8 +298,6 @@ pub fn hex_to_be_bytes<const N: usize>(s: &str) -> [u8; N] {
             b'0'..=b'9' => c - b'0',
             b'a'..=b'f' => c - b'a' + 10,
             b'A'..=b'F' => c - b'A' + 10,
-            // lint:allow(panic) parses compile-time constants only; a bad
-            // digit is a build bug caught by the first test run
             _ => panic!("invalid hex digit {c:#x}"),
         })
         .collect();
@@ -380,13 +373,10 @@ impl BigUint {
         for (i, &a) in self.limbs.iter().enumerate() {
             let mut carry = 0u64;
             for (j, &b) in other.limbs.iter().enumerate() {
-                // lint:allow(panic) i + j < out.len() by construction
                 let (v, c) = mac(out[i + j], a, b, carry);
-                // lint:allow(panic) same bound as the read above
                 out[i + j] = v;
                 carry = c;
             }
-            // lint:allow(panic) i + other len <= out.len() - 1
             // ct-ok: BigUint scratch; limb counts are public encoding
             // widths, never key material
             out[i + other.limbs.len()] = carry;
@@ -448,7 +438,6 @@ impl BigUint {
             }
             if rem.geq(divisor) {
                 rem = rem.sub(divisor);
-                // lint:allow(panic) i < 64 * quotient.len() by loop bound
                 quotient[i / 64] |= 1 << (i % 64);
             }
         }

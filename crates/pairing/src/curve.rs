@@ -138,7 +138,7 @@ impl<C: Curve> ProjectivePoint<C> {
         self.x = C::Base::zero();
         self.y = C::Base::zero();
         self.z = C::Base::zero();
-        core::hint::black_box(&mut self.z);
+        core::hint::black_box(&mut *self);
     }
 
     /// True for the identity.
@@ -249,7 +249,6 @@ impl<C: Curve> ProjectivePoint<C> {
         let twice = self.double();
         let mut table = [*self; 4];
         for i in 1..4 {
-            // lint:allow(panic) i - 1 < 4 for i in 1..4
             table[i] = table[i - 1].add(&twice);
         }
         let mut acc = Self::identity();
@@ -257,11 +256,10 @@ impl<C: Curve> ProjectivePoint<C> {
             acc = acc.double();
             match d.cmp(&0) {
                 core::cmp::Ordering::Greater => {
-                    // lint:allow(panic) wNAF digits are odd with |d| < 8
+                    // wNAF digits are odd with |d| < 8, so |d| / 2 < 4.
                     acc = acc.add(&table[d as usize / 2]);
                 }
                 core::cmp::Ordering::Less => {
-                    // lint:allow(panic) wNAF digits are odd with |d| < 8
                     acc = acc.add(&table[(-d) as usize / 2].neg());
                 }
                 core::cmp::Ordering::Equal => {}
@@ -560,7 +558,6 @@ fn wnaf4(limbs: &[u64]) -> Vec<i8> {
         }
         // k >>= 1
         for i in 0..k.len() {
-            // lint:allow(panic) guarded by i + 1 < k.len()
             let hi = if i + 1 < k.len() { k[i + 1] } else { 0 };
             k[i] = (k[i] >> 1) | (hi << 63);
         }

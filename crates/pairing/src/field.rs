@@ -402,7 +402,7 @@ macro_rules! montgomery_field {
                     }
                     let (v, c) = $crate::arith::adc(t[$n], carry, 0);
                     t[$n] = v;
-                    t[$n + 1] = c; // lint:allow(panic) scratch holds $n + 2 limbs
+                    t[$n + 1] = c;
 
                     let m = t[0].wrapping_mul(Self::INV);
                     let (_, mut carry) =
@@ -410,18 +410,17 @@ macro_rules! montgomery_field {
                     for j in 1..$n {
                         let (v, c) =
                             $crate::arith::mac(t[j], m, Self::MODULUS[j], carry);
-                        t[j - 1] = v; // lint:allow(panic) j >= 1 in this loop
+                        t[j - 1] = v;
                         carry = c;
                     }
                     let (v, c) = $crate::arith::adc(t[$n], carry, 0);
-                    t[$n - 1] = v; // lint:allow(panic) scratch holds $n + 2 limbs
-                    // overflow-ok: t[$n + 1] and c are carry bits (each
-                    // 0 or 1), so their sum fits a limb without wrap
-                    t[$n] = t[$n + 1] + c; // lint:allow(panic) scratch holds $n + 2 limbs
-                    t[$n + 1] = 0; // lint:allow(panic) scratch holds $n + 2 limbs
+                    t[$n - 1] = v;
+                    // t[$n + 1] and c are carry bits (each 0 or 1), so
+                    // their sum fits a limb without wrap.
+                    t[$n] = t[$n + 1] + c;
+                    t[$n + 1] = 0;
                 }
                 let mut out = [0u64; $n];
-                // lint:allow(panic) scratch is strictly longer than $n
                 out.copy_from_slice(&t[..$n]);
                 // ct-ok: backs the documented conditional-subtraction
                 // normalization, like `arith::geq` (DESIGN.md §8)

@@ -23,17 +23,15 @@ const G1_H_EFF: [u64; 1] = [0xd201_0000_0001_0001];
 fn g1_generator() -> &'static (Fp, Fp) {
     static GEN: OnceLock<(Fp, Fp)> = OnceLock::new();
     GEN.get_or_init(|| {
-        #[allow(clippy::expect_used)]
+        #[allow(clippy::expect_used)] // a constant, checked by every test
         let x = Fp::from_be_bytes(&hex_to_be_bytes::<48>(
             "17f1d3a73197d7942695638c4fa9ac0fc3688c4f9774b905a14e3a3f171bac586c55e83ff97a1aeffb3af00adb22c6bb",
         ))
-        // lint:allow(panic) compile-time constant, checked by every test
         .expect("generator x is canonical");
-        #[allow(clippy::expect_used)]
+        #[allow(clippy::expect_used)] // a constant, checked by every test
         let y = Fp::from_be_bytes(&hex_to_be_bytes::<48>(
             "08b3f481e3aaa0f1a09e30ed741d8ae4fcf5e095d5d00af600db18cb2c04b3edd03cc744a2888ae40caa232946c5e7e1",
         ))
-        // lint:allow(panic) compile-time constant, checked by every test
         .expect("generator y is canonical");
         (x, y)
     })
@@ -87,10 +85,10 @@ impl G1Affine {
     /// curve membership holds by construction of `y`, but the point may
     /// lie outside the prime-order subgroup.
     ///
-    /// This is the raw decoder the validation-state lint exists to
-    /// police; it is exposed so adversarial tests can build
-    /// wrong-subgroup inputs. Protocol code must use
-    /// [`from_compressed`](Self::from_compressed).
+    /// It is exposed so adversarial tests can build wrong-subgroup
+    /// inputs. Protocol code must use
+    /// [`from_compressed`](Self::from_compressed), whose checks the
+    /// adversarial decoding, wire and snapshot tests pin.
     pub fn from_compressed_unchecked(bytes: &[u8; 48]) -> Option<Self> {
         let compressed = bytes[0] >> 7 & 1 == 1;
         let infinity = bytes[0] >> 6 & 1 == 1;
@@ -142,9 +140,9 @@ impl G1Affine {
 /// assert!(!p.is_identity());
 /// assert_eq!(p, hash_to_g1(b"node-17", b"MCCLS-H1"));
 /// ```
-// validated: the map solves the curve equation directly (on-curve by
-// construction) and the effective-cofactor clearing below forces the
-// result into the prime-order subgroup
+// The map solves the curve equation directly (on-curve by
+// construction), and the effective-cofactor clearing below forces the
+// result into the prime-order subgroup.
 pub fn hash_to_g1(msg: &[u8], dst: &[u8]) -> G1Projective {
     let wide = mccls_hash::expand_message(msg, dst, 64);
     let mut x = Fp::from_be_bytes_mod(&wide);

@@ -20,9 +20,8 @@ pub type G2Affine = AffinePoint<G2Params>;
 /// Jacobian G2 point.
 pub type G2Projective = ProjectivePoint<G2Params>;
 
-#[allow(clippy::expect_used)]
+#[allow(clippy::expect_used)] // constants only, checked by every test
 fn fp_from_hex(s: &str) -> Fp {
-    // lint:allow(panic) compile-time constants only, checked by every test
     Fp::from_be_bytes(&hex_to_be_bytes::<48>(s)).expect("constant is canonical")
 }
 
@@ -98,10 +97,10 @@ impl G2Affine {
     /// subgroup (G2's cofactor is enormous, so random curve points
     /// almost never land in it).
     ///
-    /// This is the raw decoder the validation-state lint exists to
-    /// police; it is exposed so adversarial tests can build
-    /// wrong-subgroup inputs. Protocol code must use
-    /// [`from_compressed`](Self::from_compressed).
+    /// It is exposed so adversarial tests can build wrong-subgroup
+    /// inputs. Protocol code must use
+    /// [`from_compressed`](Self::from_compressed), whose checks the
+    /// adversarial decoding, wire and snapshot tests pin.
     pub fn from_compressed_unchecked(bytes: &[u8; 96]) -> Option<Self> {
         let compressed = bytes[0] >> 7 & 1 == 1;
         let infinity = bytes[0] >> 6 & 1 == 1;
@@ -150,8 +149,7 @@ pub fn sqrt_fp2(a: &Fp2) -> Option<Fp2> {
     }
     let norm = a.c0.square().add(&a.c1.square());
     let alpha = norm.sqrt()?;
-    #[allow(clippy::expect_used)]
-    // lint:allow(panic) 2 is a unit in Fp (p is an odd prime)
+    #[allow(clippy::expect_used)] // 2 is a unit in Fp (p is an odd prime)
     let two_inv = Fp::from_u64(2).invert().expect("2 != 0");
     // Try both candidate values for x0².
     for cand in [
@@ -162,8 +160,7 @@ pub fn sqrt_fp2(a: &Fp2) -> Option<Fp2> {
             if x0.is_zero() {
                 continue;
             }
-            #[allow(clippy::expect_used)]
-            // lint:allow(panic) x0 = 0 is skipped by the guard above
+            #[allow(clippy::expect_used)] // x0 = 0 is skipped by the guard above
             let x1 = a.c1.mul(&two_inv).mul(&x0.invert().expect("nonzero"));
             let root = Fp2::new(x0, x1);
             if root.square() == *a {

@@ -1,10 +1,12 @@
 //! Adversarial compressed-encoding tests.
 //!
 //! Every malformed, non-canonical, or wrong-subgroup encoding must be
-//! rejected by the checked decoders — this is the runtime half of the
-//! guarantee the `validate` lint enforces statically. The unchecked
-//! decoders are used here as the adversary's tool for constructing
-//! on-curve points outside the prime-order subgroup.
+//! rejected by the checked decoders: these tests, `mccls-core`'s
+//! `adversarial_wire` and `warm_snapshot` tests and the known-answer
+//! digests are what fail when a decoder drops a subgroup check
+//! (DESIGN.md §8.2). The unchecked decoders are used here as the
+//! adversary's tool for constructing on-curve points outside the
+//! prime-order subgroup.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 

@@ -106,6 +106,7 @@ impl<E> Scheduler<E> {
 
     /// Pops the next event, advancing the clock to its timestamp.
     // complexity: const
+    #[allow(clippy::unreachable)] // every heap key names the slot `schedule_at` filled for it
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let Reverse((at, _, slot)) = self.heap.pop()?;
         let Some(event) = self.slots[slot].take() else {

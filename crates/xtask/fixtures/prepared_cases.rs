@@ -1,30 +1,8 @@
 //! Seeded violations shaped like the prepared-pairing engine
-//! (`crates/pairing/src/prepared.rs`): line-coefficient caching,
-//! fixed-base tables, and digit recoding. NOT compiled — parsed as text
-//! by the `clean_tree` gate tests to prove the lints still fire on this
-//! idiom. Lines marked CLEAN must never be flagged.
-
-fn miller_loop_over_cached_lines(steps: &[Step], pairs: &[(G1, G2Prepared)]) -> Fp12 {
-    let mut f = Fp12::one();
-    for (i, step) in steps.iter().enumerate() {
-        let line = step.coeffs[i * 2 + 1]; // finding: computed index into the line table
-        f = f.mul_by_line(&line);
-        let add = step.add.unwrap(); // finding: unwrap on the optional add-step line
-        f = f.mul_by_line(&add);
-    }
-    let head = &pairs[..4]; // finding: range indexing the pair list
-    f.mul(&head[0].1.first_line())
-}
-
-fn table_lookup(table: &FixedBaseTable, digits: &[i8; 65]) -> G1 {
-    let mut acc = G1::identity();
-    for (w, &d) in digits.iter().enumerate() {
-        let odd = table.windows[w].entries[(d.unsigned_abs() / 2) as usize]; // finding: computed index
-        acc = acc.add(&odd);
-    }
-    let last = table.windows.last().expect("table is never empty"); // finding: expect
-    acc.add(&last.entries[0])
-}
+//! (`crates/pairing/src/prepared.rs`): secret digit recoding and the
+//! batch blinder. NOT compiled — parsed as text by the `clean_tree` gate
+//! tests to prove the `ct` lint still fires on this idiom. Lines marked
+//! CLEAN must never be flagged.
 
 fn recode_secret_scalar(keys: &KeyPair) -> [i8; 65] {
     let k = keys.secret;
@@ -33,7 +11,8 @@ fn recode_secret_scalar(keys: &KeyPair) -> [i8; 65] {
     for (w, d) in digits.iter_mut().enumerate() {
         *d = (k.limb(w) as i16 + carry) as i8;
         if *d > 8 {
-            // finding: branch on a digit recoded from the secret scalar
+            // missed: `d` is bound by a `for` pattern, which carries no
+            // taint (DESIGN.md §8.1)
             carry = 1;
         }
     }
@@ -49,26 +28,13 @@ fn blinded_batch_exponent(rng: &mut Rng) -> Fr {
     z
 }
 
-fn tolerated(table: &FixedBaseTable, w: usize, rng: &mut Rng) -> G1 {
-    let window = table.windows[w]; // CLEAN single-token index
-    let first = table.windows[0]; // CLEAN literal index
-    // lint:allow(panic) WINDOWS is a compile-time constant and w < WINDOWS by construction
-    let bounded = table.windows[w + 1]; // CLEAN justified suppression
+fn tolerated(table: &FixedBaseTable, rng: &mut Rng) -> G1 {
+    let first = table.windows[0];
     let z = Fr::random_nonzero(rng);
     // ct-ok: the blinder is discarded after one multi-Miller-loop batch;
     // revealing whether a discarded candidate was rejected leaks nothing
     if z.is_small() {
         return first.entries[0]; // CLEAN: governed by the justified branch
     }
-    window.entries[0].add(&bounded.entries[0])
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn tests_may_index_and_panic() {
-        let steps: Vec<Step> = vec![];
-        let _ = steps[10 * 2]; // CLEAN test code is exempt
-        panic!("fine in tests"); // CLEAN
-    }
+    first.entries[1]
 }

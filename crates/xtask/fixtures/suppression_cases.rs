@@ -3,8 +3,8 @@
 //!
 //! A suppression marker with an empty or whitespace-only reason must
 //! NOT silence the lint: the whole point of the marker is the written
-//! justification. Every seeded site below carries a bare marker and
-//! must still be reported; the CLEAN twins carry real reasons.
+//! justification. The seeded site below carries a bare marker and must
+//! still be reported; the CLEAN twin carries a real reason.
 
 fn bare_ct_marker(keys: &KeyPair) -> Fr {
     let x = keys.secret.double();
@@ -16,18 +16,12 @@ fn bare_ct_marker(keys: &KeyPair) -> Fr {
     x
 }
 
-fn whitespace_panic_marker(limbs: &[u64]) -> u64 {
-    // lint:allow(panic)
-    *limbs.first().unwrap() // finding: whitespace-only reason does not suppress
-}
-
-fn justified_twin(keys: &KeyPair, limbs: &[u64]) -> u64 {
+fn justified_twin(keys: &KeyPair) -> Fr {
     let x = keys.secret.double();
     // ct-ok: the discarded candidate leaks nothing about the kept key
     if x.is_small() {
         // CLEAN: justified
-        return 0;
+        return Fr::one();
     }
-    // lint:allow(panic) limbs is non-empty by construction
-    *limbs.first().unwrap() // CLEAN: justified
+    x
 }

@@ -271,29 +271,6 @@ pub fn sccs(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
     out
 }
 
-/// Renders the call chain from the root of node `ni`'s `parent` links
-/// down to `ni` (`verify -> decode -> inner`). Cycle-guarded, so
-/// set-once provenance links that loop back still terminate.
-pub fn chain_text(
-    files: &[ParsedFile],
-    graph: &CallGraph,
-    parent: &[Option<usize>],
-    ni: usize,
-) -> String {
-    let mut names = vec![graph.item(files, ni).name.clone()];
-    let mut seen = HashSet::from([ni]);
-    let mut cur = ni;
-    while let Some(p) = parent[cur] {
-        if !seen.insert(p) {
-            break;
-        }
-        names.push(graph.item(files, p).name.clone());
-        cur = p;
-    }
-    names.reverse();
-    names.join(" -> ")
-}
-
 /// The least set of function names closed under `holds`: a node's name
 /// joins once `holds(ni, names)` is true of the names so far. `holds`
 /// must be monotone in `names`, so the order of the rounds cannot
@@ -319,17 +296,9 @@ pub fn name_fixpoint(
     }
 }
 
-/// Converged parameter facts of [`param_fixpoint`].
-pub struct ParamFacts {
-    /// Per node: the parameter names (`self` included) holding the fact.
-    pub params: Vec<BTreeSet<String>>,
-    /// Per node: the caller that first handed it the fact, for
-    /// [`chain_text`].
-    pub parent: Vec<Option<usize>>,
-}
-
-/// Propagates a per-parameter fact (secret taint, unvalidated input)
-/// across call edges until nothing changes. Each round re-analyzes
+/// Propagates a per-parameter fact (secret taint) across call edges
+/// until nothing changes, and returns, per node, the parameter names
+/// (`self` included) holding it. Each round re-analyzes
 /// every body: `carriers(ni, params)` names the bindings of node `ni`
 /// holding the fact given its parameter facts, and `carries(names,
 /// expr)` says whether an argument or receiver expression does. A call
@@ -345,9 +314,8 @@ pub fn param_fixpoint(
     sinks: &[&str],
     carriers: impl Fn(usize, &BTreeSet<String>) -> Vec<String>,
     carries: impl Fn(&[String], &str) -> bool,
-) -> ParamFacts {
+) -> Vec<BTreeSet<String>> {
     let mut params = seeds;
-    let mut parent: Vec<Option<usize>> = vec![None; graph.nodes.len()];
     loop {
         let mut changed = false;
         for ni in 0..graph.nodes.len() {
@@ -373,14 +341,13 @@ pub fn param_fixpoint(
                 }
                 for name in marked {
                     if params[edge.callee].insert(name.to_owned()) {
-                        parent[edge.callee].get_or_insert(ni);
                         changed = true;
                     }
                 }
             }
         }
         if !changed {
-            return ParamFacts { params, parent };
+            return params;
         }
     }
 }

@@ -125,7 +125,7 @@ pub fn analyze_body(
     secret_calls: &HashSet<String>,
 ) -> BodyAnalysis {
     let bindings = item.bindings();
-    let declassified = declassified_by(&bindings, raw_lines, DECLASS_MARKER);
+    let declassified = declassified_by(&bindings, raw_lines);
     // Taint enters through textual sources, the seeds and
     // secret-returning calls, and flows through bindings that mention it.
     let tainted = binding_fixpoint(
@@ -294,26 +294,22 @@ fn has_div_operator(line: &str) -> bool {
     false
 }
 
-/// Bindings a justified declaration marker (`taint-public:`,
-/// `validated:`) exempts, plus the lines of bare markers (which are
-/// themselves findings).
-pub(crate) struct Declassified {
+/// Bindings a justified `taint-public:` marker exempts, plus the lines
+/// of bare markers (which are themselves findings).
+struct Declassified {
     /// Names the marker exempts.
-    pub(crate) names: HashSet<String>,
+    names: HashSet<String>,
     /// Lines of markers without a reason, sorted.
-    pub(crate) bare_lines: Vec<usize>,
+    bare_lines: Vec<usize>,
 }
 
-/// Reads `marker` at each binding of a body ([`FnItem::bindings`]).
-pub(crate) fn declassified_by(
-    bindings: &[(&str, &str, usize)],
-    raw_lines: &[&str],
-    marker: &str,
-) -> Declassified {
+/// Reads [`DECLASS_MARKER`] at each binding of a body
+/// ([`FnItem::bindings`]).
+fn declassified_by(bindings: &[(&str, &str, usize)], raw_lines: &[&str]) -> Declassified {
     let mut names = HashSet::new();
     let mut bare_lines = Vec::new();
     for &(name, _, line) in bindings {
-        match suppression_near(raw_lines, line, marker) {
+        match suppression_near(raw_lines, line, DECLASS_MARKER) {
             Suppression::Justified => {
                 names.insert(name.to_owned());
             }
@@ -329,7 +325,7 @@ pub(crate) fn declassified_by(
 /// Grows the unblocked `seeds` through a body's bindings until stable:
 /// a binding joins when its right-hand side `carries` the fact, given
 /// the names so far, and `blocked` does not exempt it.
-pub(crate) fn binding_fixpoint<'a>(
+fn binding_fixpoint<'a>(
     bindings: &[(&str, &str, usize)],
     seeds: impl IntoIterator<Item = &'a String>,
     blocked: impl Fn(&str) -> bool,
@@ -352,7 +348,7 @@ pub(crate) fn binding_fixpoint<'a>(
 
 /// True when `text` contains a call to `name` (the word followed by
 /// an opening paren, ignoring whitespace).
-pub(crate) fn contains_call(text: &str, name: &str) -> bool {
+fn contains_call(text: &str, name: &str) -> bool {
     let chars: Vec<char> = text.chars().collect();
     let pat: Vec<char> = name.chars().collect();
     if pat.is_empty() || chars.len() < pat.len() {

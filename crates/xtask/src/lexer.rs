@@ -1,10 +1,10 @@
 //! A comment- and string-stripping scanner for Rust source.
 //!
 //! The lints in this crate are textual: they look for tokens like
-//! `unwrap`, `panic!`, or `x[i]` in places where they should not appear.
+//! `if`, `invert()`, or `x[i]` in places where they should not appear.
 //! Running them on raw source would drown the results in false positives
-//! from doc comments and string literals ("this never panics" would trip
-//! the panic lint). [`scrub`] solves this by replacing every comment,
+//! from doc comments and string literals ("if the key is zero" would trip
+//! the `ct` lint). [`scrub`] solves this by replacing every comment,
 //! string, character, and byte literal with spaces — *preserving the
 //! character count and every newline* — so downstream scans operate on
 //! code only, and any character index maps back to the original line.

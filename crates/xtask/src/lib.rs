@@ -1,32 +1,17 @@
 //! `mccls-xtask` — the workspace's static-analysis gate.
 //!
-//! `cargo run -p mccls-xtask -- check` runs eight lints over the tree
+//! `cargo run -p mccls-xtask -- check` runs four lints over the tree
 //! and exits non-zero if any finding survives its suppression filter:
 //!
-//! * **panic** — no `unwrap`/`expect`/`panic!`-family macros or risky
-//!   slice indexing in non-test code of the cryptographic crates
-//!   (`mccls-hash`, `mccls-pairing`, `mccls-core`). Suppress a justified
-//!   site with `// lint:allow(panic) <reason>`.
 //! * **ct** — no branching, indexing or variable-time call on secret
-//!   data in the cryptographic crates. Taint is seeded from key-material
-//!   field reads, RNG draws and secret-typed parameters, and tracked
-//!   through bindings ([`ct_lint`]) and across call edges and return
-//!   values over the crypto call graph ([`taint`]), so a master secret
-//!   branched on two calls below `sign()` is caught like one branched
-//!   on in `sign()`. Suppress with `// ct-ok: <reason>`; a published
-//!   protocol value is declassified at its binding with
-//!   `// taint-public: <reason>`.
-//! * **validate** — the untrusted-input validation-state pass
-//!   ([`validate`]): a value decoded from raw bytes (an unchecked
-//!   `from_compressed_unchecked`-style decoder, an AODV message parser)
-//!   must pass a curve/subgroup sanitizer before reaching a pairing or
-//!   group-arithmetic sink. Declassify a reviewed construction with
-//!   `// validated: <reason>`.
-//! * **overflow** — the limb-overflow lint ([`overflow`]): no bare
-//!   `+`/`-`/`*`/`<<` on `u64`/`u128` limb values in the pairing
-//!   arithmetic; route carries through `wrapping_*`/`overflowing_*`/
-//!   `carrying_*` or the `adc`/`sbb`/`mac` helpers. Suppress with
-//!   `// overflow-ok: <reason>`.
+//!   data in the cryptographic crates (`mccls-hash`, `mccls-pairing`,
+//!   `mccls-core`). Taint is seeded from key-material field reads, RNG
+//!   draws and secret-typed parameters, and tracked through bindings
+//!   ([`ct_lint`]) and across call edges and return values over the
+//!   crypto call graph ([`taint`]), so a master secret branched on two
+//!   calls below `sign()` is caught like one branched on in `sign()`.
+//!   Suppress with `// ct-ok: <reason>`; a published protocol value is
+//!   declassified at its binding with `// taint-public: <reason>`.
 //! * **opcount** and **complexity** — two lattices over one
 //!   certification engine ([`certify`]): one budget grammar, one marker
 //!   rule, one bottom-up propagation over call-graph SCCs, and one
@@ -56,21 +41,23 @@
 //!   `registry_is_send_and_sync` stops compiling on a non-`Sync` field,
 //!   and the deny-by-default `let_underscore_lock` rejects `let _ =
 //!   m.lock()`.
-//! * **secret** — the secret-lifecycle lint ([`secret_lint`]): no
-//!   derived `Debug`/`Clone`/`Copy`/serialization on `MasterSecret`,
-//!   `PartialPrivateKey`, or any struct holding them, and the seed
-//!   types must zeroize in `Drop`. Suppress a deliberate exception
-//!   with `// secret-ok: <reason>`.
 //!
-//! What rustc and cargo check, the gate does not: in the root
-//! `[workspace.lints.rust]` table, `unsafe_code = "forbid"` rejects
-//! `unsafe` in every target of every workspace crate, and
-//! `tests/manifests.rs` checks that every manifest opts into that table
-//! and that neither lockfile names a registry or git package.
+//! What rustc, clippy, cargo and the tests check, the gate does not. In
+//! the root `[workspace.lints.rust]` table, `unsafe_code = "forbid"`
+//! rejects `unsafe` in every target of every workspace crate; the
+//! clippy table's `unwrap_used`, `expect_used`, `panic`, `todo`,
+//! `unimplemented` and `unreachable` keys flag every panic macro and
+//! every `unwrap`/`expect` in non-test code; and `tests/manifests.rs`
+//! checks that every manifest opts into those tables and that neither
+//! lockfile names a registry or git package. Key material is not
+//! `Clone` and prints redacted (a compile-time assertion and a test in
+//! `mccls_core::params`), and every decoder's subgroup checks are pinned
+//! by the adversarial tests of `mccls-core` and `mccls-pairing`
+//! (DESIGN.md §8.2 has the catch table).
 //!
 //! Every source lint reads one model, [`parser::ParsedFile`]: each file
-//! is scrubbed and parsed once into its test spans, `struct` items and
-//! `fn` items (with their calls, loop regions and `let` statements).
+//! is scrubbed and parsed once into its `struct` items and `fn` items
+//! (with their calls, loop regions and `let` statements).
 //! [`check_workspace`] parses every crate a lint reads once
 //! ([`SOURCE_SCOPE`]), builds the crypto crates' call graph and
 //! certified operation costs once for `ct`, `opcount` and
@@ -90,13 +77,9 @@ pub mod concurrency;
 pub mod ct_lint;
 pub mod lexer;
 pub mod opcount;
-pub mod overflow;
-pub mod panic_lint;
 pub mod parser;
 pub mod report;
-pub mod secret_lint;
 pub mod taint;
-pub mod validate;
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -235,25 +218,9 @@ pub fn display_path(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// The cryptographic crates: their non-test code must be panic-free,
-/// and they make the one call graph that `ct`, `opcount` and
-/// `concurrency` share.
+/// The cryptographic crates: they make the one call graph that `ct`,
+/// `opcount` and `concurrency` share.
 pub const CRYPTO_SCOPE: &[&str] = &["crates/hash", "crates/pairing", "crates/core"];
-
-/// Crates subject to the limb-overflow lint: the multi-precision
-/// arithmetic lives in the pairing crate.
-pub const OVERFLOW_SCOPE: &[&str] = &["crates/pairing"];
-
-/// Crates covered by the validation-state pass. Wider than
-/// [`CRYPTO_SCOPE`]: the AODV simulation is where untrusted network
-/// bytes enter, so its parsers must be visible as potential sources
-/// even though it is not held to the panic/ct discipline.
-pub const VALIDATE_SCOPE: &[&str] = &[
-    "crates/hash",
-    "crates/pairing",
-    "crates/core",
-    "crates/aodv",
-];
 
 /// Crates covered by the asymptotic-complexity certification: the
 /// AODV protocol logic and the discrete-event simulation that drives it.
@@ -261,8 +228,7 @@ pub const COMPLEXITY_SCOPE: &[&str] = &["crates/aodv", "crates/sim"];
 
 /// Every crate a source lint reads, ordered so that each lint's scope is
 /// one contiguous run of the parse: the crypto crates ([`CRYPTO_SCOPE`]),
-/// then `aodv`, which [`VALIDATE_SCOPE`] adds, then `sim`, which with
-/// `aodv` makes [`COMPLEXITY_SCOPE`].
+/// then `aodv` and `sim`, which make [`COMPLEXITY_SCOPE`].
 pub const SOURCE_SCOPE: &[&str] = &[
     "crates/hash",
     "crates/pairing",
@@ -325,11 +291,6 @@ impl Workspace<'_> {
     fn files(&self, scope: &[&str]) -> &[ParsedFile] {
         scope_run(self.parsed, scope)
     }
-
-    /// Runs a per-file lint over every file of `scope`.
-    fn scan(&self, scope: &[&str], lint: fn(&ParsedFile) -> Vec<Finding>) -> Vec<Finding> {
-        self.files(scope).iter().flat_map(lint).collect()
-    }
 }
 
 /// Runs every lint of [`report::LINTS`] over the workspace rooted at
@@ -381,10 +342,7 @@ mod tests {
             suppression_near(&lines, 6, "ct-ok:"),
             Suppression::MissingReason
         );
-        assert_eq!(
-            suppression_near(&lines, 4, "lint:allow(panic)"),
-            Suppression::None
-        );
+        assert_eq!(suppression_near(&lines, 4, "lock-ok:"), Suppression::None);
     }
 
     #[test]
@@ -401,12 +359,7 @@ mod tests {
             .iter()
             .map(|c| parser::parse_file(&format!("{c}/src/lib.rs"), ""))
             .collect();
-        for scope in [
-            CRYPTO_SCOPE,
-            OVERFLOW_SCOPE,
-            VALIDATE_SCOPE,
-            COMPLEXITY_SCOPE,
-        ] {
+        for scope in [CRYPTO_SCOPE, COMPLEXITY_SCOPE] {
             assert_eq!(scope_run(&parsed, scope).len(), scope.len(), "{scope:?}");
         }
         assert!(in_scope("crates/core/src/mccls.rs", CRYPTO_SCOPE));
@@ -419,12 +372,12 @@ mod tests {
         let f = Finding {
             file: "crates/core/src/mccls.rs".into(),
             line: 12,
-            lint: "panic",
-            message: "`unwrap()` in non-test code".into(),
+            lint: "ct",
+            message: "branch conditioned on secret-carrying `x`".into(),
         };
         assert_eq!(
             f.to_string(),
-            "crates/core/src/mccls.rs:12: [panic] `unwrap()` in non-test code"
+            "crates/core/src/mccls.rs:12: [ct] branch conditioned on secret-carrying `x`"
         );
     }
 }

@@ -82,10 +82,8 @@ fn run_check(root: &std::path::Path, format: Format) -> ExitCode {
     if format == Format::Human {
         println!(
             "Fix the code, or suppress a reviewed site with \
-             `// lint:allow(panic) <reason>` / `// ct-ok: <reason>` / \
-             `// validated: <reason>` / `// overflow-ok: <reason>` / \
-             `// secret-ok: <reason>` / `// lock-ok: <reason>` / \
-             `// complexity-ok: <reason>`."
+             `// ct-ok: <reason>` / `// taint-public: <reason>` / \
+             `// lock-ok: <reason>` / `// complexity-ok: <reason>`."
         );
     }
     ExitCode::FAILURE
@@ -103,6 +101,6 @@ fn print_usage() {
     }
     println!(
         "\nWAIVERS:\n    any finding fails the gate (exit 1); the only waiver is an inline\n    \
-         marker with a written reason, e.g. `// lint:allow(panic) <reason>`."
+         marker with a written reason, e.g. `// ct-ok: <reason>`."
     );
 }

@@ -1,24 +1,22 @@
 //! A lightweight Rust item parser on top of [`crate::lexer`]: the one
 //! source model every lint reads.
 //!
-//! Each file is scrubbed and parsed once. [`ParsedFile`] keeps the
-//! scrubbed text (`panic`) and the test spans (`panic`, `ct`), every
-//! `struct` item with its field text line by line (`concurrency`,
-//! `secret`), and every `fn` item: its signature (with the owning
-//! `impl` type), parameter names and types, return type, every call
-//! expression with its receiver and argument texts, its loop and
-//! adaptor regions, its `let` statements and its assignments — all
-//! from scrubbed source, without a full Rust grammar.
+//! Each file is scrubbed and parsed once. [`ParsedFile`] keeps the raw
+//! lines (for suppression markers), every `struct` item with its field
+//! text line by line (`concurrency`), and every `fn` item: its
+//! signature (with the owning `impl` type), parameter names and types,
+//! return type, every call expression with its receiver and argument
+//! texts, its loop and adaptor regions, its `let` statements and its
+//! assignments — all from scrubbed source, without a full Rust grammar.
 //!
 //! The `let` and assignment records are the one binder of the gate:
 //! each [`Let`] holds every name its pattern binds (plain, tuple,
 //! nested, `Some(..)`, struct and let-else patterns), its type
 //! annotation, its right-hand side and the lines that and its scope end
 //! on; each [`Assign`] holds the base name of a plain or compound
-//! assignment's place and its right-hand side. `ct` and `validate`
-//! read both ([`FnItem::bindings`]), `overflow` reads the
-//! lets and the `for` headers of [`RegionKind::For`] regions, and
-//! `opcount` and `concurrency` read the lets.
+//! assignment's place and its right-hand side. `ct` reads both
+//! ([`FnItem::bindings`]), and `opcount` and `concurrency` read the
+//! lets.
 //!
 //! Deliberate approximations, documented in DESIGN.md §8:
 //!
@@ -45,10 +43,6 @@ pub struct ParsedFile {
     pub path: String,
     /// The raw source lines, for suppression-comment lookup.
     pub raw_lines: Vec<String>,
-    /// The source with comments and literals blanked ([`lexer::scrub`]).
-    pub scrubbed: String,
-    /// Line spans of test-only code ([`lexer::test_spans`]).
-    pub test_spans: Vec<(usize, usize)>,
     /// All `fn` items found in the file.
     pub fns: Vec<FnItem>,
     /// All `struct` items found in the file.
@@ -240,7 +234,7 @@ impl FnItem {
 
     /// Every name the body's `let`s bind (`_` aside) and its assignments
     /// assign, as `(name, right-hand side, 1-based line)` in line order:
-    /// the flow the dataflow lints (`ct`, `validate`) follow.
+    /// the flow the `ct` lint follows.
     pub fn bindings(&self) -> Vec<(&str, &str, usize)> {
         let lets = self.lets.iter().flat_map(|l| {
             l.names
@@ -309,8 +303,6 @@ pub fn parse_file(path: &str, src: &str) -> ParsedFile {
     ParsedFile {
         path: path.to_owned(),
         raw_lines: src.lines().map(str::to_owned).collect(),
-        scrubbed,
-        test_spans,
         fns,
         structs,
     }
@@ -725,7 +717,7 @@ const NON_CALL_WORDS: &[&str] = &[
 /// receiver collection. Anything not listed (e.g. `or_insert_with`,
 /// `get_or_init`, `Option::map`) is treated as straight-line — a
 /// documented under-approximation backstopped by the runtime op-count
-/// cross-check (DESIGN.md §8.4).
+/// cross-check (DESIGN.md §8.3).
 pub const PER_ITEM_ADAPTORS: &[&str] = &[
     "map",
     "for_each",

@@ -9,8 +9,7 @@
 use std::fmt::Write as _;
 
 use crate::{
-    certify, complexity, concurrency, opcount, overflow, panic_lint, secret_lint, taint, validate,
-    Finding, Workspace, COMPLEXITY_SCOPE, CRYPTO_SCOPE, OVERFLOW_SCOPE, VALIDATE_SCOPE,
+    certify, complexity, concurrency, opcount, taint, Finding, Workspace, COMPLEXITY_SCOPE,
 };
 
 /// One row of the lint table: the id every finding of the lint
@@ -30,28 +29,11 @@ pub struct Lint {
 /// Every lint the gate runs. The SARIF driver always advertises the
 /// full rule set — not just the lints that happened to fire — so
 /// code-scanning UIs can render "passing" rules.
-pub const LINTS: [Lint; 8] = [
-    Lint {
-        id: "panic",
-        description: "No unwrap/expect/panic-family or risky indexing in crypto crates",
-        run: |ws| ws.scan(CRYPTO_SCOPE, panic_lint::scan),
-    },
+pub const LINTS: [Lint; 4] = [
     Lint {
         id: "ct",
         description: "No branching, indexing or variable-time call on secret data, across calls",
         run: |ws| taint::analyze(ws.crypto, ws.graph),
-    },
-    Lint {
-        id: "validate",
-        description: "Untrusted decodes pass curve/subgroup checks before sinks",
-        // Its own graph: one shared with the crypto lints would alias
-        // `aodv` names onto the budgeted crypto functions.
-        run: |ws| validate::analyze(ws.files(VALIDATE_SCOPE)),
-    },
-    Lint {
-        id: "overflow",
-        description: "No bare arithmetic on u64/u128 limb values",
-        run: |ws| ws.scan(OVERFLOW_SCOPE, overflow::scan),
     },
     Lint {
         id: "opcount",
@@ -75,11 +57,6 @@ pub const LINTS: [Lint; 8] = [
         id: "concurrency",
         description: "Lock-order acyclicity, no pairing work under guards, no escaping guards",
         run: |ws| concurrency::analyze(ws.crypto, ws.graph, ws.costs),
-    },
-    Lint {
-        id: "secret",
-        description: "No Debug/Clone/serialization derives on key material; zeroize on Drop",
-        run: |ws| secret_lint::analyze(ws.crypto),
     },
 ];
 
@@ -270,7 +247,7 @@ mod tests {
 
     #[test]
     fn sarif_driver_always_advertises_every_rule() {
-        assert_eq!(LINTS.len(), 8, "the gate runs eight lints");
+        assert_eq!(LINTS.len(), 4, "the gate runs four lints");
         // Rules carry metadata and appear even when nothing fired.
         let empty = render(&[], Format::Sarif);
         for Lint {

@@ -32,7 +32,7 @@
 
 use std::collections::{BTreeSet, HashSet};
 
-use crate::callgraph::{name_fixpoint, param_fixpoint, CallGraph, ParamFacts};
+use crate::callgraph::{name_fixpoint, param_fixpoint, CallGraph};
 use crate::ct_lint::{self, expr_is_tainted};
 use crate::lexer::contains_word;
 use crate::parser::ParsedFile;
@@ -72,7 +72,7 @@ pub fn analyze(files: &[ParsedFile], graph: &CallGraph) -> Vec<Finding> {
     let seeds = (0..graph.nodes.len())
         .map(|ni| declared_seeds(files, graph, ni))
         .collect();
-    let facts = param_fixpoint(
+    let params = param_fixpoint(
         files,
         graph,
         seeds,
@@ -85,7 +85,7 @@ pub fn analyze(files: &[ParsedFile], graph: &CallGraph) -> Vec<Finding> {
         },
         |tainted, expr| expr_is_tainted(expr, tainted, &secret_fns),
     );
-    report(files, graph, &facts, &secret_fns)
+    report(files, graph, &params, &secret_fns)
 }
 
 /// Declared-secret parameter names of a node (the type-based seeds).
@@ -128,15 +128,15 @@ fn secret_return_fns(files: &[ParsedFile], graph: &CallGraph) -> HashSet<String>
 fn report(
     files: &[ParsedFile],
     graph: &CallGraph,
-    facts: &ParamFacts,
+    params: &[BTreeSet<String>],
     secret_fns: &HashSet<String>,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for ni in 0..graph.nodes.len() {
+    for (ni, held) in params.iter().enumerate() {
         let item = graph.item(files, ni);
         let file = graph.file(files, ni);
         let raw = file.lines();
-        let seeds: Vec<String> = facts.params[ni].iter().cloned().collect();
+        let seeds: Vec<String> = held.iter().cloned().collect();
 
         let mut body = ct_lint::analyze_body(item, &raw, &seeds, secret_fns);
         // Vartime-sink rule: a secret-carrying argument or receiver

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 
 use mccls_xtask::callgraph::CallGraph;
 use mccls_xtask::opcount::{self, compute_costs};
-use mccls_xtask::parser::{parse_file, parse_files, ParsedFile};
+use mccls_xtask::parser::{parse_files, ParsedFile};
 use mccls_xtask::{concurrency, taint, Finding};
 
 fn workspace_root() -> PathBuf {
@@ -47,20 +47,13 @@ fn concurrency_findings(files: &[ParsedFile]) -> Vec<Finding> {
 
 /// Every fixture run, one per analyzer call, titled `<lint> <fixture>`.
 fn fixture_runs() -> Vec<(&'static str, Vec<Finding>)> {
-    use mccls_xtask::{complexity, overflow, panic_lint, parser, secret_lint, validate};
+    use mccls_xtask::{complexity, parser};
     let parsed = |name: &str| parser::parse_files(&[(name.to_owned(), fixture(name))]);
-    let scan = |name: &str, lint: fn(&parser::ParsedFile) -> Vec<Finding>| {
-        lint(&parse_file(name, &fixture(name)))
-    };
     let opcount_budgets = opcount::parse_budgets(&fixture("opcount_budgets.toml"))
         .expect("opcount fixture budgets parse");
     let complexity_budgets = complexity::parse_budgets(&fixture("complexity_budgets.toml"))
         .expect("complexity fixture budgets parse");
     vec![
-        (
-            "panic panic_cases.rs",
-            scan("panic_cases.rs", panic_lint::scan),
-        ),
         ("ct ct_cases.rs", ct_findings(&parsed("ct_cases.rs"))),
         ("ct taint_cases.rs", ct_findings(&parsed("taint_cases.rs"))),
         (
@@ -68,32 +61,12 @@ fn fixture_runs() -> Vec<(&'static str, Vec<Finding>)> {
             ct_findings(&parsed("suppression_cases.rs")),
         ),
         (
-            "panic suppression_cases.rs",
-            scan("suppression_cases.rs", panic_lint::scan),
-        ),
-        (
-            "validate validate_cases.rs",
-            validate::analyze(&parsed("validate_cases.rs")),
-        ),
-        (
-            "overflow overflow_cases.rs",
-            scan("overflow_cases.rs", overflow::scan),
-        ),
-        (
             "opcount opcount_cases.rs",
             opcount_findings(&parsed("opcount_cases.rs"), &opcount_budgets),
         ),
         (
-            "secret secret_cases.rs",
-            secret_lint::analyze(&parsed("secret_cases.rs")),
-        ),
-        (
             "complexity complexity_cases.rs",
             complexity::analyze(&parsed("complexity_cases.rs"), &complexity_budgets),
-        ),
-        (
-            "panic prepared_cases.rs",
-            scan("prepared_cases.rs", panic_lint::scan),
         ),
         (
             "ct prepared_cases.rs",
@@ -164,10 +137,7 @@ fn fixtures_do_fail_the_gate() {
     // The fixtures exist to prove the lints can fire; if they ever scan
     // clean, the gate has silently gone blind.
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-    let panic_src =
-        std::fs::read_to_string(dir.join("panic_cases.rs")).expect("panic fixture exists");
     let ct_src = std::fs::read_to_string(dir.join("ct_cases.rs")).expect("ct fixture exists");
-    assert!(!mccls_xtask::panic_lint::scan(&parse_file("panic_cases.rs", &panic_src)).is_empty());
     assert!(!ct_findings(&parse_files(&[("ct_cases.rs".to_owned(), ct_src)])).is_empty());
 }
 
@@ -211,90 +181,17 @@ fn bare_suppression_reasons_do_not_suppress() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
     let src = std::fs::read_to_string(dir.join("suppression_cases.rs"))
         .expect("suppression fixture exists");
-    let ct = ct_findings(&parse_files(&[(
-        "suppression_cases.rs".to_owned(),
-        src.clone(),
-    )]));
+    let ct = ct_findings(&parse_files(&[("suppression_cases.rs".to_owned(), src)]));
     assert!(
         ct.iter().any(|f| f.message.contains("gives no reason")),
         "bare ct-ok must still be reported: {ct:?}"
     );
-    let panics = mccls_xtask::panic_lint::scan(&parse_file("suppression_cases.rs", &src));
-    assert!(
-        !panics.is_empty(),
-        "bare lint:allow(panic) must still be reported"
-    );
-    // The justified twin's sites are suppressed: every surviving
-    // finding points at the bare-marker functions (lines 1-21).
-    for f in ct.iter().chain(panics.iter()) {
+    // The justified twin's site is suppressed: every surviving finding
+    // points at the bare-marker function (lines 1-17).
+    for f in &ct {
         assert!(
-            f.line <= 21,
+            f.line <= 17,
             "justified suppression failed to silence line {}: {f:?}",
-            f.line
-        );
-    }
-}
-
-#[test]
-fn validate_fixture_trips_only_the_typestate_pass() {
-    // The dirty chain (admit_peer -> session_pairing) is locally clean
-    // in every function: the unchecked decode and the pairing sink live
-    // two hops apart, so a finding proves the validation-state fixpoint
-    // crossed call boundaries. The sanitized and declassified twins must
-    // stay silent, and the bare marker must itself be reported.
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-    let src =
-        std::fs::read_to_string(dir.join("validate_cases.rs")).expect("validate fixture exists");
-    let files = mccls_xtask::parser::parse_files(&[("validate_cases.rs".to_owned(), src)]);
-    let findings = mccls_xtask::validate::analyze(&files);
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.message.contains("admit_peer -> session_pairing")),
-        "expected the two-hop unvalidated-point chain to fire, got: {findings:?}"
-    );
-    assert!(
-        findings
-            .iter()
-            .all(|f| !f.message.contains("admit_peer_checked")
-                && !f.message.contains("admit_trusted")),
-        "sanitized/declassified twins must not be flagged: {findings:?}"
-    );
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.message.contains("gives no reason")),
-        "bare `validated:` marker must still be reported: {findings:?}"
-    );
-}
-
-#[test]
-fn overflow_fixture_fires_and_twins_stay_silent() {
-    // The bare `+`/`*`/`<<` sites on limb values must fire; the carry
-    // intrinsics, `usize` index arithmetic, and the justified
-    // suppression must stay silent; the bare marker is itself a finding.
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-    let src =
-        std::fs::read_to_string(dir.join("overflow_cases.rs")).expect("overflow fixture exists");
-    let findings = mccls_xtask::overflow::scan(&parse_file("overflow_cases.rs", &src));
-    for op in ["`+`", "`*`", "`<<`"] {
-        assert!(
-            findings.iter().any(|f| f.message.contains(op)),
-            "expected a bare {op} finding, got: {findings:?}"
-        );
-    }
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.message.contains("gives no reason")),
-        "bare `overflow-ok:` marker must still be reported: {findings:?}"
-    );
-    // The clean twins occupy known line ranges: `acc_fold_ct` (27-30),
-    // `index_walk` (33-36), and the justified `shift_fold` (39-42).
-    for f in &findings {
-        assert!(
-            !(27..=42).contains(&f.line),
-            "a clean twin was flagged at line {}: {f:?}",
             f.line
         );
     }
@@ -355,37 +252,6 @@ fn opcount_fixture_trips_only_the_interprocedural_analysis() {
             .iter()
             .all(|f| !f.message.contains("cached_verify")),
         "the exactly-budgeted twin must stay silent: {findings:?}"
-    );
-}
-
-#[test]
-fn secret_fixture_fires_and_twins_stay_silent() {
-    // Derived Debug/Clone on the master secret, the transitive
-    // secret-field container, the missing zeroizing Drop, and the bare
-    // marker must all fire; the zeroizing seed twin and the justified
-    // suppression must stay silent.
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-    let src = std::fs::read_to_string(dir.join("secret_cases.rs")).expect("secret fixture exists");
-    let files = mccls_xtask::parser::parse_files(&[("secret_cases.rs".to_owned(), src)]);
-    let findings = mccls_xtask::secret_lint::analyze(&files);
-    for frag in [
-        "`MasterSecret` is key material but derives `Debug`",
-        "`MasterSecret` is key material but derives `Clone`",
-        "no zeroizing `Drop` impl",
-        "`KeyVault` holds a secret-typed field but derives `Clone`",
-        "no justification",
-    ] {
-        assert!(
-            findings.iter().any(|f| f.message.contains(frag)),
-            "expected a finding containing {frag:?}, got: {findings:?}"
-        );
-    }
-    assert!(
-        findings
-            .iter()
-            .all(|f| !f.message.contains("PartialPrivateKey")
-                && !f.message.contains("RotationSnapshot")),
-        "clean/suppressed twins must not be flagged: {findings:?}"
     );
 }
 
@@ -489,19 +355,14 @@ fn removing_the_grid_suppression_fails_the_complexity_gate() {
 }
 
 #[test]
-fn prepared_pairing_fixture_fails_both_gates() {
-    // Violations shaped like the prepared-pairing engine (cached line
-    // coefficients, fixed-base table lookups, secret digit recoding)
-    // must keep tripping both lints: the engine's hot loops are exactly
-    // where a computed index or a secret-dependent branch would sneak in.
+fn prepared_pairing_fixture_fails_the_ct_gate() {
+    // Violations shaped like the prepared-pairing engine (secret digit
+    // recoding, the batch blinder) must keep tripping the lint: the
+    // engine's hot loops are exactly where a secret-dependent branch
+    // would sneak in.
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
     let src =
         std::fs::read_to_string(dir.join("prepared_cases.rs")).expect("prepared fixture exists");
-    let panic_findings = mccls_xtask::panic_lint::scan(&parse_file("prepared_cases.rs", &src));
-    assert!(
-        panic_findings.len() >= 3,
-        "expected the computed-index/unwrap/expect seeds to fire, got: {panic_findings:?}"
-    );
     let secret_flow = ct_findings(&parse_files(&[("prepared_cases.rs".to_owned(), src)]));
     assert!(
         !secret_flow.is_empty(),

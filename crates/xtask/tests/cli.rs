@@ -61,14 +61,15 @@ fn one_finding_exits_one_with_the_finding_and_the_fix_hint() {
     std::fs::write(root.join("Cargo.toml"), "[workspace]\n").expect("manifest is writable");
     std::fs::write(
         root.join("crates/core/src/lib.rs"),
-        "pub fn first(v: &[u8]) -> u8 {\n    *v.first().unwrap()\n}\n",
+        "pub fn coin(rng: &mut Rng) -> bool {\n    let x = Fr::random(rng);\n    \
+         if x.is_zero() {\n        return true;\n    }\n    false\n}\n",
     )
     .expect("source is writable");
     let (code, stdout, _) = xtask(&["check", "--root", path_arg(&root)]);
     let _ = std::fs::remove_dir_all(&root);
     assert_eq!(code, Some(1), "{stdout}");
     assert!(
-        stdout.contains("crates/core/src/lib.rs:2: [panic] `.unwrap()` in non-test code"),
+        stdout.contains("crates/core/src/lib.rs:3: [ct] branch conditioned on secret-carrying `x`"),
         "{stdout}"
     );
     assert!(

@@ -1,6 +1,6 @@
 //! The rules rustc and cargo enforce only while the manifests ask for
 //! them: every manifest opts into the workspace lint table, the table
-//! forbids `unsafe` and keeps the panic-family clippy keys, and neither
+//! forbids `unsafe` and keeps the six panic-family clippy keys, and neither
 //! lockfile names a package from outside the repository (a registry or
 //! git package always has a `source =` line; a path crate never does).
 //! Each check is a function over text that also runs on a seeded
@@ -31,6 +31,17 @@ fn opts_into_workspace_lints(manifest: &str) -> bool {
     table(manifest, "lints").contains(&"workspace = true")
 }
 
+/// The clippy keys that flag every panic macro and every
+/// `unwrap`/`expect` in non-test code.
+const PANIC_KEYS: [&str; 6] = [
+    "unwrap_used",
+    "expect_used",
+    "panic",
+    "todo",
+    "unimplemented",
+    "unreachable",
+];
+
 /// The keys the root manifest's lint tables fail to set.
 fn missing_workspace_lints(root: &str) -> Vec<&'static str> {
     let mut missing = Vec::new();
@@ -38,7 +49,7 @@ fn missing_workspace_lints(root: &str) -> Vec<&'static str> {
         missing.push("unsafe_code");
     }
     let clippy = table(root, "workspace.lints.clippy");
-    for key in ["unwrap_used", "expect_used", "panic"] {
+    for key in PANIC_KEYS {
         if !clippy
             .iter()
             .any(|e| e.split('=').next().map(str::trim) == Some(key))
@@ -113,12 +124,23 @@ fn each_check_fires_on_a_seeded_violation() {
     }
 
     // `unsafe_code = "forbid"` counts only in `[workspace.lints.rust]`.
-    let clippy = "[workspace.lints.clippy]\nunwrap_used = \"warn\"\nexpect_used = \"warn\"\n";
+    let clippy_without = |omitted: &str| {
+        let keys = PANIC_KEYS.iter().filter(|&&key| key != omitted);
+        let entries: String = keys.map(|key| format!("{key} = \"warn\"\n")).collect();
+        format!("[workspace.lints.clippy]\n{entries}")
+    };
     let misplaced = format!(
         "[workspace.lints.rust]\nmissing_docs = \"warn\"\n[lints.rust]\n\
-         unsafe_code = \"forbid\"\n{clippy}panic = \"warn\"\n"
+         unsafe_code = \"forbid\"\n{}",
+        clippy_without("")
     );
     assert_eq!(missing_workspace_lints(&misplaced), ["unsafe_code"]);
-    let no_panic = format!("[workspace.lints.rust]\nunsafe_code = \"forbid\"\n{clippy}");
-    assert_eq!(missing_workspace_lints(&no_panic), ["panic"]);
+    // Each panic-family key is required on its own.
+    for key in PANIC_KEYS {
+        let omitted = format!(
+            "[workspace.lints.rust]\nunsafe_code = \"forbid\"\n{}",
+            clippy_without(key)
+        );
+        assert_eq!(missing_workspace_lints(&omitted), [key]);
+    }
 }
