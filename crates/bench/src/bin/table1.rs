@@ -5,11 +5,10 @@
 //! Unlike the paper, the operation counts here are *measured* from the
 //! implementations via the instrumented wrappers in `mccls_core::ops`,
 //! and wall-clock timings on this host are reported next to them. A
-//! third column prints the *statically certified* counts straight from
-//! `opcount-budgets.toml` (the same file the xtask `opcount` gate
-//! enforces); the binary exits non-zero if measurement and
-//! certification ever disagree, so the printed table cannot drift from
-//! the gate.
+//! third column prints the *budgeted* counts straight from
+//! `opcount-budgets.toml` (the same file `opcount_certified.rs` checks
+//! at runtime); the binary exits non-zero if measurement and budget
+//! ever disagree, so the printed table cannot drift from the file.
 //!
 //! The timings are committed rows of `BENCH_table1.json`, measured by
 //! the shared sampler and checked by the shared baseline gate:
@@ -39,7 +38,7 @@ use mccls_xtask::opcount::{BudgetEntry, Budgets};
 /// The message every row signs and verifies (32 bytes).
 const MSG: &[u8] = b"table-1 measurement message (32B)";
 
-/// Loads the committed budget file the xtask gate certifies against.
+/// Loads the committed budget file.
 fn certified_budgets() -> Result<Budgets, String> {
     let path = baseline::committed_path("opcount-budgets.toml");
     let text = std::fs::read_to_string(&path)
@@ -52,12 +51,7 @@ fn certified_budgets() -> Result<Budgets, String> {
 fn certified_shorthand(entry: &BudgetEntry, counts: &ops::OpCounts) -> Result<String, String> {
     let mut certified = [0u64; 8];
     for (slot, out) in certified.iter_mut().enumerate() {
-        *out = entry.budget.0[slot].eval(0).ok_or_else(|| {
-            format!(
-                "budget `{}` is unbounded — the gate should have failed",
-                entry.key
-            )
-        })?;
+        *out = entry.budget.0[slot].eval(0);
     }
     let measured = [
         counts.pairings,
@@ -92,7 +86,7 @@ fn certified_shorthand(entry: &BudgetEntry, counts: &ops::OpCounts) -> Result<St
 
 /// Looks up `key` and cross-checks it, exiting the process on any
 /// divergence — the whole point of the column is to refuse to print a
-/// table the gate would reject.
+/// table the budget file contradicts.
 fn certify(budgets: &Budgets, key: &str, counts: &ops::OpCounts) -> Result<String, String> {
     let entry = budgets
         .get(key)
@@ -202,8 +196,8 @@ fn run(smoke: bool) -> Result<Vec<Entry>, String> {
 
     println!();
     println!("# Table 1. Comparison of the CLS Schemes");
-    println!("# claimed = the paper's symbolic counts; certified = statically proven by the");
-    println!("# xtask opcount gate (opcount-budgets.toml); measured = instrumented counts");
+    println!("# claimed = the paper's symbolic counts; certified = the committed budget");
+    println!("# (opcount-budgets.toml, checked at runtime); measured = instrumented counts");
     println!("# from this implementation; ms = the sampler's median on this host (release");
     println!("# build). The binary fails if measured and certified counts ever disagree.");
     println!(

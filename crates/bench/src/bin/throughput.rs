@@ -1,8 +1,8 @@
 //! Multi-threaded verification throughput harness for the sharded
 //! registry (`ShardedVerifier`).
 //!
-//! Scoped worker threads share one registry and drive the two lock
-//! paths the xtask `concurrency` lint certifies:
+//! Scoped worker threads share one registry and drive its two lock
+//! paths, each a section of the registry's private `Shard` type:
 //!
 //! * **hot** — warm `verify` calls: a read-lock copy-out of the cached
 //!   `(public key, e(Q_ID, P_pub))` pair, then the Miller loop and
@@ -77,7 +77,7 @@ fn build_world(peers: usize) -> World {
     World { registry, peers }
 }
 
-/// The certified-budget contract, re-asserted at runtime on the main
+/// The budget contract, re-asserted at runtime on the main
 /// thread before any timing: the sharded warm path must cost exactly
 /// what `[registry.verify]` in `opcount-budgets.toml` promises.
 fn assert_op_counts(world: &World) {

@@ -76,7 +76,6 @@ impl CertificatelessScheme for Ap {
         }
     }
 
-    // opcount-budget: ap.sign
     fn sign(
         &self,
         params: &SystemParams,
@@ -103,7 +102,6 @@ impl CertificatelessScheme for Ap {
         Signature::Ap { u, v }
     }
 
-    // opcount-budget: ap.verify
     fn verify(
         &self,
         params: &SystemParams,

@@ -3,18 +3,16 @@
 //! thread-safe [`ShardedVerifier`](crate::ShardedVerifier).
 //!
 //! Both handles cache the same per-peer state — the registered public
-//! key and the pairing constant `e(Q_ID, P_pub)` — and certify the same
+//! key and the pairing constant `e(Q_ID, P_pub)` — and meet the same
 //! warm one-pairing budget; they differ only in how that cache is
 //! guarded. Code that doesn't care (the AODV auth provider, the batch
 //! engine, benches) is generic over this trait instead of hard-wiring
 //! one handle.
 //!
-//! Method names are deliberately distinct from the inherent APIs they
-//! front (`enroll_peer` vs `register_peer`, `authenticate` vs `verify`):
-//! the xtask call graph resolves unqualified calls by bare name, so
-//! reusing `verify`/`register_peer` here would alias the trait methods
-//! onto the budgeted inherent functions and saturate their certified
-//! op-count budgets to unbounded.
+//! Method names are distinct from the inherent APIs they front
+//! (`enroll_peer` vs `register_peer`, `authenticate` vs `verify`). Only
+//! the `ct` lint's call graph still reads them: it resolves unqualified
+//! calls by bare name, so a shared name links a call to both methods.
 
 use mccls_pairing::Gt;
 use mccls_rng::RngCore;

@@ -27,7 +27,7 @@
 //!   path: it folds incoming entries into a running Miller-loop product
 //!   as they arrive and flushes on a size/latency budget, so the flush
 //!   itself costs one Miller loop and one final exponentiation no matter
-//!   how many entries are pending (certified as
+//!   how many entries are pending (budgeted as
 //!   `[batch.accumulator_flush]` in `opcount-budgets.toml`).
 //!
 //! Soundness of per-index verdicts rests on the 64-bit blinders: a
@@ -303,7 +303,6 @@ fn fold_slots(slots: &[Slot]) -> Folded {
 /// verifies. This is the streaming flush shape — one closing Miller
 /// loop against the prepared `P_pub` and one final exponentiation,
 /// regardless of how many entries were folded in (none: the identity).
-// opcount-budget: batch.accumulator_flush
 fn accumulator_flush(params: &SystemParams, folded: &Folded) -> Gt {
     if folded.slots == 0 {
         return Gt::identity();
@@ -324,8 +323,7 @@ fn fragment_defect(params: &SystemParams, slots: &[Slot]) -> Gt {
 /// randomized Miller factors (`n` single-pair loops so the factors stay
 /// individually cached for bisection), then one closing Miller loop and
 /// one shared final exponentiation — `n + 1` Miller loops total, the
-/// same certified shape as the pre-redesign all-or-nothing batch.
-// opcount-budget: batch.verify_outcome
+/// same budgeted shape as the pre-redesign all-or-nothing batch.
 fn verify_outcome(
     params: &SystemParams,
     items: &[BatchItem<'_>],
@@ -599,7 +597,7 @@ impl Default for FlushPolicy {
 /// absorbed (each costs its own single-pair Miller loop, paid at
 /// absorb time), so flushing costs **one** closing Miller loop and
 /// **one** final exponentiation no matter how many entries are pending
-/// — the `[batch.accumulator_flush]` certified shape. Per-entry factors
+/// — the `[batch.accumulator_flush]` budgeted shape. Per-entry factors
 /// are retained until the flush so a failing window can still bisect
 /// down to the bad indices under the policy's isolation budget.
 ///

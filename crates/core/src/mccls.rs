@@ -143,7 +143,6 @@ impl CertificatelessScheme for McCls {
         }
     }
 
-    // opcount-budget: mccls.sign
     fn sign(
         &self,
         _params: &SystemParams,
@@ -171,7 +170,6 @@ impl CertificatelessScheme for McCls {
         Signature::McCls { v, s, r }
     }
 
-    // opcount-budget: mccls.verify
     fn verify(
         &self,
         params: &SystemParams,
@@ -363,7 +361,8 @@ mod reference {
     //! * valid, tampered and wrong-identity signatures of sixteen
     //!   identities;
     //! * the four strategies of [`crate::security::run_type1_game`], the
-    //!   Type II forgery and identity components;
+    //!   Type II forgery, the signature-reuse forgery and identity
+    //!   components;
     //! * on-curve points outside the subgroup from the one-low-byte
     //!   `from_compressed_unchecked` sweep, as `S`, as `R`, added to `S`
     //!   and to `R`, and as `R` with `V = 0`.
@@ -377,7 +376,7 @@ mod reference {
 
     use super::*;
     use crate::params::Kgc;
-    use crate::security::mccls_type2_forgery;
+    use crate::security::{mccls_signature_reuse_forgery, mccls_type2_forgery};
     use mccls_pairing::{pairing, G1Affine, G2Affine};
     use mccls_rng::rngs::StdRng;
     use mccls_rng::SeedableRng;
@@ -560,6 +559,17 @@ mod reference {
             &msg,
             forged,
         );
+        let reused =
+            mccls_signature_reuse_forgery(params, &keys.public, &msg, &sig, TYPE1_MESSAGE, rng)
+                .expect("an honest signature's challenge inverts");
+        add(
+            "signature reuse forgery".into(),
+            Points::Subgroup,
+            &id,
+            keys.public,
+            TYPE1_MESSAGE,
+            reused,
+        );
         let identity_key = UserPublicKey {
             primary: G2Projective::identity(),
             secondary: None,
@@ -619,7 +629,7 @@ mod reference {
         let scheme = McCls::new();
         let (params, kgc) = scheme.setup(&mut rng);
         let cases = corpus(&params, &kgc, &mut rng);
-        assert_eq!(cases.len(), 677);
+        assert_eq!(cases.len(), 678);
         let mut targets = std::collections::HashMap::new();
         let mut accepted = Vec::new();
         let mut shifted = Vec::new();
@@ -653,6 +663,9 @@ mod reference {
         }
         let mut expected: Vec<String> = (0..16).map(|i| format!("node-{i} valid")).collect();
         expected.push("Type II forgery".into());
+        // One observed signature signs any message for its signer, under
+        // the paper's equation as under the computed one.
+        expected.push("signature reuse forgery".into());
         // The order-3 point `U0` (x = 0) added to the honest `S`: the
         // pairing of an order-3 point is trivial, so both forms accept.
         // Only the decoders' subgroup check keeps it off the wire.

@@ -240,15 +240,14 @@ pub fn exp_gt(g: &Gt, k: &Fr) -> Gt {
 /// All `65 × 8` window entries are normalized with one shared field
 /// inversion (Montgomery's trick, [`mccls_pairing::Field::batch_invert`]
 /// via `batch_to_affine`), so the whole build counts a single
-/// `fp_inversions` — that bound is what the opcount gate certifies.
-// opcount-budget: tables.g1_table
+/// `fp_inversions` — the `[tables.g1_table]` budget that
+/// `opcount_certified.rs` checks at runtime.
 pub fn g1_table(base: &G1Projective) -> G1Table {
     FP_INVERSIONS.with(|c| c.set(c.get() + 1));
     G1Table::new(base)
 }
 
 /// Counted fixed-base G2 window-table construction (see [`g1_table`]).
-// opcount-budget: tables.g2_table
 pub fn g2_table(base: &G2Projective) -> G2Table {
     FP_INVERSIONS.with(|c| c.set(c.get() + 1));
     G2Table::new(base)

@@ -4,32 +4,34 @@
 //! for on the order of a million peers and serve concurrent verifiers.
 //! The single-threaded [`Verifier`](crate::Verifier) already caches the
 //! per-peer constant `e(Q_ID, P_pub)`; this module scales that cache
-//! out while keeping two properties the xtask `concurrency` lint
-//! certifies from source:
+//! out while keeping two properties:
 //!
 //! * **Lock discipline** — every map is guarded by exactly one
-//!   [`RwLock`], shard locks are never nested, and no guard is ever
-//!   live across a pairing, Miller loop, final exponentiation, or
-//!   scalar multiplication. All expensive group arithmetic happens
-//!   *before* a write lock is taken or *after* a read lock is dropped;
-//!   guards bracket `HashMap` access only.
+//!   [`RwLock`](std::sync::RwLock), owned by the private `Shard` type:
+//!   a guard lives only inside the closure given to `Shard::read` or
+//!   `Shard::write`, so no caller can return or store one. Shard locks
+//!   are never nested, and no guard is ever live across a pairing,
+//!   Miller loop, final exponentiation, or scalar multiplication: all
+//!   expensive group arithmetic happens *before* a write lock is taken
+//!   or *after* a read lock is dropped, and guards bracket `HashMap`
+//!   access only. Debug builds assert both on every section.
 //! * **Bounded residency** — each shard's cache is a `ClockMap`: a
 //!   capacity-bounded map with clock (second-chance) eviction, so a
 //!   churning mobile network cannot grow per-peer `Gt` state without
 //!   limit. The same structure bounds the single-threaded
 //!   [`Verifier`](crate::Verifier).
 //!
-//! Poisoned locks are *recovered*, not propagated: every critical
-//! section only performs map bookkeeping (no panicking operations and
-//! no multi-step invariants that a mid-section unwind could tear), so
-//! the data under a poisoned lock is still consistent and
-//! [`PoisonError::into_inner`] is safe. Refusing to serve verifications
-//! because an unrelated thread panicked would turn one fault into a
-//! mesh-wide denial of service.
+//! Poisoned locks are *recovered*, not propagated, in one place
+//! (`Shard`'s section runner): every critical section only performs
+//! map bookkeeping (no panicking operations and no multi-step
+//! invariants that a mid-section unwind could tear), so the data under
+//! a poisoned lock is still consistent and
+//! [`PoisonError::into_inner`](std::sync::PoisonError::into_inner) is
+//! safe. Refusing to serve verifications because an unrelated thread
+//! panicked would turn one fault into a mesh-wide denial of service.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{PoisonError, RwLock};
 
 use mccls_pairing::{G1Affine, G2Affine, Gt};
 use mccls_rng::RngCore;
@@ -40,6 +42,8 @@ use crate::mccls::McCls;
 use crate::params::{SystemParams, UserPublicKey};
 use crate::scheme::Signature;
 use crate::verify::VerifyError;
+
+use shard::Shard;
 
 /// Default shard count: enough to keep write contention negligible on
 /// any plausible core count without bloating an idle registry.
@@ -96,8 +100,8 @@ pub(crate) fn prepare_peer_entry(
 
 /// The shared warm-verify tail: recompute the equation's left side for
 /// `(public, msg, sig)` and compare it against the cached right side
-/// `e(Q_ID, P_pub)`. Both verifier handles end here, so the certified
-/// one-pairing budget is provably the same arithmetic in each.
+/// `e(Q_ID, P_pub)`. Both verifier handles end here, so the one-pairing
+/// budget is the same arithmetic in each.
 pub(crate) fn settle_cached_verification(
     public: &UserPublicKey,
     rhs: &Gt,
@@ -160,7 +164,7 @@ impl ClockMap {
     // graph resolves unqualified method calls by name, so reusing the
     // std collection vocabulary would alias every `.get(..)` in the
     // hash and pairing crates onto this map and pollute the
-    // interprocedural taint and lock-order analyses with false edges.
+    // interprocedural taint analysis with false edges.
 
     /// Number of resident entries.
     pub(crate) fn resident(&self) -> usize {
@@ -257,6 +261,87 @@ impl ClockMap {
     }
 }
 
+/// The one owner of the registry's locks.
+mod shard {
+    use std::cell::Cell;
+    use std::sync::{LockResult, PoisonError, RwLock};
+
+    use super::ClockMap;
+    use crate::ops;
+
+    thread_local! {
+        /// Whether this thread is inside a shard section (debug builds).
+        static HELD: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// One registry shard: a bounded peer map behind its own lock.
+    ///
+    /// The lock is private to this module, and a guard lives only for
+    /// the closure handed to [`Shard::read`] or [`Shard::write`], so no
+    /// caller can return a guard, store one, or keep it past the map
+    /// access. Debug builds also assert, on every section, that the
+    /// thread holds no other shard lock (a nested acquisition fails
+    /// instead of deadlocking) and that no counted group operation ran
+    /// under the guard.
+    #[derive(Debug)]
+    pub(super) struct Shard(RwLock<ClockMap>);
+
+    impl Shard {
+        pub(super) fn bounded(capacity: usize) -> Self {
+            Self(RwLock::new(ClockMap::bounded(capacity)))
+        }
+
+        /// Runs `f` on the map under the shard's read lock.
+        pub(super) fn read<T>(&self, f: impl FnOnce(&ClockMap) -> T) -> T {
+            section(|| self.0.read(), |map| f(&map))
+        }
+
+        /// Runs `f` on the map under the shard's write lock.
+        pub(super) fn write<T>(&self, f: impl FnOnce(&mut ClockMap) -> T) -> T {
+            section(|| self.0.write(), |mut map| f(&mut map))
+        }
+    }
+
+    /// Takes a guard with `take`, recovering a poisoned lock (see the
+    /// registry's module docs), and runs `body` on it. Release builds do only
+    /// that; debug builds check the section's two rules around it.
+    fn section<G, T>(take: impl FnOnce() -> LockResult<G>, body: impl FnOnce(G) -> T) -> T {
+        let run = || body(take().unwrap_or_else(PoisonError::into_inner));
+        if !cfg!(debug_assertions) {
+            return run();
+        }
+        let _held = Held::enter();
+        let before = ops::snapshot();
+        let out = run();
+        assert_eq!(
+            ops::snapshot(),
+            before,
+            "group arithmetic ran under a shard lock"
+        );
+        out
+    }
+
+    /// Marks this thread as inside a section until dropped, unwinding
+    /// included.
+    struct Held;
+
+    impl Held {
+        fn enter() -> Self {
+            assert!(
+                !HELD.replace(true),
+                "a shard lock was taken while another is held"
+            );
+            Held
+        }
+    }
+
+    impl Drop for Held {
+        fn drop(&mut self) {
+            HELD.set(false);
+        }
+    }
+}
+
 /// Version byte of the warm-cache snapshot wire format.
 pub const WARM_SNAPSHOT_VERSION: u8 = 1;
 
@@ -316,10 +401,10 @@ fn shard_hash(id: &[u8]) -> u64 {
 /// A sharded, thread-safe McCLS verification registry.
 ///
 /// `N` shards each guard a bounded `ClockMap` with their own
-/// [`RwLock`]; a peer lives in exactly one shard (by FNV-1a of its
-/// identity), so no operation ever holds two shard locks and the
-/// statically certified lock order is trivially acyclic. Verification
-/// reads take the shard lock *only* to copy out the cached
+/// [`RwLock`](std::sync::RwLock); a peer lives in exactly one shard (by
+/// FNV-1a of its identity), so no operation ever holds two shard locks
+/// and the lock order is trivially acyclic. Verification reads take the
+/// shard lock *only* to copy out the cached
 /// `(public key, e(Q_ID, P_pub))` pair — the Miller loop and final
 /// exponentiation run after the guard is dropped, which is what keeps
 /// the lock hold time in the nanoseconds while a verification costs
@@ -355,7 +440,7 @@ fn shard_hash(id: &[u8]) -> u64 {
 #[derive(Debug)]
 pub struct ShardedVerifier {
     params: SystemParams,
-    shards: Vec<RwLock<ClockMap>>,
+    shards: Vec<Shard>,
 }
 
 impl ShardedVerifier {
@@ -374,7 +459,7 @@ impl ShardedVerifier {
         // are built at service start-up, not on the packet hot path.
         let _ = params.prepared_p_pub();
         let shards = (0..shards.max(1))
-            .map(|_| RwLock::new(ClockMap::bounded(shard_capacity)))
+            .map(|_| Shard::bounded(shard_capacity))
             .collect();
         Self { params, shards }
     }
@@ -387,32 +472,23 @@ impl ShardedVerifier {
     /// The configured residency bound: no more than this many peers are
     /// ever cached at once.
     pub fn capacity(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).bound())
-            .sum()
+        self.shards.iter().map(|s| s.read(ClockMap::bound)).sum()
     }
 
     /// Number of currently cached peers, summed across shards. Racy by
     /// nature under concurrent registration, but never above
     /// [`ShardedVerifier::capacity`].
     pub fn peer_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).resident())
-            .sum()
+        self.shards.iter().map(|s| s.read(ClockMap::resident)).sum()
     }
 
     /// Whether a public key is currently cached for `id`.
     pub fn knows_peer(&self, id: &[u8]) -> bool {
-        self.shard(id)
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .has_peer(id)
+        self.shard(id).read(|map| map.has_peer(id))
     }
 
     /// The shard owning `id`.
-    fn shard(&self, id: &[u8]) -> &RwLock<ClockMap> {
+    fn shard(&self, id: &[u8]) -> &Shard {
         let idx = (shard_hash(id) % self.shards.len() as u64) as usize;
         &self.shards[idx]
     }
@@ -421,24 +497,17 @@ impl ShardedVerifier {
     /// pairing `e(Q_ID, P_pub)` that later verifications reuse.
     ///
     /// The pairing is computed *before* the shard's write lock is
-    /// taken (the `concurrency` lint rejects the opposite order), so
-    /// the lock is held only for the map insert and a possible clock
-    /// eviction. Two threads racing to register the same peer both
-    /// compute the same constant; last write wins and the registry
-    /// stays consistent.
+    /// taken (a debug build's `Shard` section fails on the opposite
+    /// order), so the lock is held only for the map insert and a
+    /// possible clock eviction. Two threads racing to register the same
+    /// peer both compute the same constant; last write wins and the
+    /// registry stays consistent.
     ///
     /// Rejects keys containing the group identity up front — they would
     /// make every later pairing against them trivially constant.
-    // opcount-budget: registry.register_peer
     pub fn register_peer(&self, id: &[u8], public: UserPublicKey) -> Result<(), VerifyError> {
         let peer = prepare_peer_entry(&self.params, id, public)?;
-        // Poisoning is recovered, not propagated (see module docs): the
-        // critical section below is pure map bookkeeping.
-        let mut shard = self
-            .shard(id)
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        shard.admit(id, peer);
+        self.shard(id).write(|map| map.admit(id, peer));
         Ok(())
     }
 
@@ -449,16 +518,8 @@ impl ShardedVerifier {
     /// scalar multiplication — and none of it runs under the shard
     /// lock: the read guard lives only long enough to copy the 16-limb
     /// cached `Gt` and the public key out of the map.
-    // opcount-budget: registry.verify
     pub fn verify(&self, id: &[u8], msg: &[u8], sig: &Signature) -> Result<(), VerifyError> {
-        let cached = {
-            let shard = self
-                .shard(id)
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
-            shard.peek(id).map(|peer| (peer.public, peer.rhs))
-        };
-        let Some((public, rhs)) = cached else {
+        let Some((public, rhs)) = self.warm_entry(id) else {
             return Err(VerifyError::UnknownPeer);
         };
         settle_cached_verification(&public, &rhs, msg, sig)
@@ -484,13 +545,9 @@ impl ShardedVerifier {
         msg: &[u8],
         sig: &Signature,
     ) -> Result<(), VerifyError> {
-        let cached_matches = {
-            let shard = self
-                .shard(id)
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
-            shard.peek(id).is_some_and(|peer| peer.public == *public)
-        };
+        let cached_matches = self
+            .shard(id)
+            .read(|map| map.peek(id).is_some_and(|peer| peer.public == *public));
         if !cached_matches {
             self.register_peer(id, *public)?;
         }
@@ -530,11 +587,7 @@ impl ShardedVerifier {
     pub fn export_warm(&self) -> Vec<u8> {
         let mut peers: Vec<(Vec<u8>, UserPublicKey)> = Vec::new();
         for shard in &self.shards {
-            let copied = shard
-                .read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .resident_peers();
-            peers.extend(copied);
+            peers.extend(shard.read(ClockMap::resident_peers));
         }
         peers.sort_by(|a, b| a.0.cmp(&b.0));
         let mut out = vec![WARM_SNAPSHOT_VERSION];
@@ -633,11 +686,7 @@ impl VerifierBackend for ShardedVerifier {
     }
 
     fn expel_peer(&mut self, id: &[u8]) -> bool {
-        let mut shard = self
-            .shard(id)
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        shard.expel(id)
+        self.shard(id).write(|map| map.expel(id))
     }
 
     fn peer_registered(&self, id: &[u8]) -> bool {
@@ -661,11 +710,8 @@ impl VerifierBackend for ShardedVerifier {
     // The entry was admitted by `register_peer`, which rejected identity
     // components and computed the `Gt` itself.
     fn warm_entry(&self, id: &[u8]) -> Option<(UserPublicKey, Gt)> {
-        let shard = self
-            .shard(id)
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        shard.peek(id).map(|peer| (peer.public, peer.rhs))
+        self.shard(id)
+            .read(|map| map.peek(id).map(|peer| (peer.public, peer.rhs)))
     }
 }
 
@@ -698,6 +744,24 @@ mod tests {
     fn registry_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ShardedVerifier>();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a shard lock was taken while another is held")]
+    fn nested_shard_sections_fail_in_debug_builds() {
+        // Two shards, so the inner section could not even block: the
+        // thread's flag, not a deadlock, is what fails.
+        let (outer, inner) = (Shard::bounded(1), Shard::bounded(1));
+        outer.read(|_| inner.read(ClockMap::resident));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "group arithmetic ran under a shard lock")]
+    fn group_arithmetic_under_a_shard_lock_fails_in_debug_builds() {
+        let shard = Shard::bounded(1);
+        shard.write(|_| ops::hash_to_g1(b"alice", b"registry-test"));
     }
 
     #[test]

@@ -16,12 +16,18 @@
 //! scheme faithfully lets us *refute* that claim constructively:
 //! [`mccls_type2_forgery`] builds, from the master secret alone, a
 //! signature on any message that verifies under any user's public key —
-//! see the module tests and `EXPERIMENTS.md`. The Type I theorem is not
-//! contradicted by any strategy in this harness.
+//! see the module tests and `EXPERIMENTS.md`.
+//!
+//! The Type I theorem (Theorem 1) fails too, to a weaker adversary than
+//! Type I: [`mccls_signature_reuse_forgery`] turns one observed McCLS
+//! signature into a signature on any message for the same signer, with
+//! no secret and no key replacement. The generic strategies of
+//! [`run_type1_game`] do not find it; the baselines resist all of them.
 
 use mccls_pairing::{Fr, G1Projective, G2Projective};
 use mccls_rng::RngCore;
 
+use crate::mccls::McCls;
 use crate::params::{h2_scalar, Kgc, SystemParams, UserPublicKey};
 use crate::scheme::{CertificatelessScheme, Signature};
 
@@ -256,11 +262,56 @@ pub fn mccls_type2_forgery(
     Signature::McCls { v, s: d_id, r }
 }
 
+/// Forges McCLS signatures on any message from one observed signature
+/// of the same signer; refutes the paper's Theorem 1 without a key
+/// replacement.
+///
+/// `McCls::sign` publishes `V = h·r` next to `R = (r - x)·P`, and the
+/// challenge `h = H2(M, R, P_ID)` is public. From `σ = (V, S, R)` on
+/// `observed_msg` anyone recovers `r = V·h⁻¹` and `x·P = r·P - R`, then
+/// picks any `r'` and outputs, for `msg`:
+///
+/// * `R' = r'·P - x·P`,
+/// * `V' = H2(msg, R', P_ID)·r'`,
+/// * `S' = S`, which no message changes.
+///
+/// Verification computes `(V'·h'⁻¹)·P - R' = r'·P - R' = x·P` and
+/// `e(S, x·P) = e(Q_ID, P_pub)`, as for the observed signature. `None`
+/// when `observed` is not a McCLS signature or its challenge has no
+/// inverse.
+pub fn mccls_signature_reuse_forgery(
+    params: &SystemParams,
+    public: &UserPublicKey,
+    observed_msg: &[u8],
+    observed: &Signature,
+    msg: &[u8],
+    rng: &mut dyn RngCore,
+) -> Option<Signature> {
+    let Signature::McCls { v, s, r } = observed else {
+        return None;
+    };
+    let h_inv = McCls::challenge(observed_msg, r, public).invert()?;
+    let x_p = params.p().mul_scalar(&v.mul(&h_inv)).sub(r);
+    let r_new = Fr::random_nonzero(rng);
+    // ct-ok: the forger's own nonce; the game measures forgeability,
+    // not timing
+    // taint-public: R' of the forged signature is published to the verifier
+    let r_point = params.p().mul_scalar(&r_new).sub(&x_p);
+    let h = McCls::challenge(msg, &r_point, public);
+    // taint-public: V' of the forged signature is published to the verifier
+    let v_new = h.mul(&r_new);
+    Some(Signature::McCls {
+        v: v_new,
+        s: *s,
+        r: r_point,
+    })
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
-    use crate::{Ap, McCls, Yhg, Zwxf};
+    use crate::{Ap, VerifyError, Yhg, Zwxf};
     use mccls_rng::SeedableRng;
 
     fn schemes() -> Vec<Box<dyn CertificatelessScheme>> {
@@ -359,6 +410,65 @@ mod tests {
                 )
                 .is_ok(),
             "the Type II forgery must verify — McCLS's Theorem 2 does not hold"
+        );
+    }
+
+    #[test]
+    fn mccls_signature_reuse_forgery_verifies() {
+        // One observed signature on one message signs three others for
+        // the same signer; the paper's Theorem 1 does not hold.
+        let mut rng = mccls_rng::rngs::StdRng::seed_from_u64(95);
+        let scheme = McCls::new();
+        let (params, kgc) = scheme.setup(&mut rng);
+        let partial = kgc.extract_partial_private_key(b"victim");
+        let keys = scheme.generate_key_pair(&params, &mut rng);
+        let observed = scheme.sign(&params, b"victim", &partial, &keys, b"hello", &mut rng);
+        for msg in [&b"route reply: via me"[..], b"", b"hello"] {
+            let forged = mccls_signature_reuse_forgery(
+                &params,
+                &keys.public,
+                b"hello",
+                &observed,
+                msg,
+                &mut rng,
+            )
+            .unwrap();
+            assert_ne!(forged, observed);
+            assert_eq!(
+                scheme.verify(&params, b"victim", &keys.public, msg, &forged),
+                Ok(()),
+                "the reuse forgery must verify — McCLS's Theorem 1 does not hold"
+            );
+        }
+    }
+
+    #[test]
+    fn mccls_signature_reuse_forgery_needs_the_victims_signature() {
+        // Built from another identity's signature, the forgery carries
+        // that identity's `S` and fails for the victim.
+        let mut rng = mccls_rng::rngs::StdRng::seed_from_u64(96);
+        let scheme = McCls::new();
+        let (params, kgc) = scheme.setup(&mut rng);
+        let keys = scheme.generate_key_pair(&params, &mut rng);
+        let other = kgc.extract_partial_private_key(b"bystander");
+        let observed = scheme.sign(&params, b"bystander", &other, &keys, b"hello", &mut rng);
+        let forged = mccls_signature_reuse_forgery(
+            &params,
+            &keys.public,
+            b"hello",
+            &observed,
+            b"msg",
+            &mut rng,
+        )
+        .unwrap();
+        assert_eq!(
+            scheme.verify(&params, b"victim", &keys.public, b"msg", &forged),
+            Err(VerifyError::PairingMismatch)
+        );
+        assert_eq!(
+            scheme.verify(&params, b"bystander", &keys.public, b"msg", &forged),
+            Ok(()),
+            "the forgery is the bystander's"
         );
     }
 

@@ -181,7 +181,6 @@ impl Verifier {
     ///
     /// Rejects keys containing the group identity up front — they would
     /// make every later pairing against them trivially constant.
-    // opcount-budget: verifier.register_peer
     pub fn register_peer(&mut self, id: &[u8], public: UserPublicKey) -> Result<(), VerifyError> {
         let peer = prepare_peer_entry(&self.params, id, public)?;
         self.peers.admit(id, peer);
@@ -209,7 +208,6 @@ impl Verifier {
     /// With the peer registered this is the paper's Table 1 hot path:
     /// one pairing (one Miller loop, one final exponentiation) and one
     /// fixed-base G2 scalar multiplication.
-    // opcount-budget: verifier.verify
     pub fn verify(&self, id: &[u8], msg: &[u8], sig: &Signature) -> Result<(), VerifyError> {
         let entry = self.peers.peek(id).ok_or(VerifyError::UnknownPeer)?;
         settle_cached_verification(&entry.public, &entry.rhs, msg, sig)

@@ -78,7 +78,6 @@ impl CertificatelessScheme for Yhg {
         }
     }
 
-    // opcount-budget: yhg.sign
     fn sign(
         &self,
         params: &SystemParams,
@@ -107,7 +106,6 @@ impl CertificatelessScheme for Yhg {
         Signature::Yhg { u, v }
     }
 
-    // opcount-budget: yhg.verify
     fn verify(
         &self,
         params: &SystemParams,

@@ -95,7 +95,6 @@ impl CertificatelessScheme for Zwxf {
         }
     }
 
-    // opcount-budget: zwxf.sign
     fn sign(
         &self,
         params: &SystemParams,
@@ -118,7 +117,6 @@ impl CertificatelessScheme for Zwxf {
         Signature::Zwxf { u, v }
     }
 
-    // opcount-budget: zwxf.verify
     fn verify(
         &self,
         params: &SystemParams,

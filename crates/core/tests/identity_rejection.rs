@@ -13,7 +13,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mccls_core::{
-    Ap, CertificatelessScheme, McCls, Signature, UserPublicKey, Verifier, VerifyError, Yhg, Zwxf,
+    ops, Ap, CertificatelessScheme, McCls, Signature, UserPublicKey, Verifier, VerifyError, Yhg,
+    Zwxf,
 };
 use mccls_pairing::{G1Projective, G2Projective};
 use mccls_rng::SeedableRng;
@@ -126,13 +127,14 @@ fn identity_secondary_public_key_is_rejected_by_ap() {
 fn identity_signature_components_are_rejected_by_all_schemes() {
     for f in fixtures() {
         for bad in identity_component_variants(&f.sig) {
-            assert_eq!(
+            let (res, counts) = ops::measure(|| {
                 f.scheme
-                    .verify(&f.params, b"alice", &f.public, b"msg", &bad),
-                Err(VerifyError::IdentityPoint),
-                "{}",
-                f.scheme.name()
-            );
+                    .verify(&f.params, b"alice", &f.public, b"msg", &bad)
+            });
+            assert_eq!(res, Err(VerifyError::IdentityPoint), "{}", f.scheme.name());
+            // Rejected before any pairing work, as the module doc says.
+            let pairing_work = (counts.pairings, counts.miller_loops, counts.final_exps);
+            assert_eq!(pairing_work, (0, 0, 0), "{}", f.scheme.name());
         }
     }
 }

@@ -1,17 +1,18 @@
-//! Runtime cross-check of the statically certified operation budgets.
+//! Runtime check of the operation budgets in `opcount-budgets.toml`.
 //!
-//! The xtask `opcount` lint proves a *static worst-case* bound for
-//! every entry in `opcount-budgets.toml`; this test proves the
-//! *runtime* counters land on exactly the same numbers, closing the
-//! loop: budget file == static certification == measured execution.
-//! If any of the three drifts, either this test or the gate fails.
+//! Each budgeted path runs once under the thread-local counters of
+//! `mccls_core::ops`, and every counter must equal its budget exactly:
+//! an extra pairing fails here, and so does a budget left loose. Each
+//! verify path also runs on a tampered message, so a rejection pays
+//! exactly what an acceptance does. The `table1` bench bin reads the
+//! same file and refuses to print a row whose counts disagree.
 
 // Tests may panic freely; that is how they fail.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
 use mccls_core::{
     all_schemes, batch_verify, ops, BatchItem, CertificatelessScheme, Kgc, ShardedVerifier,
-    Signature, UserKeyPair, Verifier,
+    Signature, UserKeyPair, Verifier, VerifyError,
 };
 use mccls_rng::rngs::StdRng;
 use mccls_rng::SeedableRng;
@@ -38,9 +39,7 @@ fn assert_matches(entry: &BudgetEntry, counts: &ops::OpCounts, n: u64, what: &st
         counts.fp_inversions,
     ];
     for (slot, name) in mccls_xtask::opcount::COUNTERS.iter().enumerate() {
-        let certified = entry.budget.0[slot]
-            .eval(n)
-            .unwrap_or_else(|| panic!("certified budget `{}` is bounded", entry.key));
+        let certified = entry.budget.0[slot].eval(n);
         assert_eq!(
             measured[slot], certified,
             "{what}: measured {name} diverges from certified budget `{}`",
@@ -48,6 +47,10 @@ fn assert_matches(entry: &BudgetEntry, counts: &ops::OpCounts, n: u64, what: &st
         );
     }
 }
+
+/// A message no signature in this file signs: every verify path must
+/// reject it at the same cost as an accepted one.
+const TAMPERED: &[u8] = b"route reply: 10.0.0.7 via 2 hops";
 
 struct Signer {
     id: Vec<u8>,
@@ -108,6 +111,16 @@ fn every_scheme_measures_exactly_its_certified_budget() {
             .get(&format!("{key}.verify"))
             .unwrap_or_else(|| panic!("budget `{key}.verify` exists"));
         assert_matches(verify_entry, &verify_counts, 0, scheme.name());
+
+        let (res, tampered_counts) =
+            ops::measure(|| scheme.verify(params, &signer.id, &signer.keys.public, TAMPERED, &sig));
+        assert_eq!(res, Err(VerifyError::PairingMismatch), "{}", scheme.name());
+        assert_matches(
+            verify_entry,
+            &tampered_counts,
+            0,
+            &format!("{} rejection", scheme.name()),
+        );
     }
 }
 
@@ -118,7 +131,7 @@ fn mccls_meets_its_table1_row() {
     // zero pairings.
     let budgets = committed_budgets();
     let sign = budgets.get("mccls.sign").expect("mccls.sign entry");
-    let eval = |slot: usize| sign.budget.0[slot].eval(0).expect("bounded");
+    let eval = |slot: usize| sign.budget.0[slot].eval(0);
     assert_eq!(eval(0), 0, "sign pairings");
     assert_eq!(eval(1), 0, "sign Miller loops");
     assert_eq!(eval(3) + eval(4), 2, "sign scalar multiplications");
@@ -128,7 +141,7 @@ fn mccls_meets_its_table1_row() {
     let warm = budgets
         .get("verifier.verify")
         .expect("verifier.verify entry");
-    let eval = |slot: usize| warm.budget.0[slot].eval(0).expect("bounded");
+    let eval = |slot: usize| warm.budget.0[slot].eval(0);
     assert_eq!(eval(0), 1, "warm verify pairings");
     assert_eq!(eval(1), 1, "warm verify Miller loops");
     assert_eq!(eval(2), 1, "warm verify final exponentiations");
@@ -166,6 +179,10 @@ fn stateful_verifier_paths_measure_their_certified_budgets() {
         .get("verifier.verify")
         .expect("verifier.verify entry");
     assert_matches(warm, &warm_counts, 0, "warm verification");
+
+    let (res, tampered_counts) = ops::measure(|| verifier.verify(&signer.id, TAMPERED, &sig));
+    assert_eq!(res, Err(VerifyError::PairingMismatch));
+    assert_matches(warm, &tampered_counts, 0, "warm rejection");
 }
 
 #[test]
@@ -201,6 +218,10 @@ fn sharded_registry_paths_measure_their_certified_budgets() {
         .expect("registry.verify entry");
     assert_matches(warm, &warm_counts, 0, "sharded warm verification");
 
+    let (res, tampered_counts) = ops::measure(|| registry.verify(&signer.id, TAMPERED, &sig));
+    assert_eq!(res, Err(VerifyError::PairingMismatch));
+    assert_matches(warm, &tampered_counts, 0, "sharded warm rejection");
+
     // Sharding must not change the arithmetic: the registry's warm and
     // cold budgets are the single-threaded verifier's, counter for
     // counter.
@@ -224,8 +245,7 @@ fn sharded_registry_paths_measure_their_certified_budgets() {
 fn table_builders_measure_their_certified_inversion_budget() {
     // The counted table builders promise one shared base-field
     // inversion per build (Montgomery's trick), whatever the window
-    // count. The static gate certifies the same "1" over the call
-    // graph; here the runtime counter lands on it too.
+    // count.
     let budgets = committed_budgets();
     use mccls_pairing::{G1Projective, G2Projective};
 

@@ -2,12 +2,14 @@
 //!
 //! Scoped workers hammer `register_peer`/`verify`/`verify_with_key`
 //! across all shards while churn forces clock eviction, under a
-//! wall-clock watchdog: the statically certified lock-order acyclicity
-//! (xtask `concurrency` lint) predicts the registry cannot deadlock,
-//! and this test would catch the analysis being wrong at runtime. Every
-//! concurrent verdict is also cross-checked bit-for-bit against the
-//! single-threaded [`Verifier`], and residency must never exceed the
-//! configured bound.
+//! wall-clock watchdog. The registry's private `Shard` type keeps every
+//! guard inside one map access, and in debug builds asserts on each
+//! section that the thread holds no other shard lock and runs no
+//! counted group operation, so a nested acquisition fails instead of
+//! hanging; the watchdog catches any deadlock those assertions miss.
+//! Every concurrent verdict is also cross-checked bit-for-bit against
+//! the single-threaded [`Verifier`], and residency must never exceed
+//! the configured bound.
 //!
 //! The CI nightly job additionally runs this file under
 //! ThreadSanitizer (`RUSTFLAGS=-Zsanitizer=thread`), which turns the
@@ -63,8 +65,7 @@ fn build_world(peers: usize) -> (SystemParams, Vec<Peer>) {
 }
 
 /// Runs `body` on a helper thread and fails the test if it does not
-/// finish inside [`WATCHDOG`] — the runtime net under the statically
-/// proven deadlock-freedom.
+/// finish inside [`WATCHDOG`] — the net under the `Shard` assertions.
 fn with_deadlock_watchdog(body: impl FnOnce() + Send + 'static) {
     let (done, woken) = mpsc::channel();
     let runner = std::thread::spawn(move || {
@@ -75,8 +76,9 @@ fn with_deadlock_watchdog(body: impl FnOnce() + Send + 'static) {
     match woken.recv_timeout(WATCHDOG) {
         Ok(()) => runner.join().expect("stress body panicked"),
         Err(_) => panic!(
-            "stress run exceeded {WATCHDOG:?}: likely deadlock — the \
-             lock-order certification and the runtime disagree"
+            "stress run exceeded {WATCHDOG:?}: likely deadlock — a registry \
+             section waited on a lock its own thread holds, or two threads \
+             wait on each other"
         ),
     }
 }
@@ -188,7 +190,7 @@ fn concurrent_churn_never_exceeds_the_residency_bound() {
 fn panicking_worker_does_not_disrupt_service() {
     // One worker unwinds mid-run while others keep using the same
     // shard. Guards never escape the registry's own bookkeeping (the
-    // `concurrency` lint forbids returned or stored guards), so a
+    // private `Shard` type keeps each inside one closure), so a
     // client panic can never poison a shard lock from outside — and a
     // poisoned lock from a hypothetical internal panic is recovered via
     // `PoisonError::into_inner` (see the module docs on `registry`).

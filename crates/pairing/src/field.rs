@@ -54,7 +54,8 @@ pub trait Field: Copy + Clone + core::fmt::Debug + PartialEq + Eq + Send + Sync 
     /// Three multiplications per element replace one inversion each, so
     /// mass normalization (`batch_to_affine`, fixed-base table
     /// construction) pays for exactly one `invert` no matter how long
-    /// the slice is — the opcount gate certifies that bound.
+    /// the slice is — the `tables.*` budgets of `opcount-budgets.toml`
+    /// count it at runtime.
     fn batch_invert(slice: &mut [Self]) {
         // Prefix products of the nonzero entries.
         let mut prefix = Vec::with_capacity(slice.len());

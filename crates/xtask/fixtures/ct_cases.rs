@@ -94,3 +94,20 @@ fn first_let_in_if_let_public(msg: &[u8], hint: Option<u8>) -> bool {
     }
     false
 }
+
+impl G1 {
+    /// Variable-time by contract, like the pairing frontends: the call
+    /// graph resolves calls to it, so the sink rule applies to them.
+    fn pair(&self, q: &G2) -> Gt {
+        miller(self, q)
+    }
+}
+
+/// A secret-carrying receiver handed to a variable-time call, its chain
+/// split over lines the way rustfmt writes a long chain.
+fn split_chain_sink(keys: &KeyPair, q: &G2) -> Gt {
+    keys.partial
+        .secret
+        .to_point()
+        .pair(q) // finding: the receiver chain reads `keys.partial.secret`
+}

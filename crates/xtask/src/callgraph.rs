@@ -98,47 +98,6 @@ impl CallGraph {
     pub fn named(&self, name: &str) -> &[usize] {
         self.by_name.get(name).map_or(&[], Vec::as_slice)
     }
-
-    /// The reverse adjacency list: callers of each node.
-    pub fn reverse_edges(&self) -> Vec<Vec<usize>> {
-        let mut rev = vec![Vec::new(); self.nodes.len()];
-        for (ni, out) in self.edges.iter().enumerate() {
-            for e in out {
-                rev[e.callee].push(ni);
-            }
-        }
-        rev
-    }
-
-    /// Strongly connected components of the whole graph, callees first
-    /// (see [`sccs`]).
-    pub fn sccs(&self) -> Vec<Vec<usize>> {
-        let succ: Vec<Vec<usize>> = self
-            .edges
-            .iter()
-            .map(|out| out.iter().map(|e| e.callee).collect())
-            .collect();
-        sccs(&succ)
-    }
-
-    /// True per node when it sits on a call cycle: in a non-trivial SCC
-    /// or carrying a self-edge (direct recursion).
-    pub fn cyclic_nodes(&self) -> Vec<bool> {
-        let mut cyclic = vec![false; self.nodes.len()];
-        for component in self.sccs() {
-            if component.len() > 1 {
-                for ni in component {
-                    cyclic[ni] = true;
-                }
-            }
-        }
-        for (ni, out) in self.edges.iter().enumerate() {
-            if out.iter().any(|e| e.callee == ni) {
-                cyclic[ni] = true;
-            }
-        }
-        cyclic
-    }
 }
 
 /// Applies the qualifier filter: keep candidates that answer to the
@@ -475,28 +434,22 @@ mod tests {
             "fn top() { ping(); }\nfn ping() { pong(); }\nfn pong() { ping(); leaf(); }\n\
              fn leaf() {}\nfn rec() { rec(); }\n",
         )]);
-        let cyclic = g.cyclic_nodes();
+        let succ: Vec<Vec<usize>> = g
+            .edges
+            .iter()
+            .map(|out| out.iter().map(|e| e.callee).collect())
+            .collect();
+        let components = sccs(&succ);
         let at = |name: &str| g.named(name)[0];
-        assert!(!cyclic[at("top")]);
-        assert!(cyclic[at("ping")] && cyclic[at("pong")], "mutual recursion");
-        assert!(!cyclic[at("leaf")]);
-        assert!(cyclic[at("rec")], "self-edge counts as a cycle");
+        let pos = |ni: usize| components.iter().position(|c| c.contains(&ni)).unwrap();
+        // Mutual recursion shares one component; a self-edge does not
+        // make one larger.
+        assert_eq!(pos(at("ping")), pos(at("pong")), "mutual recursion");
+        assert_eq!(components[pos(at("ping"))].len(), 2);
+        assert_eq!(components[pos(at("rec"))].len(), 1);
         // Reverse-topological emission: leaf's SCC before the
         // ping/pong SCC, which in turn precedes top's.
-        let sccs = g.sccs();
-        let pos = |ni: usize| sccs.iter().position(|c| c.contains(&ni)).unwrap();
         assert!(pos(at("leaf")) < pos(at("ping")));
-        assert_eq!(pos(at("ping")), pos(at("pong")));
         assert!(pos(at("ping")) < pos(at("top")));
-    }
-
-    #[test]
-    fn reverse_edges_invert_the_graph() {
-        let (_files, g) = graph_of(&[("a.rs", "fn a() { b(); }\nfn b() {}\n")]);
-        let rev = g.reverse_edges();
-        let a = g.named("a")[0];
-        let b = g.named("b")[0];
-        assert_eq!(rev[b], vec![a]);
-        assert!(rev[a].is_empty());
     }
 }

@@ -1,19 +1,21 @@
-//! The certification engine behind `opcount` and `complexity`.
+//! The certification engine behind `complexity`, and the budget-file
+//! grammar it shares with `opcount-budgets.toml`.
 //!
-//! Both lints certify a per-function value against a committed TOML
-//! budget: [`crate::opcount`] the Table 1 operation counts, and
-//! [`crate::complexity`] the simulator's asymptotic cost per event. They
-//! differ only in the lattice the value lives in, which a [`Lattice`]
-//! supplies; everything else is this one machine:
+//! The `complexity` lint certifies a per-function value, the
+//! simulator's asymptotic cost per event ([`crate::complexity`]),
+//! against a committed TOML budget. A [`Lattice`] supplies the values;
+//! everything else is this one machine:
 //!
 //! * **one budget grammar** ([`parse_budgets`]): `[a.b]` section
-//!   headers, `fn`/`impl` targets and the lattice's own value keys, as
-//!   `key = "value"` strings with `#` comments;
+//!   headers, `fn`/`impl` targets and the caller's own value keys, as
+//!   `key = "value"` strings with `#` comments. [`crate::opcount`]
+//!   reads the Table 1 budgets with it, which the tests check at
+//!   runtime;
 //! * **one marker rule** ([`read_marker`]): a declaration marker
-//!   (`// opcount-budget: <key>`, `// complexity: <class>`) opens a
-//!   `//` line in the comment/attribute run directly above the `fn`, or
-//!   trails code on the `fn` line itself. Doc prose that names a marker
-//!   is not a marker;
+//!   (`// complexity: <class>`) opens a `//` line in the
+//!   comment/attribute run directly above the `fn`, or trails code on
+//!   the `fn` line itself. Doc prose that names a marker is not a
+//!   marker;
 //! * **one propagation** ([`propagate`]): bottom-up over the call
 //!   graph's strongly connected components, callees first. The lattice
 //!   supplies each function's local value, which edges close cycles and
@@ -180,10 +182,16 @@ impl<V> Budgets<V> {
 
 /// Parses a budget file: a TOML subset of `[a.b]` section headers and
 /// `key = "value"` string assignments, with `#` comments. `fn` and
-/// `impl` name the target; every other key is the lattice's.
-pub fn parse_budgets<L: Lattice>(text: &str) -> Result<Budgets<L::Value>, String> {
+/// `impl` name the target; `assign` reads every other key into the
+/// entry's value (`None` when the key is unknown, an error when the
+/// text is no value), and each section must set every `required` key.
+pub fn parse_budgets<V: Default>(
+    text: &str,
+    required: &[&str],
+    assign: impl Fn(&mut V, &str, &str) -> Option<Result<(), String>>,
+) -> Result<Budgets<V>, String> {
     let mut budgets = Budgets::default();
-    let mut current: Option<(BudgetEntry<L::Value>, Vec<String>)> = None;
+    let mut current: Option<(BudgetEntry<V>, Vec<String>)> = None;
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
         let line = raw.split('#').next().unwrap_or("").trim();
@@ -199,13 +207,13 @@ pub fn parse_budgets<L: Lattice>(text: &str) -> Result<Budgets<L::Value>, String
                 return Err(format!("line {lineno}: empty section name"));
             }
             if let Some(done) = current.take() {
-                finish_entry::<L>(&mut budgets, done)?;
+                finish_entry(&mut budgets, required, done)?;
             }
             let entry = BudgetEntry {
                 key: key.to_owned(),
                 fn_name: String::new(),
                 owner: None,
-                budget: L::Value::default(),
+                budget: V::default(),
                 line: lineno,
             };
             current = Some((entry, Vec::new()));
@@ -227,7 +235,7 @@ pub fn parse_budgets<L: Lattice>(text: &str) -> Result<Budgets<L::Value>, String
         match k {
             "fn" => entry.fn_name = v.to_owned(),
             "impl" => entry.owner = Some(v.to_owned()),
-            _ => match L::assign(&mut entry.budget, k, v) {
+            _ => match assign(&mut entry.budget, k, v) {
                 None => return Err(format!("line {lineno}: unknown key `{k}`")),
                 Some(Err(err)) => return Err(format!("line {lineno}: {err}")),
                 Some(Ok(())) => keys.push(k.to_owned()),
@@ -235,14 +243,15 @@ pub fn parse_budgets<L: Lattice>(text: &str) -> Result<Budgets<L::Value>, String
         }
     }
     if let Some(done) = current.take() {
-        finish_entry::<L>(&mut budgets, done)?;
+        finish_entry(&mut budgets, required, done)?;
     }
     Ok(budgets)
 }
 
-fn finish_entry<L: Lattice>(
-    budgets: &mut Budgets<L::Value>,
-    (entry, keys): (BudgetEntry<L::Value>, Vec<String>),
+fn finish_entry<V>(
+    budgets: &mut Budgets<V>,
+    required: &[&str],
+    (entry, keys): (BudgetEntry<V>, Vec<String>),
 ) -> Result<(), String> {
     if entry.fn_name.is_empty() {
         return Err(format!(
@@ -250,7 +259,7 @@ fn finish_entry<L: Lattice>(
             entry.key, entry.line
         ));
     }
-    if let Some(k) = L::REQUIRED.iter().find(|k| !keys.iter().any(|s| s == *k)) {
+    if let Some(k) = required.iter().find(|k| !keys.iter().any(|s| s == *k)) {
         return Err(format!(
             "entry `{}` (line {}) is missing its `{k} = \"...\"` bound",
             entry.key, entry.line
@@ -281,7 +290,7 @@ pub fn check_committed<L: Lattice>(
         }]
     };
     match std::fs::read_to_string(root.join(L::BUDGET_FILE)) {
-        Ok(text) => match parse_budgets::<L>(&text) {
+        Ok(text) => match parse_budgets(&text, L::REQUIRED, L::assign) {
             Ok(budgets) => analyze(&budgets),
             Err(err) => at_file(format!("cannot parse budget file: {err}")),
         },

@@ -604,7 +604,7 @@ pub type Budgets = certify::Budgets<Class>;
 /// Parses a complexity budget file ([`certify::parse_budgets`]): each
 /// section sets `fn`, optionally `impl`, and a required `class`.
 pub fn parse_budgets(text: &str) -> Result<Budgets, String> {
-    certify::parse_budgets::<Classes<'_>>(text)
+    certify::parse_budgets(text, Classes::REQUIRED, Classes::assign)
 }
 
 /// Runs the certification over parsed files against the budgets.

@@ -226,7 +226,7 @@ pub fn match_brace(chars: &[char], open: usize) -> Option<usize> {
 
 /// Index of the `closer` matching the `opener` at `open`, counting only
 /// that delimiter pair.
-pub fn match_forward(chars: &[char], open: usize, opener: char, closer: char) -> Option<usize> {
+fn match_forward(chars: &[char], open: usize, opener: char, closer: char) -> Option<usize> {
     let mut depth = 0i32;
     for (j, &c) in chars.iter().enumerate().skip(open) {
         if c == opener {

@@ -1,6 +1,6 @@
 //! `mccls-xtask` — the workspace's static-analysis gate.
 //!
-//! `cargo run -p mccls-xtask -- check` runs four lints over the tree
+//! `cargo run -p mccls-xtask -- check` runs two lints over the tree
 //! and exits non-zero if any finding survives its suppression filter:
 //!
 //! * **ct** — no branching, indexing or variable-time call on secret
@@ -12,35 +12,18 @@
 //!   calls below `sign()` is caught like one branched on in `sign()`.
 //!   Suppress with `// ct-ok: <reason>`; a published protocol value is
 //!   declassified at its binding with `// taint-public: <reason>`.
-//! * **opcount** and **complexity** — two lattices over one
+//! * **complexity** ([`complexity`]) — certifies the simulation hot
+//!   path against `complexity-budgets.toml`: every function in
+//!   `crates/sim`/`crates/aodv` gets a big-O class (products of `nodes`
+//!   and `neighbors` factors) from its loop nests, and certifying the
+//!   per-event dispatch root at `neighbors` proves no node-quadratic
+//!   path is reachable from it. It is one lattice over the
 //!   certification engine ([`certify`]): one budget grammar, one marker
 //!   rule, one bottom-up propagation over call-graph SCCs, and one
 //!   equality check in which overruns, slack, unbounded paths, dead,
 //!   ambiguous or unmarked budget entries, and stale markers all fail
-//!   the gate. **opcount** ([`opcount`]) certifies the Table 1 budgets
-//!   of `opcount-budgets.toml`: a worst-case count of pairings, Miller
-//!   loops, final exponentiations, scalar multiplications, `Gt`
-//!   exponentiations, and hash-to-curve calls per budgeted entry point.
-//!   **complexity** ([`complexity`]) certifies the simulation hot path
-//!   against `complexity-budgets.toml`: every function in
-//!   `crates/sim`/`crates/aodv` gets a big-O class (products of
-//!   `nodes`, `neighbors`, and `log` factors) from its loop nests, and
-//!   certifying the per-event dispatch root at `neighbors` proves no
-//!   node-quadratic path is reachable from it. Suppress a reviewed loop
-//!   or call with `// complexity-ok: <reason>`.
-//! * **concurrency** — the lock-discipline pass ([`concurrency`]):
-//!   lock-acquisition order inferred from guard creation sites must be
-//!   acyclic (static deadlock detection across registry shards), no
-//!   guard may be live across a call whose certified cost includes a
-//!   pairing, Miller loop, final exponentiation, or scalar
-//!   multiplication (guards bracket map access only), and guards
-//!   returned from a function or stored in a struct are reported.
-//!   Suppress a reviewed site with `// lock-ok: <reason>`. The
-//!   Send/Sync boundary is left to rustc: the workspace lint table
-//!   forbids `unsafe` (no `unsafe impl Sync`, no `static mut` access),
-//!   `registry_is_send_and_sync` stops compiling on a non-`Sync` field,
-//!   and the deny-by-default `let_underscore_lock` rejects `let _ =
-//!   m.lock()`.
+//!   the gate. Suppress a reviewed loop or call with
+//!   `// complexity-ok: <reason>`.
 //!
 //! What rustc, clippy, cargo and the tests check, the gate does not. In
 //! the root `[workspace.lints.rust]` table, `unsafe_code = "forbid"`
@@ -53,16 +36,21 @@
 //! `Clone` and prints redacted (a compile-time assertion and a test in
 //! `mccls_core::params`), and every decoder's subgroup checks are pinned
 //! by the adversarial tests of `mccls-core` and `mccls-pairing`
-//! (DESIGN.md §8.2 has the catch table).
+//! (DESIGN.md §8.2 has the catch table). The Table 1 operation budgets
+//! of `opcount-budgets.toml`, which [`opcount`] parses, are checked at
+//! runtime on accepted and rejected inputs by
+//! `crates/core/tests/opcount_certified.rs` and the `table1` bench bin.
+//! The registry's lock discipline belongs to its private `Shard` type:
+//! no guard leaves it, and debug builds assert on every section that
+//! the thread holds no other shard lock and that no counted group
+//! operation runs under the guard (DESIGN.md §8.3 has the catch table).
 //!
 //! Every source lint reads one model, [`parser::ParsedFile`]: each file
-//! is scrubbed and parsed once into its `struct` items and `fn` items
-//! (with their calls, loop regions and `let` statements).
-//! [`check_workspace`] parses every crate a lint reads once
-//! ([`SOURCE_SCOPE`]), builds the crypto crates' call graph and
-//! certified operation costs once for `ct`, `opcount` and
-//! `concurrency`, and runs each row of the one lint table,
-//! [`report::LINTS`], which also drives the SARIF rules.
+//! is scrubbed and parsed once into its `fn` items (with their calls,
+//! loop regions and `let` statements). [`check_workspace`] parses every
+//! crate a lint reads once ([`SOURCE_SCOPE`]), builds the crypto
+//! crates' call graph once for `ct`, and runs each row of the one lint
+//! table, [`report::LINTS`], which also drives the SARIF rules.
 //!
 //! Suppression reasons are mandatory everywhere: a marker whose reason
 //! has no alphanumeric content is itself a finding.
@@ -73,7 +61,6 @@
 pub mod callgraph;
 pub mod certify;
 pub mod complexity;
-pub mod concurrency;
 pub mod ct_lint;
 pub mod lexer;
 pub mod opcount;
@@ -218,8 +205,7 @@ pub fn display_path(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// The cryptographic crates: they make the one call graph that `ct`,
-/// `opcount` and `concurrency` share.
+/// The cryptographic crates: they make the call graph `ct` reads.
 pub const CRYPTO_SCOPE: &[&str] = &["crates/hash", "crates/pairing", "crates/core"];
 
 /// Crates covered by the asymptotic-complexity certification: the
@@ -276,14 +262,12 @@ fn scope_run<'a>(parsed: &'a [ParsedFile], scope: &[&str]) -> &'a [ParsedFile] {
 }
 
 /// What the runners of [`report::LINTS`] read: the workspace root, one
-/// parse of [`SOURCE_SCOPE`], and the crypto crates' call graph and
-/// certified operation costs.
+/// parse of [`SOURCE_SCOPE`], and the crypto crates' call graph.
 pub struct Workspace<'a> {
     root: &'a Path,
     parsed: &'a [ParsedFile],
     crypto: &'a [ParsedFile],
     graph: &'a CallGraph,
-    costs: &'a [opcount::Cost],
 }
 
 impl Workspace<'_> {
@@ -299,13 +283,11 @@ pub fn check_workspace(root: &Path) -> Vec<Finding> {
     let parsed = parse_scope(root, SOURCE_SCOPE);
     let crypto = scope_run(&parsed, CRYPTO_SCOPE);
     let graph = CallGraph::build(crypto);
-    let costs = opcount::compute_costs(crypto, &graph);
     let workspace = Workspace {
         root,
         parsed: &parsed,
         crypto,
         graph: &graph,
-        costs: &costs,
     };
     let mut findings: Vec<Finding> = report::LINTS
         .iter()
@@ -342,7 +324,10 @@ mod tests {
             suppression_near(&lines, 6, "ct-ok:"),
             Suppression::MissingReason
         );
-        assert_eq!(suppression_near(&lines, 4, "lock-ok:"), Suppression::None);
+        assert_eq!(
+            suppression_near(&lines, 4, "complexity-ok:"),
+            Suppression::None
+        );
     }
 
     #[test]

@@ -83,7 +83,7 @@ fn run_check(root: &std::path::Path, format: Format) -> ExitCode {
         println!(
             "Fix the code, or suppress a reviewed site with \
              `// ct-ok: <reason>` / `// taint-public: <reason>` / \
-             `// lock-ok: <reason>` / `// complexity-ok: <reason>`."
+             `// complexity-ok: <reason>`."
         );
     }
     ExitCode::FAILURE

@@ -2,21 +2,18 @@
 //! source model every lint reads.
 //!
 //! Each file is scrubbed and parsed once. [`ParsedFile`] keeps the raw
-//! lines (for suppression markers), every `struct` item with its field
-//! text line by line (`concurrency`), and every `fn` item: its
-//! signature (with the owning `impl` type), parameter names and types,
-//! return type, every call expression with its receiver and argument
-//! texts, its loop and adaptor regions, its `let` statements and its
+//! lines (for suppression markers) and every `fn` item: its signature
+//! (with the owning `impl` type), parameter names and types, return
+//! type, every call expression with its receiver and argument texts,
+//! its loop and adaptor regions, its `let` statements and its
 //! assignments — all from scrubbed source, without a full Rust grammar.
 //!
 //! The `let` and assignment records are the one binder of the gate:
 //! each [`Let`] holds every name its pattern binds (plain, tuple,
 //! nested, `Some(..)`, struct and let-else patterns), its type
-//! annotation, its right-hand side and the lines that and its scope end
-//! on; each [`Assign`] holds the base name of a plain or compound
-//! assignment's place and its right-hand side. `ct` reads both
-//! ([`FnItem::bindings`]), and `opcount` and `concurrency` read the
-//! lets.
+//! annotation and its right-hand side; each [`Assign`] holds the base
+//! name of a plain or compound assignment's place and its right-hand
+//! side. `ct` reads both ([`FnItem::bindings`]).
 //!
 //! Deliberate approximations, documented in DESIGN.md §8:
 //!
@@ -32,8 +29,7 @@
 //!   the block they guard.
 
 use crate::lexer::{
-    self, contains_word, is_ident_char, match_back, match_brace, match_forward, match_paren,
-    prev_non_ws, skip_ws, starts_word_at,
+    self, is_ident_char, match_back, match_brace, match_paren, prev_non_ws, skip_ws, starts_word_at,
 };
 
 /// One parsed source file.
@@ -45,22 +41,6 @@ pub struct ParsedFile {
     pub raw_lines: Vec<String>,
     /// All `fn` items found in the file.
     pub fns: Vec<FnItem>,
-    /// All `struct` items found in the file.
-    pub structs: Vec<StructItem>,
-}
-
-/// A parsed `struct` item.
-#[derive(Debug)]
-pub struct StructItem {
-    /// The struct name.
-    pub name: String,
-    /// 1-based line the `struct` keyword sits on.
-    pub line: usize,
-    /// True when the item sits inside a `#[cfg(test)]`/`#[test]` span.
-    pub is_test: bool,
-    /// Scrubbed text between the body's `{}` or `()`, one entry per
-    /// source line as `(1-based line, text)`; empty for unit structs.
-    pub field_lines: Vec<(usize, String)>,
 }
 
 /// A `let` statement in a function body.
@@ -77,10 +57,6 @@ pub struct Let {
     pub line: usize,
     /// Right-hand-side text, from after `=` to the terminating `;`.
     pub rhs: String,
-    /// 1-based line of the terminating `;`.
-    pub rhs_end_line: usize,
-    /// 1-based line of the `}` closing the block the binding lives in.
-    pub scope_end_line: usize,
 }
 
 /// A plain (`x = e`) or compound (`t[j] += e`) assignment in a function
@@ -150,14 +126,13 @@ pub struct Call {
     /// True for `.name(...)` method-call syntax.
     pub is_method: bool,
     /// Receiver expression text for method calls (`keys.secret` in
-    /// `keys.secret.invert_ct()`).
+    /// `keys.secret.invert_ct()`, also when rustfmt splits the chain
+    /// over several lines), without whitespace.
     pub receiver: Option<String>,
     /// Argument expression texts, split on top-level commas.
     pub args: Vec<String>,
     /// 1-based source line of the call.
     pub line: usize,
-    /// How often the enclosing control flow can repeat this call.
-    pub ctx: LoopCtx,
 }
 
 /// What makes a [`Region`] repeat.
@@ -193,21 +168,6 @@ pub struct Region {
     pub source: String,
 }
 
-/// Execution multiplicity of a call site, derived from the loop and
-/// iterator-closure structure around it. Used by the operation-count
-/// analysis ([`crate::opcount`]) to scale atomic costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoopCtx {
-    /// Straight-line code: at most once per caller invocation.
-    Straight,
-    /// Inside exactly one `for` loop or iterator-adaptor closure: once
-    /// per item of a single collection (symbolic `n`).
-    PerItem,
-    /// Inside a `while`/`loop` or nested per-item contexts: no static
-    /// bound exists.
-    Unbounded,
-}
-
 impl ParsedFile {
     /// The raw source lines as string slices, for suppression lookup.
     pub(crate) fn lines(&self) -> Vec<&str> {
@@ -215,23 +175,7 @@ impl ParsedFile {
     }
 }
 
-impl StructItem {
-    /// Whether any field mentions `word` (on identifier boundaries).
-    pub fn mentions(&self, word: &str) -> bool {
-        self.field_lines.iter().any(|(_, t)| contains_word(t, word))
-    }
-}
-
 impl FnItem {
-    /// The parameter names that can carry taint (plain bindings only).
-    pub fn param_names(&self) -> Vec<&str> {
-        self.params
-            .iter()
-            .filter(|p| !p.name.is_empty())
-            .map(|p| p.name.as_str())
-            .collect()
-    }
-
     /// Every name the body's `let`s bind (`_` aside) and its assignments
     /// assign, as `(name, right-hand side, 1-based line)` in line order:
     /// the flow the `ct` lint follows.
@@ -250,15 +194,6 @@ impl FnItem {
         out.sort_by_key(|b| b.2);
         out
     }
-}
-
-/// Every non-test `struct` item of `files`, with the file it is in.
-pub fn non_test_structs(files: &[ParsedFile]) -> Vec<(&ParsedFile, &StructItem)> {
-    files
-        .iter()
-        .flat_map(|file| file.structs.iter().map(move |s| (file, s)))
-        .filter(|(_, s)| !s.is_test)
-        .collect()
 }
 
 /// Parses a batch of `(path, source)` pairs.
@@ -298,78 +233,12 @@ pub fn parse_file(path: &str, src: &str) -> ParsedFile {
         last_close = body_end;
         i += 2;
     }
-    let structs = structs(&chars, &scrubbed, &test_spans);
 
     ParsedFile {
         path: path.to_owned(),
         raw_lines: src.lines().map(str::to_owned).collect(),
         fns,
-        structs,
     }
-}
-
-/// Every `struct` item with its field text. A generic parameter list is
-/// skipped, so a bound like `F: Fn(u64)` is not read as a tuple body.
-fn structs(chars: &[char], scrubbed: &str, spans: &[(usize, usize)]) -> Vec<StructItem> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < chars.len() {
-        if !starts_word_at(chars, i, "struct") {
-            i += 1;
-            continue;
-        }
-        let line = lexer::line_of(scrubbed, i);
-        let mut j = skip_ws(chars, i + 6);
-        let name_start = j;
-        while j < chars.len() && is_ident_char(chars[j]) {
-            j += 1;
-        }
-        let name: String = chars[name_start..j].iter().collect();
-        i = j;
-        if name.is_empty() {
-            continue;
-        }
-        if chars.get(j) == Some(&'<') {
-            j = match_forward(chars, j, '<', '>').map_or(chars.len(), |c| c + 1);
-        }
-        // Body: the first `{` (named fields) or `(` (tuple fields)
-        // before a terminating `;` (unit struct).
-        let mut field_lines = Vec::new();
-        while j < chars.len() {
-            match chars[j] {
-                open @ ('{' | '(') => {
-                    let close = if open == '{' { '}' } else { ')' };
-                    let end = match_forward(chars, j, open, close)
-                        .unwrap_or(chars.len().saturating_sub(1));
-                    let mut lno = lexer::line_of(scrubbed, j);
-                    let mut text = String::new();
-                    for &c in chars.get(j + 1..end).unwrap_or_default() {
-                        if c == '\n' {
-                            field_lines.push((lno, std::mem::take(&mut text)));
-                            lno += 1;
-                        } else {
-                            text.push(c);
-                        }
-                    }
-                    if !text.is_empty() {
-                        field_lines.push((lno, text));
-                    }
-                    j = end;
-                    break;
-                }
-                ';' => break,
-                _ => j += 1,
-            }
-        }
-        out.push(StructItem {
-            name,
-            line,
-            is_test: lexer::in_spans(line, spans),
-            field_lines,
-        });
-        i = j.max(i) + 1;
-    }
-    out
 }
 
 /// `impl`/`trait` block spans: `(open_brace, close_brace, owner_type)`.
@@ -714,10 +583,10 @@ const NON_CALL_WORDS: &[&str] = &[
 ];
 
 /// Iterator adaptors whose closure argument runs once per item of the
-/// receiver collection. Anything not listed (e.g. `or_insert_with`,
-/// `get_or_init`, `Option::map`) is treated as straight-line — a
-/// documented under-approximation backstopped by the runtime op-count
-/// cross-check (DESIGN.md §8.3).
+/// receiver collection: each call to one is an adaptor [`Region`],
+/// which `complexity` counts when its receiver is iterable. A closure
+/// passed to anything else (e.g. `or_insert_with`, `get_or_init`) is
+/// straight-line code.
 pub const PER_ITEM_ADAPTORS: &[&str] = &[
     "map",
     "for_each",
@@ -741,7 +610,7 @@ fn scan_body(body: &str, body_line: usize) -> (Vec<Call>, Vec<Region>, Vec<Let>,
     }
     let line_at = |i: usize| body_line + newlines[i.min(chars.len())];
     let regions = regions(&chars, &line_at);
-    let calls = collect_calls(&chars, &regions, &line_at);
+    let calls = collect_calls(&chars, &line_at);
     let lets = lets(&chars, &line_at);
     let assigns = assigns(&chars, &line_at);
     (calls, regions, lets, assigns)
@@ -792,18 +661,11 @@ fn lets(chars: &[char], line_at: &dyn Fn(usize) -> usize) -> Vec<Let> {
         let names = pattern_names(&text(i + 3, colon.unwrap_or(eq)));
         match statement_end(chars, eq + 1) {
             Some(semi) if chars[semi] == ';' && !names.is_empty() => {
-                // The binding's scope closes at its block's `}`.
-                let mut scope_end = semi;
-                while chars[scope_end] == ';' {
-                    scope_end = statement_end(chars, scope_end + 1).unwrap_or(chars.len() - 1);
-                }
                 out.push(Let {
                     names,
                     ty: colon.map_or(String::new(), |c| text(c + 1, eq).trim().to_owned()),
                     line: line_at(i),
                     rhs: text(eq + 1, semi),
-                    rhs_end_line: line_at(semi),
-                    scope_end_line: line_at(scope_end),
                 });
             }
             _ => {}
@@ -873,11 +735,13 @@ fn assigns(chars: &[char], line_at: &dyn Fn(usize) -> usize) -> Vec<Assign> {
         let Some(end) = prev_non_ws(chars, i - op).map(|e| e + 1) else {
             continue;
         };
-        let Some(place) = receiver_text(chars, end) else {
+        let Some(start) = receiver_start(chars, end) else {
             continue;
         };
-        let start = end - place.chars().count();
-        let name: String = place.chars().take_while(|c| is_ident_char(*c)).collect();
+        let name: String = chars[start..end]
+            .iter()
+            .take_while(|c| is_ident_char(**c))
+            .collect();
         if prev_non_ws(chars, start).is_some_and(|b| !"{};".contains(chars[b]))
             || !name.starts_with(|c: char| c.is_lowercase() || c == '_')
             || name == "_"
@@ -988,33 +852,8 @@ fn loop_body_open(chars: &[char], from: usize) -> Option<usize> {
     None
 }
 
-/// Classifies position `i` against the repeated regions: any unbounded
-/// region wins; two or more nested per-item regions multiply into `n²`,
-/// which the symbolic budgets cannot express, so they are unbounded
-/// too.
-fn ctx_at(regions: &[Region], i: usize) -> LoopCtx {
-    let mut per_item = 0usize;
-    for r in regions {
-        if r.open < i && i < r.close {
-            match r.kind {
-                RegionKind::While => return LoopCtx::Unbounded,
-                RegionKind::For | RegionKind::Adaptor => per_item += 1,
-            }
-        }
-    }
-    match per_item {
-        0 => LoopCtx::Straight,
-        1 => LoopCtx::PerItem,
-        _ => LoopCtx::Unbounded,
-    }
-}
-
 /// Extracts call expressions from a scrubbed body.
-fn collect_calls(
-    chars: &[char],
-    regions: &[Region],
-    line_at: &dyn Fn(usize) -> usize,
-) -> Vec<Call> {
+fn collect_calls(chars: &[char], line_at: &dyn Fn(usize) -> usize) -> Vec<Call> {
     let mut out = Vec::new();
     for i in 0..chars.len() {
         if chars[i] != '(' {
@@ -1098,16 +937,27 @@ fn collect_calls(
             receiver,
             args,
             line: line_at(i),
-            ctx: ctx_at(regions, i),
         });
     }
     out
 }
 
-/// Reconstructs the expression chain ending just before index `dot` (a
-/// method call's `.`, an assignment's place): identifiers, field
-/// accesses, `?`, and balanced `(..)`/`[..]` groups.
+/// The expression chain ending just before index `dot` (a method
+/// call's `.`, an assignment's place), without whitespace; see
+/// [`receiver_start`].
 fn receiver_text(chars: &[char], dot: usize) -> Option<String> {
+    let start = receiver_start(chars, dot)?;
+    let text: String = chars[start..dot]
+        .iter()
+        .filter(|c| !c.is_whitespace())
+        .collect();
+    (!text.is_empty()).then_some(text)
+}
+
+/// Where the expression chain ending just before index `dot` starts:
+/// identifiers, field accesses, `?`, balanced `(..)`/`[..]` groups,
+/// and the line breaks rustfmt puts before a chain's `.`.
+fn receiver_start(chars: &[char], dot: usize) -> Option<usize> {
     let mut j = dot; // exclusive end
     while let Some(prev) = j.checked_sub(1) {
         let c = chars[prev];
@@ -1119,15 +969,36 @@ fn receiver_text(chars: &[char], dot: usize) -> Option<String> {
             j = match_back(chars, prev)?;
             continue;
         }
+        if c.is_whitespace() && chars.get(skip_ws(chars, prev)) == Some(&'.') {
+            j = prev;
+            continue;
+        }
         break;
     }
-    (j < dot).then(|| chars[j..dot].iter().collect())
+    (j < dot).then_some(j)
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
+
+    /// The named parameters, the ones `taint` can seed.
+    fn param_names(f: &FnItem) -> Vec<&str> {
+        f.params
+            .iter()
+            .filter(|p| !p.name.is_empty())
+            .map(|p| p.name.as_str())
+            .collect()
+    }
+
+    /// `(kind, line, trimmed source)` of every region of `f`.
+    fn regions_of(f: &FnItem) -> Vec<(RegionKind, usize, &str)> {
+        f.regions
+            .iter()
+            .map(|r| (r.kind, r.line, r.source.trim()))
+            .collect()
+    }
 
     #[test]
     fn parses_free_and_method_fns() {
@@ -1137,11 +1008,11 @@ mod tests {
         assert_eq!(f.fns.len(), 2);
         assert_eq!(f.fns[0].name, "free");
         assert_eq!(f.fns[0].owner, None);
-        assert_eq!(f.fns[0].param_names(), vec!["a", "b"]);
+        assert_eq!(param_names(&f.fns[0]), vec!["a", "b"]);
         assert_eq!(f.fns[0].ret, "Fr");
         assert_eq!(f.fns[1].name, "method");
         assert_eq!(f.fns[1].owner.as_deref(), Some("Foo"));
-        assert_eq!(f.fns[1].param_names(), vec!["self", "k"]);
+        assert_eq!(param_names(&f.fns[1]), vec!["self", "k"]);
         assert_eq!(f.fns[1].params[0].ty, "Foo");
     }
 
@@ -1191,6 +1062,28 @@ mod tests {
     }
 
     #[test]
+    fn split_chain_receiver_crosses_line_breaks() {
+        // rustfmt puts each `.call()` of a long chain on its own line;
+        // the receiver is the whole chain, without the whitespace.
+        let src = "fn f(keys: &Keys) {\n\
+                   let x = keys\n    .secret\n    .invert()\n    .unwrap_or(Fr::one());\n\
+                   let y = {\n    1\n}\n.min(2);\n\
+                   }\n";
+        let f = parse_file("x.rs", src);
+        let receiver = |name: &str| {
+            let c = f.fns[0].calls.iter().find(|c| c.callee == name).unwrap();
+            (c.receiver.clone(), c.line)
+        };
+        assert_eq!(receiver("invert"), (Some("keys.secret".to_owned()), 4));
+        assert_eq!(
+            receiver("unwrap_or"),
+            (Some("keys.secret.invert()".to_owned()), 5)
+        );
+        // A block is no chain: nothing precedes the `.` but its `}`.
+        assert_eq!(receiver("min"), (None, 9));
+    }
+
+    #[test]
     fn keywords_and_macros_are_not_calls() {
         let src = "fn f(x: u64) { if (x > 0) { assert!(x < 9); } for v in (0..x) {} }\n";
         let f = parse_file("x.rs", src);
@@ -1206,16 +1099,8 @@ mod tests {
     }
 
     #[test]
-    fn structs_and_lets_are_recorded() {
-        let src = "pub struct Shard<F: Fn(u64)> {\n\
-                   map: Vec<F>,\n\
-                   hits: u64,\n\
-                   }\n\
-                   #[cfg(test)]\n\
-                   mod tests {\n\
-                   struct Probe(u8);\n\
-                   }\n\
-                   fn f(opt: Option<u64>) {\n\
+    fn lets_are_recorded() {
+        let src = "fn f(opt: Option<u64>) {\n\
                    if let Some(v) = opt { use_it(v); }\n\
                    let n = {\n\
                    let g = m.lock();\n\
@@ -1225,31 +1110,15 @@ mod tests {
                    + 1;\n\
                    }\n";
         let f = parse_file("x.rs", src);
-        let shard = &f.structs[0];
-        assert_eq!((shard.name.as_str(), shard.line), ("Shard", 1));
-        assert!(!shard.is_test);
-        // The `(` of the generic bound is not a tuple body.
-        assert_eq!(
-            shard.field_lines,
-            vec![
-                (1, String::new()),
-                (2, "map: Vec<F>,".to_owned()),
-                (3, "hits: u64,".to_owned())
-            ]
-        );
-        assert!(shard.mentions("Vec") && !shard.mentions("Fn"));
-        assert_eq!(f.structs[1].name, "Probe");
-        assert!(f.structs[1].is_test);
-
-        // `(names, line, rhs_end_line, scope_end_line)`: no entry for the
-        // `if let` head, and the block initializer's own `let` is seen.
-        let lets: Vec<(String, usize, usize, usize)> = f.fns[0]
+        // No entry for the `if let` head, and the block initializer's
+        // own `let` is seen.
+        let lets: Vec<(String, usize)> = f.fns[0]
             .lets
             .iter()
-            .map(|l| (l.names.join(","), l.line, l.rhs_end_line, l.scope_end_line))
+            .map(|l| (l.names.join(","), l.line))
             .collect();
-        let expected = [("n", 11, 14, 17), ("g", 12, 12, 14), ("total", 15, 16, 17)];
-        assert_eq!(lets, expected.map(|(n, a, b, c)| (n.to_owned(), a, b, c)));
+        let expected = [("n", 3), ("g", 4), ("total", 7)];
+        assert_eq!(lets, expected.map(|(n, line)| (n.to_owned(), line)));
         assert_eq!(f.fns[0].lets[2].rhs, " n\n+ 1");
     }
 
@@ -1314,7 +1183,7 @@ mod tests {
         let src = "fn apply<F: Fn(&u64) -> bool>(v: u64, f: F) -> bool { f(&v) }\n";
         let f = parse_file("x.rs", src);
         assert_eq!(f.fns[0].name, "apply");
-        assert_eq!(f.fns[0].param_names(), vec!["v", "f"]);
+        assert_eq!(param_names(&f.fns[0]), vec!["v", "f"]);
         assert_eq!(f.fns[0].ret, "bool");
     }
 
@@ -1323,7 +1192,7 @@ mod tests {
         let src = "fn f((a, b): (u64, u64), c: u64) -> u64 { a + b + c }\n";
         let f = parse_file("x.rs", src);
         assert_eq!(f.fns[0].params.len(), 2);
-        assert_eq!(f.fns[0].param_names(), vec!["c"]);
+        assert_eq!(param_names(&f.fns[0]), vec!["c"]);
     }
 
     #[test]
@@ -1334,66 +1203,66 @@ mod tests {
     }
 
     #[test]
-    fn loop_context_classifies_call_sites() {
+    fn loops_and_while_bodies_are_regions() {
         let src = "fn f(v: &[u64]) {\n\
                    straight();\n\
                    for x in v { per_item(x); for y in v { nested(y); } }\n\
                    while more() { unbounded(); }\n\
                    loop { spin(); }\n\
                    }\n";
-        let f = parse_file("x.rs", src);
-        let ctx = |name: &str| {
-            f.fns[0]
-                .calls
-                .iter()
-                .find(|c| c.callee == name)
-                .unwrap()
-                .ctx
-        };
-        assert_eq!(ctx("straight"), LoopCtx::Straight);
-        assert_eq!(ctx("per_item"), LoopCtx::PerItem);
-        assert_eq!(ctx("nested"), LoopCtx::Unbounded, "n·n is not expressible");
-        assert_eq!(ctx("unbounded"), LoopCtx::Unbounded);
-        assert_eq!(ctx("spin"), LoopCtx::Unbounded);
+        let f = &parse_file("x.rs", src).fns[0];
+        assert_eq!(
+            regions_of(f),
+            vec![
+                (RegionKind::For, 3, "x in v"),
+                (RegionKind::For, 3, "y in v"),
+                (RegionKind::While, 4, ""),
+                (RegionKind::While, 5, ""),
+            ]
+        );
+        let (outer, inner) = (&f.regions[0], &f.regions[1]);
+        assert!(
+            outer.open < inner.open && inner.close < outer.close,
+            "nested"
+        );
         // The `while` condition itself sits outside the loop body.
-        assert_eq!(ctx("more"), LoopCtx::Straight);
+        let body = &f.regions[2];
+        let text: String = f.body.chars().take(body.close).skip(body.open).collect();
+        assert!(text.contains("unbounded") && !text.contains("more"));
     }
 
     #[test]
-    fn iterator_adaptor_closures_run_per_item() {
+    fn iterator_adaptor_arguments_are_regions() {
         let src = "fn f(v: &[u64]) -> Vec<u64> {\n\
                    let out = v.iter().map(|x| expensive(x)).collect();\n\
                    let once = cell.get_or_init(|| build());\n\
+                   let split = v\n    .iter()\n    .filter(|x| keep(x))\n    .count();\n\
                    out\n\
                    }\n";
-        let f = parse_file("x.rs", src);
-        let exp = f.fns[0]
-            .calls
-            .iter()
-            .find(|c| c.callee == "expensive")
-            .unwrap();
-        assert_eq!(exp.ctx, LoopCtx::PerItem);
-        let build = f.fns[0].calls.iter().find(|c| c.callee == "build").unwrap();
-        assert_eq!(build.ctx, LoopCtx::Straight, "unknown closures count once");
+        let f = &parse_file("x.rs", src).fns[0];
+        // `get_or_init` is no adaptor, and a split chain keeps its
+        // receiver.
+        assert_eq!(
+            regions_of(f),
+            vec![
+                (RegionKind::Adaptor, 2, "v.iter()"),
+                (RegionKind::Adaptor, 6, "v.iter()"),
+            ]
+        );
     }
 
     #[test]
     fn hrtb_for_is_not_a_loop() {
         let src = "fn f(v: u64) { let g: &dyn for<'a> Fn(&'a u64) = &|_| (); use_it(v); }\n";
-        let f = parse_file("x.rs", src);
-        let c = f.fns[0]
-            .calls
-            .iter()
-            .find(|c| c.callee == "use_it")
-            .unwrap();
-        assert_eq!(c.ctx, LoopCtx::Straight);
+        let f = &parse_file("x.rs", src).fns[0];
+        assert!(f.regions.is_empty(), "{:?}", f.regions);
     }
 
     #[test]
     fn rng_trait_object_param_parses() {
         let src = "fn gen(rng: &mut (impl RngCore + ?Sized)) -> Fr { Fr::random(rng) }\n";
         let f = parse_file("x.rs", src);
-        assert_eq!(f.fns[0].param_names(), vec!["rng"]);
+        assert_eq!(param_names(&f.fns[0]), vec!["rng"]);
         let c = &f.fns[0].calls[0];
         assert_eq!(c.callee, "random");
         assert_eq!(c.qualifier.as_deref(), Some("Fr"));

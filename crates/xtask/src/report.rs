@@ -8,9 +8,7 @@
 
 use std::fmt::Write as _;
 
-use crate::{
-    certify, complexity, concurrency, opcount, taint, Finding, Workspace, COMPLEXITY_SCOPE,
-};
+use crate::{certify, complexity, taint, Finding, Workspace, COMPLEXITY_SCOPE};
 
 /// One row of the lint table: the id every finding of the lint
 /// carries, the one-line description SARIF consumers show next to
@@ -29,20 +27,11 @@ pub struct Lint {
 /// Every lint the gate runs. The SARIF driver always advertises the
 /// full rule set — not just the lints that happened to fire — so
 /// code-scanning UIs can render "passing" rules.
-pub const LINTS: [Lint; 4] = [
+pub const LINTS: [Lint; 2] = [
     Lint {
         id: "ct",
         description: "No branching, indexing or variable-time call on secret data, across calls",
         run: |ws| taint::analyze(ws.crypto, ws.graph),
-    },
-    Lint {
-        id: "opcount",
-        description: "Table 1 operation budgets certified statically",
-        run: |ws| {
-            certify::check_committed::<opcount::Counts<'_>>(ws.root, |budgets| {
-                opcount::analyze(ws.crypto, ws.graph, ws.costs, budgets)
-            })
-        },
     },
     Lint {
         id: "complexity",
@@ -52,11 +41,6 @@ pub const LINTS: [Lint; 4] = [
                 complexity::analyze(ws.files(COMPLEXITY_SCOPE), budgets)
             })
         },
-    },
-    Lint {
-        id: "concurrency",
-        description: "Lock-order acyclicity, no pairing work under guards, no escaping guards",
-        run: |ws| concurrency::analyze(ws.crypto, ws.graph, ws.costs),
     },
 ];
 
@@ -247,7 +231,7 @@ mod tests {
 
     #[test]
     fn sarif_driver_always_advertises_every_rule() {
-        assert_eq!(LINTS.len(), 4, "the gate runs four lints");
+        assert_eq!(LINTS.len(), 2, "the gate runs two lints");
         // Rules carry metadata and appear even when nothing fired.
         let empty = render(&[], Format::Sarif);
         for Lint {

@@ -12,9 +12,8 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 
 use mccls_xtask::callgraph::CallGraph;
-use mccls_xtask::opcount::{self, compute_costs};
 use mccls_xtask::parser::{parse_files, ParsedFile};
-use mccls_xtask::{concurrency, taint, Finding};
+use mccls_xtask::{taint, Finding};
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -28,29 +27,16 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(dir.join(name)).expect("fixture exists")
 }
 
-// The three graph lints over one call graph (and, where they need
-// them, its certified costs), as `check_workspace` runs them.
-
+// The `ct` lint over the fixture's call graph, as `check_workspace`
+// runs it.
 fn ct_findings(files: &[ParsedFile]) -> Vec<Finding> {
     taint::analyze(files, &CallGraph::build(files))
-}
-
-fn opcount_findings(files: &[ParsedFile], budgets: &opcount::Budgets) -> Vec<Finding> {
-    let graph = CallGraph::build(files);
-    opcount::analyze(files, &graph, &compute_costs(files, &graph), budgets)
-}
-
-fn concurrency_findings(files: &[ParsedFile]) -> Vec<Finding> {
-    let graph = CallGraph::build(files);
-    concurrency::analyze(files, &graph, &compute_costs(files, &graph))
 }
 
 /// Every fixture run, one per analyzer call, titled `<lint> <fixture>`.
 fn fixture_runs() -> Vec<(&'static str, Vec<Finding>)> {
     use mccls_xtask::{complexity, parser};
     let parsed = |name: &str| parser::parse_files(&[(name.to_owned(), fixture(name))]);
-    let opcount_budgets = opcount::parse_budgets(&fixture("opcount_budgets.toml"))
-        .expect("opcount fixture budgets parse");
     let complexity_budgets = complexity::parse_budgets(&fixture("complexity_budgets.toml"))
         .expect("complexity fixture budgets parse");
     vec![
@@ -61,20 +47,12 @@ fn fixture_runs() -> Vec<(&'static str, Vec<Finding>)> {
             ct_findings(&parsed("suppression_cases.rs")),
         ),
         (
-            "opcount opcount_cases.rs",
-            opcount_findings(&parsed("opcount_cases.rs"), &opcount_budgets),
-        ),
-        (
             "complexity complexity_cases.rs",
             complexity::analyze(&parsed("complexity_cases.rs"), &complexity_budgets),
         ),
         (
             "ct prepared_cases.rs",
             ct_findings(&parsed("prepared_cases.rs")),
-        ),
-        (
-            "concurrency concurrency_cases.rs",
-            concurrency_findings(&parsed("concurrency_cases.rs")),
         ),
     ]
 }
@@ -198,64 +176,6 @@ fn bare_suppression_reasons_do_not_suppress() {
 }
 
 #[test]
-fn opcount_fixture_trips_only_the_interprocedural_analysis() {
-    // `session_verify` is locally pairing-free: both pairings live one
-    // call down in `peer_term`/`message_term`, so an overrun finding
-    // proves cost vectors propagated across call edges. The `while`
-    // loop in `drain_queue` must read as unbounded, the ghost budget
-    // entry as dead, and the exactly-budgeted `cached_verify` twin
-    // must stay silent.
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-    let src =
-        std::fs::read_to_string(dir.join("opcount_cases.rs")).expect("opcount fixture exists");
-    let budgets_text = std::fs::read_to_string(dir.join("opcount_budgets.toml"))
-        .expect("opcount fixture budgets exist");
-    let budgets = opcount::parse_budgets(&budgets_text).expect("fixture toml parses");
-    let files = mccls_xtask::parser::parse_files(&[("opcount_cases.rs".to_owned(), src)]);
-
-    // Sanity: the overrun entry point performs no counted operation
-    // itself, so anything the analysis charges it is interprocedural.
-    let entry = files[0]
-        .fns
-        .iter()
-        .find(|f| f.name == "session_verify")
-        .expect("fixture entry point parses");
-    assert!(
-        entry.calls.iter().all(|c| !c.callee.contains("pair")),
-        "fixture entry must be locally pairing-free or the test proves nothing"
-    );
-
-    let findings = opcount_findings(&files, &budgets);
-    assert!(
-        findings.iter().any(|f| f
-            .message
-            .contains("`session_verify` computes to 2 pairings")
-            && f.message
-                .contains("exceeding budget `fixture.session_verify`")),
-        "expected the interprocedural overrun to fire, got: {findings:?}"
-    );
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.message.contains("`drain_queue`")
-                && f.message.contains("statically unbounded")),
-        "expected the while-loop pairing to read as unbounded, got: {findings:?}"
-    );
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.message.contains("dead budget entry `fixture.ghost`")),
-        "expected the ghost entry to be reported dead, got: {findings:?}"
-    );
-    assert!(
-        findings
-            .iter()
-            .all(|f| !f.message.contains("cached_verify")),
-        "the exactly-budgeted twin must stay silent: {findings:?}"
-    );
-}
-
-#[test]
 fn complexity_fixture_trips_only_the_interprocedural_analysis() {
     // `flood_rreq` is locally loop-free: the quadratic scan lives one
     // call down, so an overrun finding proves classes composed across
@@ -368,48 +288,4 @@ fn prepared_pairing_fixture_fails_the_ct_gate() {
         !secret_flow.is_empty(),
         "expected the secret-digit/blinder branches to fire"
     );
-}
-
-#[test]
-fn concurrency_fixture_fires_all_three_analyses_and_twins_stay_silent() {
-    // One fixture registry seeds every class of concurrency hazard the
-    // lint certifies against: lock-order cycles (same-class nesting on
-    // a shard array plus an interprocedural opposite-order pair), a
-    // pairing paid under a write guard, and guard-extension hazards.
-    // Each dirty case has a clean or justified twin that must not be
-    // flagged.
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-    let src = std::fs::read_to_string(dir.join("concurrency_cases.rs"))
-        .expect("concurrency fixture exists");
-    let files = mccls_xtask::parser::parse_files(&[("concurrency_cases.rs".to_owned(), src)]);
-    let findings = concurrency_findings(&files);
-
-    let expect = |fragment: &str| {
-        assert!(
-            findings.iter().any(|f| f.message.contains(fragment)),
-            "expected a finding containing `{fragment}`, got: {findings:?}"
-        );
-    };
-    // (a) deadlock detection: the same-class shard nesting and the
-    // journal/banks opposite-order pair both close cycles.
-    expect("lock-order cycle");
-    expect("shards[]");
-    // (b) hold-across-expensive-op: the pairing under the `pairs` guard.
-    expect("held across");
-    // (c) guard-extension hazards.
-    expect("returns a");
-    expect("stores a");
-    // A bare `// lock-ok:` is itself a violation and does not waive
-    // the gate_a/gate_b cycle it decorates.
-    expect("gives no reason");
-
-    // Twins: the precompute-first path and the justified epoch
-    // ordering are clean.
-    for quiet in ["admit_fast", "epoch_a", "epoch_b"] {
-        assert!(
-            findings.iter().all(|f| !f.message.contains(quiet)),
-            "clean twin `{quiet}` was flagged: {findings:?}"
-        );
-    }
-    assert_eq!(findings.len(), 7, "exact finding set drifted: {findings:?}");
 }

@@ -1,12 +1,15 @@
 //! Runs the Type I / Type II adversary games against every scheme and
-//! demonstrates the reproduction's security finding: the McCLS scheme is
-//! *forgeable by a malicious KGC* (its unproved Theorem 2 does not
-//! hold), while its Type I claim survives every strategy in the
-//! harness.
+//! demonstrates the reproduction's two security findings: the McCLS
+//! scheme is *forgeable by a malicious KGC* (its unproved Theorem 2
+//! does not hold), and *one observed signature forges any message for
+//! its signer* (so its Theorem 1 does not hold either), although its
+//! Type I claim survives every generic strategy in the harness.
 //!
 //! Run with: `cargo run --release --example security_analysis`
 
-use mccls::cls::security::{mccls_type2_forgery, run_type1_game, run_type2_game};
+use mccls::cls::security::{
+    mccls_signature_reuse_forgery, mccls_type2_forgery, run_type1_game, run_type2_game,
+};
 use mccls::cls::{all_schemes, CertificatelessScheme, McCls};
 use mccls_rng::SeedableRng;
 
@@ -58,4 +61,26 @@ fn main() {
         }
     );
     assert!(accepted, "the reproduction's forgery must verify");
+
+    println!("\n== Signature-reuse break of McCLS (Type I, no key replacement) ==");
+    println!("(r = V/h, x*P = r*P - R; R' = r'*P - x*P, V' = h'*r', S' = S)");
+    let partial = kgc.extract_partial_private_key(b"victim");
+    let observed = scheme.sign(&params, b"victim", &partial, &victim, b"RREQ", &mut rng);
+    let msg = b"any message the eavesdropper chooses";
+    let accepted =
+        mccls_signature_reuse_forgery(&params, &victim.public, b"RREQ", &observed, msg, &mut rng)
+            .is_some_and(|forged| {
+                scheme
+                    .verify(&params, b"victim", &victim.public, msg, &forged)
+                    .is_ok()
+            });
+    println!(
+        "signature forged from one observed signature: {}",
+        if accepted {
+            "ACCEPTED — Theorem 1 is refuted"
+        } else {
+            "rejected"
+        }
+    );
+    assert!(accepted, "the signature-reuse forgery must verify");
 }
